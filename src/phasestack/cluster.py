@@ -5,6 +5,13 @@ selection.
 Distances are RMS pixel differences of the piston-shifted, pooled wrapped
 values (direct subtraction, no circular difference); the RMS normalization
 keeps cut thresholds comparable across pupil sizes.
+
+Cost for N frames of P valid pixels: O(N^2 P) for the distances (one Gram
+product), O(N^2) typical for the linkage (cached nearest neighbours), never
+worse than the O(N^3) of a full rescan per merge.  Both are exact where
+exactness decides the partition: identical frames are exactly 0.0 apart,
+and the merge list, ties and heights included, is the one a full rescan
+with the min-leaf tie rule gives.
 """
 
 from __future__ import annotations
@@ -13,9 +20,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .core import wrapped_diff
+
+# Squared distances below this fraction of |x_i|^2 + |x_j|^2 are recomputed
+# by direct subtraction (see pairwise_distances).
+_NEAR_REL = 1e-3
 
 
 class NoClusterError(RuntimeError):
@@ -35,6 +45,14 @@ def pairwise_distances(
 
     Direct subtraction of the wrapped values by default; circular=True
     substitutes the wrapped difference per pixel instead.
+
+    The direct metric takes its squared distances from one Gram product,
+    |x_i|^2 + |x_j|^2 - 2 x_i.x_j, in O(N^2 P) for N frames of P valid
+    pixels.  Pairs whose squared distance falls below _NEAR_REL of
+    |x_i|^2 + |x_j|^2, where the Gram form loses its relative accuracy to
+    cancellation, are recomputed by direct subtraction, so identical
+    frames are exactly 0.0 apart.  The result is exactly symmetric with a
+    zero diagonal.
     """
     frames = np.asarray(frames, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
@@ -47,7 +65,16 @@ def pairwise_distances(
         raise ValueError("pairwise_distances: no valid pixels")
     x = frames[:, mask]
     if not circular:
-        return squareform(pdist(x, metric="euclidean") / math.sqrt(n_valid))
+        sq = np.einsum("ij,ij->i", x, x)
+        norms = sq[:, None] + sq[None, :]
+        d2 = np.triu(np.maximum(norms - 2.0 * (x @ x.T), 0.0), 1)
+        near = np.triu(d2 <= _NEAR_REL * norms, 1)
+        for i in np.flatnonzero(near.any(axis=1)):
+            js = np.flatnonzero(near[i])
+            diff = x[js] - x[i]
+            d2[i, js] = np.einsum("ij,ij->i", diff, diff)
+        d = np.sqrt(d2) / math.sqrt(n_valid)
+        return d + d.T
     n = x.shape[0]
     d = np.zeros((n, n))
     for i in range(n - 1):
@@ -60,7 +87,9 @@ def check_distance_matrix(d: np.ndarray) -> None:
     d = np.asarray(d)
     if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] < 2:
         raise ValueError("distance matrix must be square with n >= 2")
-    if not np.allclose(d, d.T, atol=0.0, rtol=0.0, equal_nan=False):
+    if not np.all(np.isfinite(d)):
+        raise ValueError("distance matrix must be finite")
+    if not np.array_equal(d, d.T):
         raise ValueError("distance matrix must be symmetric")
     if np.any(np.diag(d) != 0.0):
         raise ValueError("distance matrix must have a zero diagonal")
@@ -118,48 +147,63 @@ def agglomerate(d: np.ndarray) -> Dendrogram:
     inter-cluster distance is merged; exact ties are broken by the lowest
     min-leaf index of the first cluster, then of the second.  This makes
     the output fully deterministic.
+
+    Each slot i caches its nearest neighbour among the slots above it,
+    (nn[i], nd[i]), ties going to the lowest slot (Muellner 2011,
+    arXiv:1109.2378).  The merged cluster keeps the slot of its lower
+    min-leaf, so a slot's index is its min-leaf and the tie rule's pair is
+    the first slot holding min(nd) with its cached neighbour.  A merge
+    rescans only the slots whose neighbour was merged; the others compare
+    their cache with the merged cluster's new distance.  O(N^2) when few
+    slots share a neighbour, never worse than the O(N^3) full rescan.  The
+    Lance-Williams update is the full rescan's expression, so merges and
+    heights are bit-identical to it.
     """
     check_distance_matrix(d)
     n = d.shape[0]
+    # a retired slot's row and column hold inf, above any finite distance
     work = np.asarray(d, dtype=np.float64).copy()
     np.fill_diagonal(work, np.inf)
-    active = np.ones(n, dtype=bool)
     cluster_id = np.arange(n)
     size = np.ones(n, dtype=np.int64)
-    min_leaf = np.arange(n)
+    nn = np.full(n, -1)
+    nd = np.full(n, np.inf)
+
+    def rescan(i: int) -> None:
+        j = i + 1 + int(np.argmin(work[i, i + 1 :]))
+        nn[i], nd[i] = j, work[i, j]
+
+    for i in range(n - 1):
+        rescan(i)
 
     merges = []
     last_height = 0.0
     for step in range(n - 1):
-        masked = np.where(active[:, None] & active[None, :], work, np.inf)
-        h = masked.min()
-        ties = np.argwhere(masked == h)
-        # orient each candidate pair by min-leaf, then pick lexicographically
-        best = None
-        for i, j in ties:
-            if i >= j:
-                continue
-            a, b = (i, j) if min_leaf[i] <= min_leaf[j] else (j, i)
-            key = (min_leaf[a], min_leaf[b])
-            if best is None or key < best[0]:
-                best = (key, a, b)
-        _, p, q = best
+        p = int(np.argmin(nd))
+        q = int(nn[p])
+        h = nd[p]
         if h < last_height:
             raise AssertionError("average-linkage heights must be nondecreasing")
         last_height = h
         merges.append((int(cluster_id[p]), int(cluster_id[q]), float(h)))
 
         # Lance-Williams update for average linkage; slot p keeps the merge
-        rest = active.copy()
-        rest[[p, q]] = False
-        work[p, rest] = (size[p] * work[p, rest] + size[q] * work[q, rest]) / (
-            size[p] + size[q]
-        )
-        work[rest, p] = work[p, rest]
-        active[q] = False
+        # (entries of p, q and retired slots come out inf)
+        row = (size[p] * work[p] + size[q] * work[q]) / (size[p] + size[q])
+        work[p] = work[:, p] = row
+        work[q] = work[:, q] = np.inf
         size[p] += size[q]
         cluster_id[p] = n + step
-        min_leaf[p] = min(min_leaf[p], min_leaf[q])
+
+        # slots whose neighbour was merged rescan; the slots below p compare
+        # their cache with the merged cluster, the lower slot winning a tie
+        stale = np.flatnonzero((nn == p) | (nn == q))
+        nn[q], nd[q] = -1, np.inf
+        closer = (row[:p] < nd[:p]) | ((row[:p] == nd[:p]) & (p < nn[:p]))
+        nn[:p][closer] = p
+        nd[:p][closer] = row[:p][closer]
+        for i in stale:
+            rescan(i)
 
     return Dendrogram(n_leaves=n, merges=merges)
 

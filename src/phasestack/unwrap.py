@@ -20,8 +20,6 @@ from scipy import ndimage
 
 from .core import TWO_PI, check_frame, detect_residues, mask_is_connected, wrap
 
-_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-
 
 @dataclass
 class Surface:

@@ -79,6 +79,14 @@ class TestCheckDistanceMatrix:
         with pytest.raises(ValueError):
             check_distance_matrix(d)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        d = np.array([[0.0, bad, 1.0], [bad, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="distance matrix must be finite"):
+            check_distance_matrix(d)
+        with pytest.raises(ValueError, match="distance matrix must be finite"):
+            agglomerate(d)
+
 
 class TestAgglomerate:
     def test_two_leaves(self):

@@ -1,0 +1,183 @@
+"""The fast classify kernels against the reference kernels they replace.
+
+``agglomerate`` must give exactly the merge list (pairs, order and heights)
+of the full-rescan reference, ties included; ``pairwise_distances`` must
+keep duplicate frames exactly 0.0 apart and agree with ``pdist`` elsewhere;
+and the clustered route must choose the same partition and produce the same
+surface whichever pair of kernels it runs.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import squareform
+
+from cluster_reference import agglomerate_reference, pairwise_distances_reference
+from phasestack import PipelineParams, TrialSpec, make_trial, peaks_surface, pipeline, run_clustered
+from phasestack.cluster import agglomerate, pairwise_distances
+
+
+def merge_list(kernel, d):
+    """Merges of ``kernel(d)``, or the name of the error it raised."""
+    try:
+        return kernel(d).merges
+    except AssertionError:
+        return "AssertionError"
+
+
+def assert_same_merges(d):
+    assert merge_list(agglomerate, d) == merge_list(agglomerate_reference, d)
+
+
+sizes = st.integers(min_value=2, max_value=60)
+
+
+@st.composite
+def condensed(draw, elements):
+    n = draw(sizes)
+    v = draw(arrays(np.float64, n * (n - 1) // 2, elements=elements))
+    return squareform(v)
+
+
+class TestAgglomerateMatchesReference:
+    @settings(max_examples=60)
+    @given(condensed(st.floats(0.0, 10.0, allow_subnormal=False)))
+    def test_random_floats(self, d):
+        assert_same_merges(d)
+
+    @settings(max_examples=60)
+    @given(condensed(st.integers(0, 6).map(lambda k: k / 2)))
+    def test_small_integers_heavy_ties(self, d):
+        assert_same_merges(d)
+
+    @settings(max_examples=20)
+    @given(sizes, st.floats(0.0, 10.0, allow_subnormal=False))
+    def test_all_equal(self, n, value):
+        d = np.full((n, n), value)
+        np.fill_diagonal(d, 0.0)
+        assert_same_merges(d)
+
+    @settings(max_examples=60)
+    @given(
+        st.lists(st.integers(0, 5), min_size=2, max_size=60),
+        arrays(np.float64, 15, elements=st.integers(1, 4).map(float)),
+    )
+    def test_zero_distance_blocks(self, groups, between):
+        # frames in one group are duplicates: 0 apart, identical rows
+        g = squareform(between)
+        d = g[np.ix_(groups, groups)]
+        assert_same_merges(d)
+
+    def test_zero_matrix(self):
+        assert_same_merges(np.zeros((7, 7)))
+
+    def test_merged_distance_rounds_to_a_cached_tie(self):
+        # distances 1 and 1 + k * 2**-52 for k in (-1, 1, 2): merging slots 2
+        # and 5 gives slot 0 exactly its cached nearest distance (to slot
+        # 4), so the lower slot 2 must become its nearest neighbour
+        u = 2.0**-52
+        v = {"0": 0.0, "h": 0.5, "1": 1.0, "L": 1.0 - u, "U": 1.0 + u, "V": 1.0 + 2 * u}
+        rows = ["0U1hVLh", "U01hUVL", "110UVLV", "hhU0LUh", "VUVL0VL", "LVLUV0U", "hLVhLU0"]
+        d = np.array([[v[c] for c in r] for r in rows])
+        assert agglomerate(d).merges[-2:] == [(9, 10, 1.0), (11, 4, v["U"])]
+        assert_same_merges(d)
+
+
+@st.composite
+def frame_stacks(draw):
+    """Wrapped-phase stacks in which some frames duplicate or nearly
+    duplicate others; returns (frames, mask, duplicate pairs)."""
+    n = draw(st.integers(2, 30))
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = rng.uniform(-math.pi, math.pi, (n,) + shape)
+    mask = rng.random(shape) < draw(st.floats(0.2, 1.0))
+    mask.flat[draw(st.integers(0, mask.size - 1))] = True
+    duplicates = []
+    for _ in range(draw(st.integers(0, n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            continue
+        frames[j] = frames[i]
+        if draw(st.booleans()):
+            frames[j] += draw(st.sampled_from([1e-12, 1e-9, 1e-6])) * rng.standard_normal(shape)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if np.array_equal(frames[i][mask], frames[j][mask]):
+                duplicates.append((i, j))
+    return frames, mask, duplicates
+
+
+class TestPairwiseDistancesMatchesReference:
+    @settings(max_examples=150)
+    @given(frame_stacks())
+    def test_exact_zeros_symmetry_and_pdist_agreement(self, stack):
+        frames, mask, duplicates = stack
+        d = pairwise_distances(frames, mask)
+        ref = pairwise_distances_reference(frames, mask)
+        assert np.array_equal(d, d.T)
+        assert np.all(np.diag(d) == 0.0)
+        for i, j in duplicates:
+            assert d[i, j] == 0.0
+        assert np.all(np.abs(d - ref) <= 1e-12 * ref)
+
+    def test_all_identical_frames(self):
+        frames = np.repeat(np.linspace(-3.0, 3.0, 64).reshape(1, 8, 8), 12, axis=0)
+        d = pairwise_distances(frames, np.ones((8, 8), dtype=bool))
+        assert np.array_equal(d, np.zeros((12, 12)))
+
+
+def _run(stack, params, monkeypatch, reference: bool):
+    """run_clustered with the package or the reference kernels; returns
+    the report and the ClusterSet it selected."""
+    select = pipeline.select_clusters
+    selected = []
+
+    def recording_select(*args):
+        selected.append(select(*args))
+        return selected[-1]
+
+    with monkeypatch.context() as m:
+        if reference:
+            m.setattr(pipeline, "pairwise_distances", pairwise_distances_reference)
+            m.setattr(pipeline, "agglomerate", agglomerate_reference)
+        m.setattr(pipeline, "select_clusters", recording_select)
+        report = run_clustered(stack, params)
+    return report, selected[0]
+
+
+TRIALS = [
+    pytest.param(dict(snr_db=20.0, contaminant_fraction=0.03, seed=s), id=f"noisy-seed{s}")
+    for s in (0, 1, 2)
+] + [
+    # every frame identical: every distance is an exact 0.0 tie (N=100, as
+    # the reference rescans all O(N^2) tied pairs at every merge)
+    pytest.param(
+        dict(frame_count=100, snr_db=math.inf, perturbation_count=1, seed=0),
+        id="noise-free-all-tied",
+    ),
+    # two families of duplicates plus contaminants
+    pytest.param(
+        dict(frame_count=100, snr_db=math.inf, contaminant_fraction=0.03, seed=3),
+        id="noise-free-families",
+    ),
+]
+
+
+@pytest.mark.parametrize("trial", TRIALS)
+def test_clustered_partition_and_surface_identical(trial, monkeypatch):
+    spec = TrialSpec(
+        **{"frame_count": 200, "grid": 64, "perturbation_count": 2, "tilt_jitter": 6.0, **trial}
+    )
+    stack, _ = make_trial(peaks_surface(64, 37.82), spec)
+    params = PipelineParams(cut=0.5, min_samples=None, min_fraction=0.04)
+    fast, fast_clusters = _run(stack, params, monkeypatch, reference=False)
+    ref, ref_clusters = _run(stack, params, monkeypatch, reference=True)
+    assert fast_clusters.chosen == ref_clusters.chosen
+    assert fast_clusters.abandoned == ref_clusters.abandoned
+    assert np.array_equal(fast.surface.mask, ref.surface.mask)
+    assert np.array_equal(fast.surface.values, ref.surface.values)
