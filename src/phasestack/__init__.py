@@ -56,7 +56,6 @@ from .synth import (
 )
 from .unwrap import (
     BranchCutMap,
-    GoldsteinUnwrapper,
     Surface,
     flood_unwrap,
     place_branch_cuts,
@@ -111,7 +110,6 @@ __all__ = [
     "noise_sigma",
     "peaks_surface",
     "BranchCutMap",
-    "GoldsteinUnwrapper",
     "Surface",
     "flood_unwrap",
     "place_branch_cuts",

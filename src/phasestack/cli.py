@@ -47,7 +47,6 @@ def _add_params_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--wavelength-nm", type=float, default=632.8)
     p.add_argument("--no-classify", action="store_true", help="single cluster of all frames")
-    p.add_argument("--threads", type=int, default=1, help="reserved; execution is single-threaded")
 
 
 def _params_from(args) -> PipelineParams:
@@ -60,7 +59,6 @@ def _params_from(args) -> PipelineParams:
         min_fraction=min_fraction,
         pool_levels=args.pool_levels,
         cluster_weighting=args.weighting,
-        modes_removed=("piston", "tilt_x", "tilt_y", "power"),
         wavelength_nm=args.wavelength_nm,
         classify=not args.no_classify,
     )

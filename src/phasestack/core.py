@@ -62,14 +62,15 @@ def wrapped_diff(a, b):
 
 
 def check_frame(values: np.ndarray, mask: np.ndarray | None = None) -> None:
-    """Validate a phase frame: 2-D, >= 2x2, valid pixels finite and in range."""
+    """Validate a phase frame, or an (n, h, w) stack of frames sharing one
+    mask: frames >= 2x2, valid pixels finite and in range."""
     values = np.asarray(values)
-    if values.ndim != 2:
-        raise ValueError(f"phase frame must be 2-D, got shape {values.shape}")
-    h, w = values.shape
+    if values.ndim not in (2, 3):
+        raise ValueError(f"phase frame must be 2-D (or a 3-D stack), got shape {values.shape}")
+    h, w = values.shape[-2:]
     if h < 2 or w < 2:
         raise ValueError(f"phase frame must be at least 2x2, got {h}x{w}")
-    v = values if mask is None else values[np.asarray(mask, dtype=bool)]
+    v = values if mask is None else values[..., np.asarray(mask, dtype=bool)]
     if not np.all(np.isfinite(v)):
         raise ValueError("phase frame has non-finite valid pixels")
     if v.size and (v.min() <= -np.pi or v.max() > np.pi):

@@ -1,19 +1,19 @@
-"""Orchestration of the two measurement procedures and their comparison.
+"""One measurement pipeline: preprocess -> partition -> for each part
+(circular mean -> unwrap -> Zernike fit) -> combine.
 
-Clustered route: piston-shift all frames, classify the pooled copies by
-average-linkage clustering, circular-mean each chosen cluster at full
-resolution, unwrap one denoised frame per cluster, remove low-order
-Zernike modes per cluster surface, and combine by weighted mean.  The
-unwrap count equals the number of chosen clusters, not the number of
-frames.
+The routes differ only in the partition.  Clustered uses the chosen
+clusters of an average-linkage dendrogram cut on pooled copies of the
+piston-shifted frames; no-classify uses one part of all frames;
+conventional uses one part per frame.  A one-frame part skips the
+circular mean.  The unwrap count equals the number of parts, not frames.
 
-Conventional route: unwrap every frame, remove per-frame piston, average,
-then remove the remaining modes.
+Every part has ``modes_removed`` fitted and removed before the parts
+enter a running weighted mean.  Piston must be among those modes: it
+aligns the arbitrary 2*pi*k offset that unwrapping leaves per part.
 
-Per-cluster surfaces are piston-aligned before averaging because
-unwrapping leaves an arbitrary 2*pi*k offset per surface; averaging
-without alignment would be meaningless.  Same reason for the per-frame
-piston removal in the conventional route.
+Failure policy: a part whose unwrap or fit raises ValueError is dropped
+with a warning naming its frames and the reason; the run raises
+ValueError only when no part is left.  Other exceptions propagate.
 """
 
 from __future__ import annotations
@@ -21,27 +21,31 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .circular import circular_mean_frame
-from .cluster import agglomerate, min_samples_from_fraction, pairwise_distances, select_clusters
+from .cluster import NoClusterError, agglomerate, min_samples_from_fraction
+from .cluster import pairwise_distances, select_clusters
 from .core import PhaseStack
 from .preprocess import center_pixel, prepare_for_clustering
-from .unwrap import GoldsteinUnwrapper, Surface, default_seed
+from .unwrap import Surface, default_seed, unwrap
 from .zernike import DEFAULT_WAVELENGTH_NM, MODES, phase_to_height, rmse, zernike_fit_remove
 
 WEIGHTINGS = ("by-size", "uniform")
+STAGES = ("preprocess", "classify", "denoise", "unwrap", "fit", "combine")
 
 
 @dataclass
 class PipelineParams:
-    """Knobs of the clustered route; the conventional route uses only
+    """Knobs of the measurement; the conventional route uses only
     modes_removed and wavelength_nm.
 
     Exactly one of min_samples / min_fraction may be set; min_fraction is
-    converted with ceil(fraction * N) at run time.
+    converted with ceil(fraction * N) at run time.  modes_removed must
+    include "piston", which aligns the parts before they are combined.
     """
 
     cut: float = 0.5
@@ -69,6 +73,8 @@ class PipelineParams:
         self.modes_removed = tuple(self.modes_removed)
         if any(m not in MODES for m in self.modes_removed):
             raise ValueError(f"modes_removed must be a subset of {MODES}")
+        if "piston" not in self.modes_removed:
+            raise ValueError("modes_removed must include 'piston' to align the parts")
         if self.wavelength_nm <= 0:
             raise ValueError("wavelength_nm must be positive")
 
@@ -139,93 +145,89 @@ def _anchor_for(mask: np.ndarray):
     return default_seed(mask)
 
 
-def _combine(surfaces: list, weights: list):
-    """Per-pixel weighted mean of surfaces; a pixel is valid where at
-    least one contributing surface is valid."""
-    num = np.zeros_like(surfaces[0].values)
-    den = np.zeros_like(surfaces[0].values)
-    for s, w in zip(surfaces, weights):
-        num += np.where(s.mask, w * s.values, 0.0)
-        den += np.where(s.mask, float(w), 0.0)
-    mask = den > 0
-    values = np.where(mask, num / np.where(mask, den, 1.0), 0.0)
-    return values, mask
+@contextmanager
+def _timed(times: dict, stage: str):
+    """Add the wall time of the block, in ms, to times[stage]."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        times[stage] += (time.perf_counter() - t0) * 1e3
 
 
-def run_clustered(stack: PhaseStack, params: PipelineParams) -> SurfaceReport:
-    """Classify, denoise per cluster, unwrap once per chosen cluster.
-
-    Raises NoClusterError (with the cluster census attached) when no
-    cluster reaches the minimum sampling number.
-    """
-    unwrapper = GoldsteinUnwrapper()
-    times: dict = {}
+def _measure(stack: PhaseStack, params: PipelineParams, method: str) -> SurfaceReport:
+    """The one pipeline; ``method`` selects the partition."""
+    times = dict.fromkeys(STAGES, 0.0)
     warnings: list = []
     n = len(stack)
-    anchor = _anchor_for(stack.mask)
+    classify = method == "clustered"
 
-    t0 = time.perf_counter()
-    shifted, pooled, pooled_mask = prepare_for_clustering(
-        stack.frames, stack.mask, params.pool_levels, anchor
-    )
-    times["preprocess"] = (time.perf_counter() - t0) * 1e3
+    with _timed(times, "preprocess"):
+        shifted, pooled, pooled_mask = prepare_for_clustering(
+            stack.frames, stack.mask, params.pool_levels if classify else 0, _anchor_for(stack.mask)
+        )
 
-    t0 = time.perf_counter()
-    if params.classify:
-        if n < 2:
-            raise ValueError("run_clustered: need at least 2 frames to classify")
-        d = pairwise_distances(pooled, pooled_mask)
-        dendrogram = agglomerate(d)
-        clusters = select_clusters(dendrogram, params.cut, params.resolve_min_samples(n))
-        chosen = clusters.chosen
-        abandoned = clusters.abandoned
-    else:
-        chosen = [list(range(n))]
-        abandoned = []
-    times["classify"] = (time.perf_counter() - t0) * 1e3
+    with _timed(times, "classify"):
+        abandoned: list = []
+        if classify:
+            if n < 2:
+                raise ValueError("run_clustered: need at least 2 frames to classify")
+            d = pairwise_distances(pooled, pooled_mask)
+            dendrogram = agglomerate(d)
+            clusters = select_clusters(dendrogram, params.cut, params.resolve_min_samples(n))
+            parts, abandoned = clusters.chosen, clusters.abandoned
+        elif method == "no-classify":
+            parts = [list(range(n))]
+        else:
+            parts = [[i] for i in range(n)]
 
-    t0 = time.perf_counter()
-    denoised = []
-    for members in chosen:
-        mean_frame, _resultant, out_mask = circular_mean_frame(shifted[members], stack.mask)
-        denoised.append((mean_frame, out_mask))
-    times["denoise"] = (time.perf_counter() - t0) * 1e3
-
-    t0 = time.perf_counter()
-    unwrapped = []
-    for mean_frame, out_mask in denoised:
-        s = unwrapper(mean_frame, out_mask, seed=_anchor_for(out_mask))
+    # running per-pixel weighted mean of the part surfaces
+    num = np.zeros(stack.shape)
+    den = np.zeros(stack.shape)
+    kept, fits = [], []
+    unwraps = 0
+    for members in parts:
+        try:
+            if len(members) == 1:
+                frame, mask = shifted[members[0]], stack.mask
+            else:
+                with _timed(times, "denoise"):
+                    frame, _resultant, mask = circular_mean_frame(shifted[members], stack.mask)
+            with _timed(times, "unwrap"):
+                seed = _anchor_for(mask)
+                unwraps += 1
+                s = unwrap(frame, mask, seed=seed)
+            with _timed(times, "fit"):
+                residual, fit = zernike_fit_remove(s, modes=params.modes_removed)
+        except ValueError as exc:
+            warnings.append(f"frames {members} dropped: {exc}")
+            continue
         if s.warning:
-            warnings.append(s.warning)
-        unwrapped.append(s)
-    times["unwrap"] = (time.perf_counter() - t0) * 1e3
+            warnings.append(f"frames {members}: {s.warning}")
+        with _timed(times, "combine"):
+            w = len(members) if params.cluster_weighting == "by-size" else 1
+            num += np.where(residual.mask, w * residual.values, 0.0)
+            den += np.where(residual.mask, float(w), 0.0)
+        kept.append(members)
+        fits.append(fit)
+    if not kept:
+        raise ValueError(f"{method}: every part was dropped: {'; '.join(warnings)}")
 
-    t0 = time.perf_counter()
-    residuals, fits = [], []
-    for s in unwrapped:
-        r, f = zernike_fit_remove(s, modes=params.modes_removed)
-        residuals.append(r)
-        fits.append(f)
-    times["fit"] = (time.perf_counter() - t0) * 1e3
-
-    t0 = time.perf_counter()
-    if params.cluster_weighting == "by-size":
-        weights = [len(m) for m in chosen]
-    else:
-        weights = [1] * len(chosen)
-    values, mask = _combine(residuals, weights)
-    surface = Surface(values=values, mask=mask, warning=None)
-    rmse_rad = rmse(surface)
-    times["combine"] = (time.perf_counter() - t0) * 1e3
+    with _timed(times, "combine"):
+        mask = den > 0
+        values = np.where(mask, num / np.where(mask, den, 1.0), 0.0)
+        surface = Surface(values=values, mask=mask, warning=None)
+        rmse_rad = rmse(surface)
 
     return SurfaceReport(
-        method="clustered" if params.classify else "no-classify",
+        method=method,
         surface=surface,
         rmse_rad=rmse_rad,
         rmse_nm=float(phase_to_height(rmse_rad, params.wavelength_nm)),
         frame_count=n,
-        unwrap_call_count=unwrapper.call_count,
-        chosen_sizes=[len(m) for m in chosen],
+        unwrap_call_count=unwraps,
+        # the conventional route reports its kept frames as one "chosen" size
+        chosen_sizes=[len(kept)] if method == "conventional" else [len(m) for m in kept],
         abandoned_sizes=[len(m) for m in abandoned],
         abandoned_frames=sorted(i for m in abandoned for i in m),
         fits=fits,
@@ -234,56 +236,19 @@ def run_clustered(stack: PhaseStack, params: PipelineParams) -> SurfaceReport:
     )
 
 
+def run_clustered(stack: PhaseStack, params: PipelineParams) -> SurfaceReport:
+    """Classify, denoise per cluster, unwrap once per chosen cluster; with
+    ``params.classify`` False, one part of all frames.
+
+    Raises NoClusterError (with the cluster census attached) when no
+    cluster reaches the minimum sampling number.
+    """
+    return _measure(stack, params, "clustered" if params.classify else "no-classify")
+
+
 def run_conventional(stack: PhaseStack, params: PipelineParams) -> SurfaceReport:
-    """Unwrap every frame, align pistons, average, remove the rest."""
-    unwrapper = GoldsteinUnwrapper()
-    times: dict = {}
-    warnings: list = []
-    n = len(stack)
-    anchor = _anchor_for(stack.mask)
-
-    t0 = time.perf_counter()
-    shifted, _, _ = prepare_for_clustering(stack.frames, stack.mask, 0, anchor)
-    times["preprocess"] = (time.perf_counter() - t0) * 1e3
-
-    t0 = time.perf_counter()
-    aligned = []
-    for i in range(n):
-        try:
-            s = unwrapper(shifted[i], stack.mask, seed=anchor)
-            r, _f = zernike_fit_remove(s, modes=("piston",))
-        except Exception as exc:  # drop the frame, keep the run alive
-            warnings.append(f"frame {i} excluded: {exc}")
-            continue
-        if s.warning:
-            warnings.append(f"frame {i}: {s.warning}")
-        aligned.append(r)
-    if not aligned:
-        raise ValueError("run_conventional: every frame failed to unwrap")
-    times["unwrap"] = (time.perf_counter() - t0) * 1e3
-
-    t0 = time.perf_counter()
-    values, mask = _combine(aligned, [1] * len(aligned))
-    residual, fit = zernike_fit_remove(
-        Surface(values=values, mask=mask), modes=params.modes_removed
-    )
-    rmse_rad = rmse(residual)
-    times["fit"] = (time.perf_counter() - t0) * 1e3
-
-    return SurfaceReport(
-        method="conventional",
-        surface=residual,
-        rmse_rad=rmse_rad,
-        rmse_nm=float(phase_to_height(rmse_rad, params.wavelength_nm)),
-        frame_count=n,
-        unwrap_call_count=unwrapper.call_count,
-        chosen_sizes=[len(aligned)],
-        abandoned_sizes=[],
-        abandoned_frames=[],
-        fits=[fit],
-        stage_times_ms=times,
-        warnings=warnings,
-    )
+    """Unwrap and fit every frame on its own, then average them."""
+    return _measure(stack, params, "conventional")
 
 
 def snr_from_min_fraction(fraction: float) -> float:
@@ -342,8 +307,8 @@ class ComparisonReport:
 def compare(trials: list) -> ComparisonReport:
     """Run both routes on each (stack, params) trial and aggregate.
 
-    Per-trial failures are recorded and skipped; statistics cover the
-    successful trials only.
+    A trial that raises ValueError or NoClusterError is recorded and
+    skipped; statistics cover the successful trials only.
     """
     if len(trials) < 2:
         raise ValueError("compare: need at least 2 trials")
@@ -353,7 +318,7 @@ def compare(trials: list) -> ComparisonReport:
         try:
             rep_c = run_clustered(stack, params)
             rep_v = run_conventional(stack, params)
-        except Exception as exc:
+        except (ValueError, NoClusterError) as exc:
             errors.append(f"trial {idx}: {exc}")
             continue
         rms_c.append(rep_c.rmse_rad)

@@ -12,6 +12,12 @@ import numpy as np
 
 from .core import check_frame, check_mask, wrap
 
+# prepare_for_clustering works in blocks of frames of about this size, so
+# that the temporaries stay in the CPU cache; whole-stack passes are slower
+# than a loop over frames (1000 x 128x128: 0.65 s blocked, 1.1-1.3 s whole,
+# 0.85 s per frame, 2 vCPUs).
+_BLOCK_BYTES = 2**21
+
 
 def center_pixel(shape: tuple[int, int]) -> tuple[int, int]:
     """Anchor pixel (floor(h/2), floor(w/2)) used for piston removal."""
@@ -20,7 +26,7 @@ def center_pixel(shape: tuple[int, int]) -> tuple[int, int]:
 
 
 def piston_shift(
-    frame: np.ndarray,
+    frames: np.ndarray,
     mask: np.ndarray,
     anchor: tuple[int, int] | None = None,
 ) -> np.ndarray:
@@ -28,29 +34,32 @@ def piston_shift(
 
     output(m, n) = wrap(input(m, n) - input(i, j)) with (i, j) the center
     pixel by default; the anchor pixel of the output is exactly 0.
+    ``frames`` is one (h, w) frame or an (n, h, w) stack; each frame is
+    shifted by its own anchor value.
 
     Raises
     ------
     ValueError
         If the anchor pixel is invalid; pass an alternate ``anchor``.
     """
-    frame = np.asarray(frame, dtype=np.float64)
-    check_frame(frame, mask)
+    frames = np.asarray(frames, dtype=np.float64)
+    check_frame(frames, mask)
     check_mask(mask)
     if anchor is None:
-        anchor = center_pixel(frame.shape)
+        anchor = center_pixel(frames.shape[-2:])
     i, j = anchor
     if not mask[i, j]:
         raise ValueError(
             f"piston anchor pixel ({i}, {j}) is invalid; "
             "supply an alternate anchor inside the aperture"
         )
-    out = wrap(frame - frame[i, j])
-    return np.where(mask, out, 0.0)
+    out = wrap(frames - frames[..., i, j, None, None])
+    out[..., ~mask] = 0.0
+    return out
 
 
-def avg_pool2(frame: np.ndarray, mask: np.ndarray):
-    """2x2 average pooling of a wrapped frame under a mask.
+def avg_pool2(frames: np.ndarray, mask: np.ndarray):
+    """2x2 average pooling of a wrapped frame or (n, h, w) stack under a mask.
 
     Each output pixel is the arithmetic mean of the valid pixels in its
     2x2 block (re-wrapped into (-pi, pi]); it is invalid only when all
@@ -58,7 +67,7 @@ def avg_pool2(frame: np.ndarray, mask: np.ndarray):
 
     Returns
     -------
-    (pooled_frame, pooled_mask) with dims (floor(h/2), floor(w/2))
+    (pooled_frames, pooled_mask) with frame dims (floor(h/2), floor(w/2))
 
     Raises
     ------
@@ -66,18 +75,22 @@ def avg_pool2(frame: np.ndarray, mask: np.ndarray):
         If the pooled result would be smaller than 4x4 (over-pooled;
         repeated pooling destroys the pattern features).
     """
-    frame = np.asarray(frame, dtype=np.float64)
+    frames = np.asarray(frames, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
-    check_frame(frame, mask)
-    h, w = frame.shape
+    check_frame(frames, mask)
+    return _pool2(frames, mask)
+
+
+def _pool2(frames: np.ndarray, mask: np.ndarray):
+    """avg_pool2 without the input check."""
+    h, w = frames.shape[-2:]
     ho, wo = h // 2, w // 2
     if ho < 4 or wo < 4:
         raise ValueError(f"avg_pool2: pooled size {ho}x{wo} is below the 4x4 minimum")
-    f = np.where(mask, frame, 0.0)[: 2 * ho, : 2 * wo]
+    f = np.where(mask, frames, 0.0)[..., : 2 * ho, : 2 * wo]
     m = mask[: 2 * ho, : 2 * wo]
-    blocks = f.reshape(ho, 2, wo, 2)
+    sums = f.reshape(*f.shape[:-2], ho, 2, wo, 2).sum(axis=(-3, -1))
     counts = m.reshape(ho, 2, wo, 2).sum(axis=(1, 3))
-    sums = blocks.sum(axis=(1, 3))
     pooled_mask = counts > 0
     with np.errstate(invalid="ignore"):
         pooled = np.where(pooled_mask, sums / np.maximum(counts, 1), 0.0)
@@ -94,18 +107,22 @@ def prepare_for_clustering(
 
     Returns (shifted_frames, pooled_frames, pooled_mask); the full-
     resolution piston-shifted frames feed the denoiser, the pooled copies
-    feed the classifier.
+    feed the classifier.  With ``pool_levels=0`` the pooled frames are
+    the shifted array itself.
     """
     if pool_levels < 0:
         raise ValueError("pool_levels must be >= 0")
-    shifted = np.stack([piston_shift(f, mask, anchor) for f in frames])
-    pooled = shifted
-    pooled_mask = mask
-    for _ in range(pool_levels):
-        new_frames = []
-        for f in pooled:
-            pf, pm = avg_pool2(f, pooled_mask)
-            new_frames.append(pf)
-        pooled = np.stack(new_frames)
-        pooled_mask = pm
-    return shifted, pooled, pooled_mask
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 3:
+        raise ValueError("prepare_for_clustering: frames must be an (n, h, w) stack")
+    step = max(1, _BLOCK_BYTES // max(frames[:1].nbytes, 1))
+    shifted = np.empty_like(frames)
+    pooled, pooled_mask = [], mask
+    for start in range(0, len(frames), step):
+        block = shifted[start : start + step]
+        block[...] = piston_shift(frames[start : start + step], mask, anchor)
+        pooled_mask = mask
+        for _ in range(pool_levels):
+            block, pooled_mask = _pool2(block, pooled_mask)
+        pooled.append(block)
+    return shifted, np.concatenate(pooled) if pool_levels else shifted, pooled_mask

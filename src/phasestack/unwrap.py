@@ -301,31 +301,9 @@ def flood_unwrap(
     return Surface(values=values, mask=visited, warning=warning)
 
 
-class GoldsteinUnwrapper:
-    """Residue detection, branch-cut placement, and flood integration.
-
-    Counts invocations so a pipeline can report how many unwraps a
-    strategy actually performed.
-    """
-
-    def __init__(self):
-        self.call_count = 0
-
-    def __call__(
-        self,
-        frame: np.ndarray,
-        mask: np.ndarray | None = None,
-        seed: tuple | None = None,
-    ) -> Surface:
-        self.call_count += 1
-        charges = detect_residues(frame, mask)
-        cuts = place_branch_cuts(charges, mask)
-        return flood_unwrap(frame, mask, cuts, seed=seed)
-
-    def reset(self) -> None:
-        self.call_count = 0
-
-
 def unwrap(frame: np.ndarray, mask: np.ndarray | None = None, seed: tuple | None = None) -> Surface:
-    """One-shot Goldstein unwrap of a single frame."""
-    return GoldsteinUnwrapper()(frame, mask, seed=seed)
+    """Goldstein unwrap of one frame: residue detection, branch-cut
+    placement, then flood integration from ``seed``."""
+    charges = detect_residues(frame, mask)
+    cuts = place_branch_cuts(charges, mask)
+    return flood_unwrap(frame, mask, cuts, seed=seed)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from phasestack.cluster import NoClusterError
 from phasestack.core import PhaseStack, wrap
 from phasestack.pipeline import (
+    STAGES,
     ComparisonReport,
     PipelineParams,
     compare,
@@ -13,7 +15,10 @@ from phasestack.pipeline import (
     run_conventional,
     snr_from_min_fraction,
 )
+from phasestack.preprocess import center_pixel, piston_shift
 from phasestack.synth import CONTAMINANT, TrialSpec, make_trial, peaks_surface
+from phasestack.unwrap import unwrap
+from phasestack.zernike import zernike_fit_remove
 
 
 def family_trial(seed=0, n=16, grid=32, q=2, snr=20.0, jitter=3.0, frac=0.0):
@@ -57,6 +62,8 @@ class TestPipelineParams:
             dict(pool_levels=-1),
             dict(cluster_weighting="harmonic"),
             dict(modes_removed=("piston", "coma")),
+            dict(modes_removed=()),
+            dict(modes_removed=("tilt_x", "tilt_y", "power")),
             dict(wavelength_nm=0.0),
         ],
     )
@@ -161,7 +168,8 @@ class TestRunConventional:
         assert rep.method == "conventional"
         assert rep.unwrap_call_count == 7
         assert rep.chosen_sizes == [7]
-        assert rep.abandoned_sizes == []
+        assert rep.abandoned_sizes == [] and rep.abandoned_frames == []
+        assert len(rep.to_dict()["zernike_fits"]) == 7
 
     def test_recovers_truth_shape_at_high_snr(self):
         truth = peaks_surface(32, 6.0)
@@ -171,6 +179,75 @@ class TestRunConventional:
         # piston-only removal: surface should match truth up to a constant
         diff = (rep.surface.values - truth)[rep.surface.mask]
         assert np.abs(diff - diff.mean()).max() < 1e-6
+
+
+class TestOnePipeline:
+    @pytest.mark.parametrize("route, classify", [
+        (run_clustered, True), (run_clustered, False), (run_conventional, True),
+    ])
+    def test_every_route_reports_the_same_stages(self, route, classify):
+        stack, _ = family_trial(seed=11, n=6, q=1, jitter=0.0)
+        rep = route(stack, PipelineParams(cut=0.99, classify=classify))
+        assert list(rep.stage_times_ms) == list(STAGES)
+
+    def test_singleton_partition_is_the_conventional_route(self):
+        stack, _ = family_trial(seed=12, n=6, q=2, snr=30.0, jitter=3.0)
+        a = run_clustered(stack, PipelineParams(cut=1e-9, min_samples=1))
+        b = run_conventional(stack, PipelineParams())
+        assert a.chosen_sizes == [1] * 6 and b.chosen_sizes == [6]
+        assert a.surface.mask.all()  # every frame reached the full mask
+        assert np.array_equal(a.surface.values, b.surface.values)
+        assert np.array_equal(a.surface.mask, b.surface.mask)
+
+
+    def test_one_frame_part_skips_the_circular_mean(self):
+        stack, _ = family_trial(seed=14, n=1, q=1)
+        params = PipelineParams(classify=False)
+        shifted = piston_shift(stack.frames, stack.mask)
+        surface = unwrap(shifted[0], stack.mask, seed=center_pixel(stack.shape))
+        expected, _ = zernike_fit_remove(surface, modes=params.modes_removed)
+        rep = run_clustered(stack, params)
+        assert np.array_equal(rep.surface.mask, expected.mask)
+        assert np.array_equal(rep.surface.values, expected.values)
+
+
+class TestFailurePolicy:
+    def test_cancelled_column_drops_only_that_cluster(self):
+        # frames 0 and 1 differ by pi along column 5, so their circular mean
+        # is undefined there and the denoised mask splits in two
+        a = wrap(peaks_surface(32, 6.0))
+        a2 = a.copy()
+        a2[:, 5] = wrap(a[:, 5] + math.pi)
+        b = wrap(a + 2.0 * np.arange(32)[None, :])
+        frames = np.stack([a, a2, b, b, b])
+        stack = PhaseStack(frames=frames, mask=np.ones((32, 32), dtype=bool))
+        rep = run_clustered(stack, PipelineParams(cut=0.5, min_samples=2))
+        assert rep.chosen_sizes == [3]
+        assert rep.unwrap_call_count == 2
+        assert len(rep.fits) == 1
+        assert any(
+            w.startswith("frames [0, 1] dropped:") and "4-connected" in w for w in rep.warnings
+        )
+
+    def test_only_value_errors_drop_a_part(self, monkeypatch):
+        # the package attribute "unwrap" is the function, not the module
+        unwrap_module = sys.modules["phasestack.unwrap"]
+        stack, _ = family_trial(seed=13, n=3, q=1, jitter=0.0)
+
+        def fails(exc):
+            def flood_unwrap(*args, **kwargs):
+                raise exc
+
+            return flood_unwrap
+
+        monkeypatch.setattr(unwrap_module, "flood_unwrap", fails(RuntimeError("bug")))
+        with pytest.raises(RuntimeError):
+            run_conventional(stack, PipelineParams())
+        with pytest.raises(RuntimeError):
+            compare([(stack, PipelineParams()), (stack, PipelineParams())])
+        monkeypatch.setattr(unwrap_module, "flood_unwrap", fails(ValueError("bad frame")))
+        with pytest.raises(ValueError, match="every part was dropped"):
+            run_conventional(stack, PipelineParams())
 
 
 class TestAgreementWhenClusteringIsMoot:

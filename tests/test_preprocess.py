@@ -1,11 +1,44 @@
 import numpy as np
 import pytest
 
+from phasestack.core import circular_aperture, wrap
 from phasestack.preprocess import avg_pool2, center_pixel, piston_shift, prepare_for_clustering
 
 
 def full_mask(shape):
     return np.ones(shape, dtype=bool)
+
+
+# Frame-by-frame reference: the loop the stack operations replaced.
+
+def reference_piston_shift(frame, mask, anchor):
+    i, j = anchor
+    return np.where(mask, wrap(frame - frame[i, j]), 0.0)
+
+
+def reference_avg_pool2(frame, mask):
+    h, w = frame.shape
+    ho, wo = h // 2, w // 2
+    f = np.where(mask, frame, 0.0)[: 2 * ho, : 2 * wo]
+    m = mask[: 2 * ho, : 2 * wo]
+    counts = m.reshape(ho, 2, wo, 2).sum(axis=(1, 3))
+    sums = f.reshape(ho, 2, wo, 2).sum(axis=(1, 3))
+    pooled_mask = counts > 0
+    with np.errstate(invalid="ignore"):
+        pooled = np.where(pooled_mask, sums / np.maximum(counts, 1), 0.0)
+    return wrap(pooled), pooled_mask
+
+
+def reference_prepare(frames, mask, pool_levels, anchor):
+    shifted = np.stack([reference_piston_shift(f, mask, anchor) for f in frames])
+    pooled, pooled_mask = shifted, mask
+    for _ in range(pool_levels):
+        pooled_frames = []
+        for f in pooled:
+            pf, pm = reference_avg_pool2(f, pooled_mask)
+            pooled_frames.append(pf)
+        pooled, pooled_mask = np.stack(pooled_frames), pm
+    return shifted, pooled, pooled_mask
 
 
 class TestPistonShift:
@@ -128,3 +161,45 @@ class TestPrepareForClustering:
     def test_negative_levels_rejected(self):
         with pytest.raises(ValueError):
             prepare_for_clustering(np.zeros((1, 8, 8)), full_mask((8, 8)), pool_levels=-1)
+
+
+class TestStackOperationsMatchFrameLoop:
+    @pytest.mark.parametrize(
+        "n, size, aperture, levels",
+        [
+            (40, 128, False, 1),  # several blocks, the last one partial
+            (9, 37, True, 2),  # odd size: trailing row and column dropped
+            (5, 30, True, 0),
+            (3, 26, False, 2),
+        ],
+    )
+    def test_bitwise_equal_to_reference(self, n, size, aperture, levels):
+        rng = np.random.default_rng(size)
+        frames = wrap(rng.uniform(-4.0, 4.0, size=(n, size, size)))
+        mask = circular_aperture((size, size)) if aperture else full_mask((size, size))
+        anchor = center_pixel((size, size))
+        frames[:, ~mask] = 0.0
+        got = prepare_for_clustering(frames, mask, levels, anchor)
+        want = reference_prepare(frames, mask, levels, anchor)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    def test_frame_and_stack_forms_agree(self):
+        rng = np.random.default_rng(5)
+        frames = wrap(rng.uniform(-4.0, 4.0, size=(4, 17, 19)))
+        mask = circular_aperture((17, 19))
+        shifted = piston_shift(frames, mask, anchor=(8, 9))
+        pooled, pmask = avg_pool2(shifted, mask)
+        for f, s, p in zip(frames, shifted, pooled):
+            assert np.array_equal(piston_shift(f, mask, anchor=(8, 9)), s)
+            pf, pm = avg_pool2(s, mask)
+            assert np.array_equal(pf, p) and np.array_equal(pm, pmask)
+
+    def test_every_block_validated(self):
+        frames = np.zeros((4100, 8, 8))  # more than one block of 8x8 frames
+        frames[-1, 1, 1] = 4.0  # out of range in the last frame only
+        with pytest.raises(ValueError):
+            prepare_for_clustering(frames, full_mask((8, 8)))
+        with pytest.raises(ValueError):
+            prepare_for_clustering(np.zeros((8, 8)), full_mask((8, 8)))

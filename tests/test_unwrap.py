@@ -5,7 +5,6 @@ from phasestack.core import TWO_PI, circular_aperture, detect_residues, wrap
 from phasestack.synth import peaks_surface
 from phasestack.unwrap import (
     BranchCutMap,
-    GoldsteinUnwrapper,
     default_seed,
     flood_unwrap,
     place_branch_cuts,
@@ -198,16 +197,6 @@ class TestGoldsteinEndToEnd:
         cuts = place_branch_cuts(charges)
         surf = flood_unwrap(frame, cuts=cuts)
         assert_consistent(frame, surf, cuts)
-
-    def test_unwrapper_counts_calls(self):
-        uw = GoldsteinUnwrapper()
-        assert uw.call_count == 0
-        frame = wrap(peaks_surface(16, 4.0))
-        uw(frame)
-        uw(frame)
-        assert uw.call_count == 2
-        uw.reset()
-        assert uw.call_count == 0
 
     def test_one_shot_unwrap_on_aperture(self):
         truth = peaks_surface(48, 12.0)
