@@ -78,8 +78,15 @@ def circular_mean_frame(frames: np.ndarray, mask: np.ndarray):
     mask = np.asarray(mask, dtype=bool)
     if frames.shape[1:] != mask.shape:
         raise ValueError("circular_mean_frame: frame/mask shape mismatch")
-    x = np.cos(frames).mean(axis=0)
-    y = np.sin(frames).mean(axis=0)
+    # Frame-by-frame sums from zero, then one division: the order of
+    # numpy's axis-0 mean, without two (k, h, w) temporaries.
+    x = np.zeros(mask.shape)
+    y = np.zeros(mask.shape)
+    for frame in frames:
+        x += np.cos(frame)
+        y += np.sin(frame)
+    x /= len(frames)
+    y /= len(frames)
     resultant = np.hypot(x, y)
     out_mask = mask & (resultant > RESULTANT_EPS)
     mean_frame = np.where(out_mask, wrap(np.arctan2(y, x)), 0.0)

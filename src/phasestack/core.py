@@ -43,10 +43,14 @@ def wrap(x):
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("wrap: input must be finite")
-    out = x - TWO_PI * np.rint(x / TWO_PI)
+    # out = x - TWO_PI * rint(x / TWO_PI), computed in one buffer.
+    out = np.divide(x, TWO_PI, out=np.empty_like(x))
+    np.rint(out, out=out)
+    np.multiply(out, TWO_PI, out=out)
+    np.subtract(x, out, out=out)
     # rint ties-to-even sends an exact +pi to itself but -pi-like results
     # onto the excluded boundary; fold them back to +pi.
-    out = np.where(out <= -np.pi, out + TWO_PI, out)
+    np.add(out, TWO_PI, out=out, where=out <= -np.pi)
     if out.ndim == 0:
         return float(out)
     return out
@@ -54,11 +58,7 @@ def wrap(x):
 
 def wrapped_diff(a, b):
     """Smallest-magnitude difference wrap(a - b), always in (-pi, pi]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("wrapped_diff: inputs must be finite")
-    return wrap(a - b)
+    return wrap(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))
 
 
 def check_frame(values: np.ndarray, mask: np.ndarray | None = None) -> None:

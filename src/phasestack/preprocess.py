@@ -89,7 +89,10 @@ def _pool2(frames: np.ndarray, mask: np.ndarray):
         raise ValueError(f"avg_pool2: pooled size {ho}x{wo} is below the 4x4 minimum")
     f = np.where(mask, frames, 0.0)[..., : 2 * ho, : 2 * wo]
     m = mask[: 2 * ho, : 2 * wo]
-    sums = f.reshape(*f.shape[:-2], ho, 2, wo, 2).sum(axis=(-3, -1))
+    # (top pair) + (bottom pair): the order of numpy's sum over the two
+    # block axes, without its strided reduction.
+    sums = f[..., 0::2, 0::2] + f[..., 0::2, 1::2]
+    sums += f[..., 1::2, 0::2] + f[..., 1::2, 1::2]
     counts = m.reshape(ho, 2, wo, 2).sum(axis=(1, 3))
     pooled_mask = counts > 0
     with np.errstate(invalid="ignore"):

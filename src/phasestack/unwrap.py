@@ -7,8 +7,9 @@ never crosses a blocked edge, so no integration path can encircle an
 unbalanced residue.
 
 Unwrapped values are computed as psi + 2*pi*k with integer k propagated
-from the seed, which makes path independence and the output-minus-input
-multiple-of-2*pi property exact rather than accumulation-limited.
+from the seed down a breadth-first spanning tree, which makes path
+independence and the output-minus-input multiple-of-2*pi property exact
+rather than accumulation-limited.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 from .core import TWO_PI, check_frame, detect_residues, mask_is_connected, wrap
 
@@ -195,22 +198,6 @@ def default_seed(mask: np.ndarray) -> tuple:
     return int(rows[k]), int(cols[k])
 
 
-def _k_increments(frame: np.ndarray):
-    """Integer 2*pi counts picked up when stepping between neighbors.
-
-    Stepping from pixel a to neighbor b adds wrap(psi_b - psi_a) to the
-    running surface; in integer form k_b = k_a + rint((wrap(d) - d)/2pi)
-    with d = psi_b - psi_a.  Computed for all four step directions.
-    """
-
-    def inc(d):
-        return np.rint((wrap(d) - d) / TWO_PI).astype(np.int64)
-
-    d_right = frame[:, 1:] - frame[:, :-1]
-    d_down = frame[1:, :] - frame[:-1, :]
-    return inc(d_right), inc(-d_right), inc(d_down), inc(-d_down)
-
-
 def flood_unwrap(
     frame: np.ndarray,
     mask: np.ndarray | None = None,
@@ -219,9 +206,14 @@ def flood_unwrap(
 ) -> Surface:
     """Flood-fill integration from a seed pixel, never crossing a cut edge.
 
-    The seed keeps its input value; every reached neighbor gets
-    current + wrapped_diff(neighbor, current).  Pixels that cannot be
-    reached without crossing a cut are invalid in the output mask.
+    The seed keeps its input value; every reached pixel gets its parent's
+    value plus wrap(pixel - parent).  The pixels reached, and their
+    breadth-first levels, come from one scipy breadth-first search over
+    the graph of open edges (both ends valid, edge not cut).  A pixel's
+    parent is its open neighbour one level up, taken in the priority
+    left, above, right, below; k then propagates down that tree one level
+    at a time.  Pixels that cannot be reached without crossing a cut are
+    invalid in the output mask.
     """
     frame = np.asarray(frame, dtype=np.float64)
     check_frame(frame, mask)
@@ -243,62 +235,62 @@ def flood_unwrap(
     if not (0 <= sr < h and 0 <= sc < w) or not mask[sr, sc]:
         raise ValueError("flood_unwrap: seed pixel is not valid")
 
-    inc_r, inc_l, inc_d, inc_u = _k_increments(frame)
     ok_right = mask[:, :-1] & mask[:, 1:] & ~cuts.cut_right
     ok_down = mask[:-1, :] & mask[1:, :] & ~cuts.cut_down
+    # Open-edge table in CSR form, four columns per row: p-w, p-1, p+1, p+w
+    # where that edge is open, p itself where it is not.  Either way each
+    # row's columns are already sorted, and a self-loop is never followed.
+    n = h * w
+    columns = np.arange(n, dtype=np.int32).reshape(h, w, 1).repeat(4, axis=2)
+    columns[1:, :, 0] -= w * ok_down
+    columns[:, 1:, 1] -= ok_right
+    columns[:, :-1, 2] += ok_right
+    columns[:-1, :, 3] += w * ok_down
+    indptr = np.arange(0, 4 * n + 1, 4, dtype=np.int32)
+    graph = csr_matrix((np.ones(4 * n), columns.ravel(), indptr), shape=(n, n))
+    order, found_by = breadth_first_order(graph, sr * w + sc, return_predecessors=True)
+    order = order.astype(np.intp)
 
-    k = np.zeros((h, w), dtype=np.int64)
-    visited = np.zeros((h, w), dtype=bool)
-    visited[sr, sc] = True
-    front_r = np.array([sr])
-    front_c = np.array([sc])
-    while front_r.size:
-        new_r, new_c = [], []
-        # fixed direction order: right, down, left, up
-        for dr, dc, ok, inc in (
-            (0, 1, ok_right, inc_r),
-            (1, 0, ok_down, inc_d),
-            (0, -1, ok_right, inc_l),
-            (-1, 0, ok_down, inc_u),
-        ):
-            if dc == 1:
-                sel = (front_c < w - 1) & ok[front_r, np.minimum(front_c, w - 2)]
-            elif dc == -1:
-                sel = (front_c > 0) & ok[front_r, np.maximum(front_c - 1, 0)]
-            elif dr == 1:
-                sel = (front_r < h - 1) & ok[np.minimum(front_r, h - 2), front_c]
-            else:
-                sel = (front_r > 0) & ok[np.maximum(front_r - 1, 0), front_c]
-            r0, c0 = front_r[sel], front_c[sel]
-            r1, c1 = r0 + dr, c0 + dc
-            fresh = ~visited[r1, c1]
-            r0, c0, r1, c1 = r0[fresh], c0[fresh], r1[fresh], c1[fresh]
-            if dc == 1:
-                k[r1, c1] = k[r0, c0] + inc[r0, c0]
-            elif dc == -1:
-                k[r1, c1] = k[r0, c0] + inc[r0, c0 - 1]
-            elif dr == 1:
-                k[r1, c1] = k[r0, c0] + inc[r0, c0]
-            else:
-                k[r1, c1] = k[r0, c0] + inc[r0 - 1, c0]
-            visited[r1, c1] = True
-            new_r.append(r1)
-            new_c.append(c1)
-        front_r = np.concatenate(new_r)
-        front_c = np.concatenate(new_c)
+    # FIFO order is sorted by level and each pixel's discoverer sits at a
+    # non-decreasing position along it, so level L + 1 ends where the
+    # discoverers pass the end of level L.
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(order.size)
+    found_at = pos[found_by[order[1:]]]
+    bounds = [0, 1]
+    while bounds[-1] < order.size:
+        bounds.append(1 + int(np.searchsorted(found_at, bounds[-1])))
+    depth = np.full(n, -1, dtype=np.int32)
+    depth[order] = np.repeat(np.arange(len(bounds) - 1, dtype=np.int32), np.diff(bounds))
 
-    values = np.where(visited, frame + TWO_PI * k, 0.0)
+    # Each pixel's parent is its open neighbour one level up, in the
+    # priority left, above, right, below: lowest priority is written first.
+    d = depth.reshape(h, w)
+    to_parent = np.zeros((h, w), dtype=np.intp)
+    np.copyto(to_parent[:-1, :], w, where=ok_down & (d[1:, :] == d[:-1, :] - 1))
+    np.copyto(to_parent[:, :-1], 1, where=ok_right & (d[:, 1:] == d[:, :-1] - 1))
+    np.copyto(to_parent[1:, :], -w, where=ok_down & (d[:-1, :] == d[1:, :] - 1))
+    np.copyto(to_parent[:, 1:], -1, where=ok_right & (d[:, :-1] == d[:, 1:] - 1))
+    parent = order + to_parent.ravel()[order]
+    psi = frame.ravel()[order]
+    diff = psi - frame.ravel()[parent]
+    inc = np.rint((wrap(diff) - diff) / TWO_PI).astype(np.int64)
+    up = pos[parent]
+    k = np.zeros(order.size, dtype=np.int64)
+    for start, stop in zip(bounds[1:-1], bounds[2:]):
+        k[start:stop] = k[up[start:stop]] + inc[start:stop]
+    values = np.zeros((h, w))
+    values.ravel()[order] = psi + TWO_PI * k
+
     n_valid = int(mask.sum())
-    n_reached = int(visited.sum())
+    n_reached = order.size
     warning = None
-    if n_reached < n_valid:
-        unreachable = n_valid - n_reached
-        if unreachable > 0.5 * n_valid:
-            warning = (
-                f"unwrap reached only {n_reached} of {n_valid} valid pixels; "
-                "branch cuts isolated most of the aperture"
-            )
-    return Surface(values=values, mask=visited, warning=warning)
+    if n_valid - n_reached > 0.5 * n_valid:
+        warning = (
+            f"unwrap reached only {n_reached} of {n_valid} valid pixels; "
+            "branch cuts isolated most of the aperture"
+        )
+    return Surface(values=values, mask=d >= 0, warning=warning)
 
 
 def unwrap(frame: np.ndarray, mask: np.ndarray | None = None, seed: tuple | None = None) -> Surface:

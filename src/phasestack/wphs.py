@@ -46,8 +46,9 @@ def read_stack(path) -> PhaseStack:
     """Parse a WPHS file into a 64-bit PhaseStack.
 
     Raises StackFormatError naming the byte offset for bad magic, wrong
-    version or dtype, truncation, malformed mask bytes, or non-finite
-    values at valid pixels.
+    version or dtype, truncation, malformed mask bytes, a mask with no
+    valid pixel, or values at valid pixels that are non-finite or too
+    large to wrap into (-pi, pi].
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -86,20 +87,32 @@ def read_stack(path) -> PhaseStack:
             f"{path}: mask byte {mask_bytes[bad[0]]} not 0/1 at offset {off}", offset=off
         )
     mask = mask_bytes.astype(bool).reshape(height, width)
-
-    raw = np.frombuffer(data, dtype="<f4", count=frame_count * wh, offset=HEADER_SIZE + wh)
-    frames = raw.astype(np.float64).reshape(frame_count, height, width)
-    finite = np.isfinite(frames) | ~mask  # invalid pixels may hold anything finite or not
-    if not finite.all():
-        flat = int(np.nonzero(~finite.reshape(-1))[0][0])
-        off = HEADER_SIZE + wh + 4 * flat
+    if not mask.any():
+        raise StackFormatError(
+            f"{path}: mask has no valid pixels at offset {HEADER_SIZE}", offset=HEADER_SIZE
+        )
+    frames = np.frombuffer(data, dtype="<f4", count=frame_count * wh, offset=HEADER_SIZE + wh)
+    frames = frames.astype(np.float64).reshape(frame_count, height, width)
+    del data, mask_bytes  # drop the raw bytes before any full-size temporary
+    bad = ~np.isfinite(frames)
+    bad &= mask  # invalid pixels may hold anything finite or not
+    if bad.any():
+        off = HEADER_SIZE + wh + 4 * int(np.argmax(bad))
         raise StackFormatError(
             f"{path}: non-finite value at a valid pixel, offset {off}", offset=off
         )
-    frames = np.where(mask, frames, 0.0)
-    frames = wrap(frames)
+    del bad
     frames[:, ~mask] = 0.0
-    return PhaseStack(frames=frames, mask=mask)
+    frames = wrap(frames)
+    try:
+        return PhaseStack(frames=frames, mask=mask)
+    except ValueError as exc:  # the one check here that can fail: a value too large to wrap
+        bad = ((frames > np.pi) | (frames <= -np.pi)) & mask
+        off = HEADER_SIZE + wh + 4 * int(np.argmax(bad))
+        raise StackFormatError(
+            f"{path}: value at a valid pixel cannot be wrapped into (-pi, pi], offset {off}",
+            offset=off,
+        ) from exc
 
 
 def write_stack(stack: PhaseStack, path) -> None:

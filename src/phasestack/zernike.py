@@ -84,12 +84,12 @@ def zernike_fit_remove(surface, mask=None, modes=MODES):
     dx = (cols - cx) / radius
     dy = (rows - cy) / radius
     design = np.column_stack([_mode_values(name, dx, dy) for name in modes])
-    coef, _res, rank, _sv = np.linalg.lstsq(design, values[rows, cols], rcond=None)
+    coef, _res, rank, _sv = np.linalg.lstsq(design, values[m], rcond=None)
     if rank < len(modes):
         raise ValueError("zernike_fit_remove: rank-deficient design (collinear valid pixels)")
     fit = ZernikeFit(modes=modes, coefficients=coef, center=(float(cy), float(cx)), radius=radius)
     residual = values.copy()
-    residual[rows, cols] -= design @ coef
+    residual[m] -= design @ coef
     residual[~m] = 0.0
     if isinstance(surface, Surface):
         return Surface(values=residual, mask=m, warning=surface.warning), fit

@@ -73,7 +73,31 @@ class TestCircularMean:
         assert 0.7 < s.resultant_length < 0.95
 
 
+def circular_mean_frame_expression(frames, mask):
+    """circular_mean_frame through numpy's axis-0 means of full (k, h, w)
+    cos and sin stacks: the oracle for the blockwise sums."""
+    x = np.cos(frames).mean(axis=0)
+    y = np.sin(frames).mean(axis=0)
+    resultant = np.hypot(x, y)
+    out_mask = mask & (resultant > RESULTANT_EPS)
+    mean_frame = np.where(out_mask, wrap(np.arctan2(y, x)), 0.0)
+    return mean_frame, resultant, out_mask
+
+
 class TestCircularMeanFrame:
+    @pytest.mark.parametrize("k", [1, 2, 3, 15, 16, 17, 33, 40, 485])
+    def test_bits_match_axis0_mean(self, k):
+        rng = np.random.default_rng(k)
+        frames = wrap(rng.normal(0.0, 2.0, size=(k, 5, 7)))
+        frames[:, 0, :] = -0.0  # sin(-0.0) sums must start from +0.0
+        frames[:, 1, :] = math.pi
+        frames[: k // 2, 2, :] = 0.0
+        mask = rng.random((5, 7)) > 0.2
+        got = circular_mean_frame(frames, mask)
+        want = circular_mean_frame_expression(frames, mask)
+        for g, e in zip(got, want):
+            assert g.tobytes() == e.tobytes()
+
     def test_identical_frames_pass_through(self):
         rng = np.random.default_rng(4)
         f = wrap(rng.uniform(-math.pi, math.pi, size=(6, 6)))

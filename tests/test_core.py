@@ -21,6 +21,14 @@ finite_floats = st.floats(
 )
 
 
+def wrap_expression(x):
+    """wrap as one expression with full-size temporaries: the oracle for
+    the in-place steps."""
+    x = np.asarray(x, dtype=np.float64)
+    out = x - TWO_PI * np.rint(x / TWO_PI)
+    return np.where(out <= -np.pi, out + TWO_PI, out)
+
+
 class TestWrap:
     def test_zero(self):
         assert wrap(0.0) == 0.0
@@ -58,6 +66,23 @@ class TestWrap:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError):
             wrap(bad)
+
+    @pytest.mark.parametrize(
+        "x",
+        [np.pi, -np.pi, 3 * np.pi, -3 * np.pi, 0.0, -0.0, TWO_PI, -TWO_PI, 5e-324,
+         np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0), 1e18, -1e300],
+    )
+    def test_bits_match_expression_on_special_values(self, x):
+        got = wrap(x)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == wrap_expression(x).tobytes()
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    def test_bits_match_expression(self, xs):
+        x = np.array(xs)
+        assert wrap(x).tobytes() == wrap_expression(x).tobytes()
+        quarter = np.rint(x % 64) * (np.pi / 2) - 16 * np.pi  # exact-pi ties
+        assert wrap(quarter).tobytes() == wrap_expression(quarter).tobytes()
 
     def test_array_input(self):
         out = wrap(np.array([0.0, 3 * np.pi, -TWO_PI]))

@@ -1,9 +1,12 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from phasestack.core import PhaseStack, wrap
 from phasestack.wphs import (
@@ -138,6 +141,76 @@ class TestReadStack:
         stack = read_stack(path)
         assert len(stack) == 3
         assert stack.frames[2, 0, 0] == pytest.approx(0.3, abs=1e-6)
+
+
+    def test_all_invalid_mask_rejected(self, tmp_path):
+        path = tmp_path / "s.wphs"
+        path.write_bytes(build_file(mask=np.zeros((2, 2), dtype=np.uint8)))
+        with pytest.raises(StackFormatError) as err:
+            read_stack(path)
+        assert err.value.offset == HEADER_SIZE
+
+    def test_value_too_large_to_wrap_rejected(self, tmp_path):
+        # at 1e18, wrap's reduction error (128 rad here) exceeds pi
+        f = np.array([[0.0, 0.0], [0.0, 1e18]], dtype="<f4")
+        path = tmp_path / "s.wphs"
+        path.write_bytes(build_file(frames=[f]))
+        with pytest.raises(StackFormatError) as err:
+            read_stack(path)
+        assert err.value.offset == HEADER_SIZE + 4 + 4 * 3
+
+    def test_peak_memory_bounded(self, tmp_path):
+        """The traced peak stays within 2.5x the float64 stack: one float64
+        copy, one wrap buffer, bool temporaries; no raw bytes or np.where
+        copy held alongside them."""
+        rng = np.random.default_rng(7)
+        frames = rng.uniform(-3.0, 3.0, size=(100, 64, 64)).astype(np.float32)
+        mask = np.ones((64, 64), dtype=np.uint8)
+        mask[:3, :3] = 0
+        path = tmp_path / "s.wphs"
+        path.write_bytes(build_file(width=64, height=64, frames=list(frames), mask=mask))
+        tracemalloc.start()
+        try:
+            stack = read_stack(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * stack.frames.nbytes
+
+
+_VALID = build_file(
+    width=3,
+    height=2,
+    frames=[np.full((2, 3), v, dtype="<f4") for v in (0.5, -2.0)],
+    mask=np.array([[1, 1, 0], [1, 1, 1]], dtype=np.uint8),
+)
+
+
+class TestHeaderFuzz:
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, len(_VALID) - 1), st.integers(0, 255)),
+            min_size=1,
+            max_size=8,
+        ),
+        st.integers(-8, 8),
+    )
+    def test_byte_mutations_raise_only_stack_format_error(self, tmp_path_factory, edits, resize):
+        data = bytearray(_VALID)
+        for index, byte in edits:
+            data[index] = byte
+        if resize < 0:
+            del data[resize:]
+        else:
+            data += bytes(resize)
+        path = tmp_path_factory.mktemp("fuzz") / "s.wphs"
+        path.write_bytes(bytes(data))
+        try:
+            stack = read_stack(path)
+        except StackFormatError:
+            return
+        valid = stack.frames[:, stack.mask]
+        assert np.all(valid > -math.pi) and np.all(valid <= math.pi)
 
 
 class TestWriteStack:

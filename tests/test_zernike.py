@@ -9,6 +9,7 @@ from phasestack.zernike import (
     DEFAULT_WAVELENGTH_NM,
     MODES,
     ZernikeFit,
+    _mode_values,
     phase_to_height,
     rmse,
     zernike_fit_remove,
@@ -19,7 +20,35 @@ def disk_mask(n):
     return circular_aperture((n, n))
 
 
+def fit_remove_fancy_index(values, m, modes=MODES):
+    """zernike_fit_remove with rows, cols fancy indexing: the oracle for
+    the boolean-mask gather and scatter."""
+    rows, cols = np.nonzero(m)
+    cy, cx = rows.mean(), cols.mean()
+    radius = float(np.sqrt(((rows - cy) ** 2 + (cols - cx) ** 2).max()))
+    dx = (cols - cx) / radius
+    dy = (rows - cy) / radius
+    design = np.column_stack([_mode_values(name, dx, dy) for name in modes])
+    coef = np.linalg.lstsq(design, values[rows, cols], rcond=None)[0]
+    residual = values.copy()
+    residual[rows, cols] -= design @ coef
+    residual[~m] = 0.0
+    return residual, coef
+
+
 class TestFitRemove:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bits_match_fancy_indexing(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(rng.integers(8, 40, size=2))
+        values = rng.normal(0.0, 3.0, size=shape)
+        mask = rng.random(shape) > rng.uniform(0.1, 0.7)
+        modes = MODES[: 1 + seed % len(MODES)]
+        residual, fit = zernike_fit_remove(values, mask, modes)
+        want_residual, want_coef = fit_remove_fancy_index(values, mask, modes)
+        assert fit.coefficients.tobytes() == want_coef.tobytes()
+        assert residual.tobytes() == want_residual.tobytes()
+
     def test_plane_removed_to_zero(self):
         r, c = np.mgrid[0:33, 0:33]
         values = 0.4 + 0.03 * r - 0.05 * c

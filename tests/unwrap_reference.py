@@ -1,0 +1,119 @@
+"""Reference flood integration: the breadth-first frontier loop that
+``phasestack.unwrap.flood_unwrap`` must reproduce bit for bit.
+
+The loop expands one breadth-first level at a time.  Within a level it
+tries the four step directions in the fixed order right, down, left, up,
+and a pixel takes its k from the first direction that reaches it, so its
+parent is, in priority order, the open neighbour one level up on its
+left, above it, on its right, or below it.  The increments are computed
+for all four directions over the whole frame before the loop starts.
+It takes the same arguments as the kernel it checks.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from phasestack.core import TWO_PI, check_frame, mask_is_connected, wrap
+from phasestack.unwrap import BranchCutMap, Surface, default_seed
+
+
+def _k_increments(frame: np.ndarray):
+    """Integer 2*pi counts picked up when stepping between neighbors.
+
+    Stepping from pixel a to neighbor b adds wrap(psi_b - psi_a) to the
+    running surface; in integer form k_b = k_a + rint((wrap(d) - d)/2pi)
+    with d = psi_b - psi_a.  Computed for all four step directions.
+    """
+
+    def inc(d):
+        return np.rint((wrap(d) - d) / TWO_PI).astype(np.int64)
+
+    d_right = frame[:, 1:] - frame[:, :-1]
+    d_down = frame[1:, :] - frame[:-1, :]
+    return inc(d_right), inc(-d_right), inc(d_down), inc(-d_down)
+
+
+def flood_unwrap_reference(
+    frame: np.ndarray,
+    mask: np.ndarray | None = None,
+    cuts: BranchCutMap | None = None,
+    seed: tuple | None = None,
+) -> Surface:
+    """Frontier-loop flood fill from a seed pixel, never crossing a cut edge."""
+    frame = np.asarray(frame, dtype=np.float64)
+    check_frame(frame, mask)
+    h, w = frame.shape
+    if mask is None:
+        mask = np.ones((h, w), dtype=bool)
+    else:
+        mask = np.asarray(mask, dtype=bool)
+    if not mask_is_connected(mask):
+        raise ValueError("flood_unwrap: valid region is not 4-connected")
+    if cuts is None:
+        cuts = BranchCutMap(
+            cut_right=np.zeros((h, w - 1), dtype=bool),
+            cut_down=np.zeros((h - 1, w), dtype=bool),
+        )
+    if seed is None:
+        seed = default_seed(mask)
+    sr, sc = seed
+    if not (0 <= sr < h and 0 <= sc < w) or not mask[sr, sc]:
+        raise ValueError("flood_unwrap: seed pixel is not valid")
+
+    inc_r, inc_l, inc_d, inc_u = _k_increments(frame)
+    ok_right = mask[:, :-1] & mask[:, 1:] & ~cuts.cut_right
+    ok_down = mask[:-1, :] & mask[1:, :] & ~cuts.cut_down
+
+    k = np.zeros((h, w), dtype=np.int64)
+    visited = np.zeros((h, w), dtype=bool)
+    visited[sr, sc] = True
+    front_r = np.array([sr])
+    front_c = np.array([sc])
+    while front_r.size:
+        new_r, new_c = [], []
+        # fixed direction order: right, down, left, up
+        for dr, dc, ok, inc in (
+            (0, 1, ok_right, inc_r),
+            (1, 0, ok_down, inc_d),
+            (0, -1, ok_right, inc_l),
+            (-1, 0, ok_down, inc_u),
+        ):
+            if dc == 1:
+                sel = (front_c < w - 1) & ok[front_r, np.minimum(front_c, w - 2)]
+            elif dc == -1:
+                sel = (front_c > 0) & ok[front_r, np.maximum(front_c - 1, 0)]
+            elif dr == 1:
+                sel = (front_r < h - 1) & ok[np.minimum(front_r, h - 2), front_c]
+            else:
+                sel = (front_r > 0) & ok[np.maximum(front_r - 1, 0), front_c]
+            r0, c0 = front_r[sel], front_c[sel]
+            r1, c1 = r0 + dr, c0 + dc
+            fresh = ~visited[r1, c1]
+            r0, c0, r1, c1 = r0[fresh], c0[fresh], r1[fresh], c1[fresh]
+            if dc == 1:
+                k[r1, c1] = k[r0, c0] + inc[r0, c0]
+            elif dc == -1:
+                k[r1, c1] = k[r0, c0] + inc[r0, c0 - 1]
+            elif dr == 1:
+                k[r1, c1] = k[r0, c0] + inc[r0, c0]
+            else:
+                k[r1, c1] = k[r0, c0] + inc[r0 - 1, c0]
+            visited[r1, c1] = True
+            new_r.append(r1)
+            new_c.append(c1)
+        front_r = np.concatenate(new_r)
+        front_c = np.concatenate(new_c)
+
+    values = np.where(visited, frame + TWO_PI * k, 0.0)
+    n_valid = int(mask.sum())
+    n_reached = int(visited.sum())
+    warning = None
+    if n_reached < n_valid:
+        unreachable = n_valid - n_reached
+        if unreachable > 0.5 * n_valid:
+            warning = (
+                f"unwrap reached only {n_reached} of {n_valid} valid pixels; "
+                "branch cuts isolated most of the aperture"
+            )
+    return Surface(values=values, mask=visited, warning=warning)
