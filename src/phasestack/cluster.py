@@ -63,7 +63,9 @@ def pairwise_distances(
     n_valid = int(mask.sum())
     if n_valid == 0:
         raise ValueError("pairwise_distances: no valid pixels")
-    x = frames[:, mask]
+    # compress is a plain copy of the valid columns, several times faster
+    # than the same gather by boolean indexing
+    x = frames.reshape(len(frames), -1).compress(mask.ravel(), axis=1)
     if not circular:
         sq = np.einsum("ij,ij->i", x, x)
         norms = sq[:, None] + sq[None, :]

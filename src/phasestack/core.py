@@ -70,10 +70,20 @@ def check_frame(values: np.ndarray, mask: np.ndarray | None = None) -> None:
     h, w = values.shape[-2:]
     if h < 2 or w < 2:
         raise ValueError(f"phase frame must be at least 2x2, got {h}x{w}")
-    v = values if mask is None else values[..., np.asarray(mask, dtype=bool)]
-    if not np.all(np.isfinite(v)):
+    if values.size == 0:
+        return
+    # min and max propagate NaN and reach +-inf, so they check finiteness
+    # too; a stack is first reduced over its frames, pixel by pixel.
+    lo, hi = (values.min(axis=0), values.max(axis=0)) if values.ndim == 3 else (values, values)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        lo, hi = lo[mask], hi[mask]
+    if lo.size == 0:
+        return
+    lo, hi = lo.min(), hi.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("phase frame has non-finite valid pixels")
-    if v.size and (v.min() <= -np.pi or v.max() > np.pi):
+    if lo <= -np.pi or hi > np.pi:
         raise ValueError("phase frame has valid pixels outside (-pi, pi]")
 
 
@@ -137,8 +147,7 @@ class PhaseStack:
             raise ValueError("acquisition_index length must match frame count")
         if len(self.frames) and np.any(np.diff(self.acquisition_index) <= 0):
             raise ValueError("acquisition_index must be strictly increasing")
-        for f in self.frames:
-            check_frame(f, self.mask)
+        check_frame(self.frames, self.mask)
 
     def __len__(self) -> int:
         return len(self.frames)

@@ -78,26 +78,25 @@ def avg_pool2(frames: np.ndarray, mask: np.ndarray):
     frames = np.asarray(frames, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
     check_frame(frames, mask)
-    return _pool2(frames, mask)
+    return _pool2(np.where(mask, frames, 0.0), mask)
 
 
 def _pool2(frames: np.ndarray, mask: np.ndarray):
-    """avg_pool2 without the input check."""
+    """avg_pool2 without the input check, of frames that hold 0.0 at every
+    invalid pixel (as piston_shift and _pool2 leave them)."""
     h, w = frames.shape[-2:]
     ho, wo = h // 2, w // 2
     if ho < 4 or wo < 4:
         raise ValueError(f"avg_pool2: pooled size {ho}x{wo} is below the 4x4 minimum")
-    f = np.where(mask, frames, 0.0)[..., : 2 * ho, : 2 * wo]
+    f = frames[..., : 2 * ho, : 2 * wo]
     m = mask[: 2 * ho, : 2 * wo]
-    # (top pair) + (bottom pair): the order of numpy's sum over the two
-    # block axes, without its strided reduction.
-    sums = f[..., 0::2, 0::2] + f[..., 0::2, 1::2]
-    sums += f[..., 1::2, 0::2] + f[..., 1::2, 1::2]
+    # (top pair) + (bottom pair), the order of numpy's sum over the two
+    # block axes: pair sums along each row, then row pairs added.
+    pairs = f[..., 0::2] + f[..., 1::2]
+    sums = pairs[..., 0::2, :] + pairs[..., 1::2, :]
     counts = m.reshape(ho, 2, wo, 2).sum(axis=(1, 3))
-    pooled_mask = counts > 0
-    with np.errstate(invalid="ignore"):
-        pooled = np.where(pooled_mask, sums / np.maximum(counts, 1), 0.0)
-    return wrap(pooled), pooled_mask
+    sums /= np.maximum(counts, 1)  # an all-invalid block stays 0.0
+    return wrap(sums), counts > 0
 
 
 def prepare_for_clustering(

@@ -238,8 +238,9 @@ def flood_unwrap(
     ok_right = mask[:, :-1] & mask[:, 1:] & ~cuts.cut_right
     ok_down = mask[:-1, :] & mask[1:, :] & ~cuts.cut_down
     # Open-edge table in CSR form, four columns per row: p-w, p-1, p+1, p+w
-    # where that edge is open, p itself where it is not.  Either way each
-    # row's columns are already sorted, and a self-loop is never followed.
+    # where that edge is open, p itself where it is not (a self-loop is
+    # never followed).  Rows need not be sorted: the levels, and the parents
+    # chosen below by direction priority, do not depend on neighbour order.
     n = h * w
     columns = np.arange(n, dtype=np.int32).reshape(h, w, 1).repeat(4, axis=2)
     columns[1:, :, 0] -= w * ok_down

@@ -106,8 +106,11 @@ def read_stack(path) -> PhaseStack:
     frames = wrap(frames)
     try:
         return PhaseStack(frames=frames, mask=mask)
-    except ValueError as exc:  # the one check here that can fail: a value too large to wrap
+    except ValueError as exc:
+        # a value too large to wrap is a format error; any other failure is not
         bad = ((frames > np.pi) | (frames <= -np.pi)) & mask
+        if not bad.any():
+            raise
         off = HEADER_SIZE + wh + 4 * int(np.argmax(bad))
         raise StackFormatError(
             f"{path}: value at a valid pixel cannot be wrapped into (-pi, pi], offset {off}",

@@ -137,7 +137,48 @@ class TestMasks:
             check_mask(np.zeros((4, 4), dtype=bool))
 
 
+def check_frame_gathered(values, mask=None):
+    """check_frame through a gather of the valid pixels: the oracle for the
+    per-pixel min and max over the frames."""
+    v = values if mask is None else values[..., np.asarray(mask, dtype=bool)]
+    if not np.all(np.isfinite(v)):
+        raise ValueError("phase frame has non-finite valid pixels")
+    if v.size and (v.min() <= -np.pi or v.max() > np.pi):
+        raise ValueError("phase frame has valid pixels outside (-pi, pi]")
+
+
+def _outcome(check, values, mask):
+    try:
+        check(values, mask)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 class TestCheckFrame:
+    @given(
+        st.integers(0, 3),
+        st.lists(
+            st.tuples(
+                st.integers(0, 3 * 4 * 5 - 1),
+                st.sampled_from([np.nan, np.inf, -np.inf, np.pi, -np.pi, 3.5, -0.0, 1e300]),
+            ),
+            max_size=4,
+        ),
+        st.integers(0, 2**20 - 1),
+        st.booleans(),
+    )
+    def test_same_outcome_as_gathered_check(self, n_frames, edits, mask_bits, stack):
+        """Same accept/reject and message as the gathered check, for one
+        frame or a stack, with special values at valid and invalid pixels."""
+        values = np.zeros((3, 4, 5))
+        for i, v in edits:
+            values.reshape(-1)[i] = v
+        values = values[:n_frames] if stack else values[0]
+        mask = np.array([(mask_bits >> b) & 1 for b in range(20)], dtype=bool).reshape(4, 5)
+        for m in (mask, None):
+            assert _outcome(check_frame, values, m) == _outcome(check_frame_gathered, values, m)
+
     def test_rejects_out_of_range(self):
         f = np.zeros((4, 4))
         f[1, 1] = 4.0

@@ -159,6 +159,21 @@ class TestReadStack:
             read_stack(path)
         assert err.value.offset == HEADER_SIZE + 4 + 4 * 3
 
+    def test_other_phase_stack_errors_propagate(self, tmp_path, monkeypatch):
+        # only an out-of-range value becomes a StackFormatError; a failure of
+        # any other PhaseStack check keeps its own type and message
+        import phasestack.wphs as wphs
+
+        def refuse(**kwargs):
+            raise ValueError("some other check")
+
+        monkeypatch.setattr(wphs, "PhaseStack", refuse)
+        path = tmp_path / "s.wphs"
+        path.write_bytes(build_file())
+        with pytest.raises(ValueError, match="some other check") as err:
+            read_stack(path)
+        assert not isinstance(err.value, StackFormatError)
+
     def test_peak_memory_bounded(self, tmp_path):
         """The traced peak stays within 2.5x the float64 stack: one float64
         copy, one wrap buffer, bool temporaries; no raw bytes or np.where
