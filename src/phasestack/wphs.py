@@ -102,7 +102,7 @@ def read_stack(path) -> PhaseStack:
             f"{path}: non-finite value at a valid pixel, offset {off}", offset=off
         )
     del bad
-    frames[:, ~mask] = 0.0
+    np.copyto(frames, 0.0, where=~mask)
     frames = wrap(frames)
     try:
         return PhaseStack(frames=frames, mask=mask)
