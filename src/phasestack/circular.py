@@ -7,6 +7,12 @@ resulting vectors, and takes the direction of the mean vector:
 
 The mean-vector magnitude (resultant length) measures concentration;
 near-zero resultants (antipodal cancellation) leave the mean undefined.
+
+``circular_mean_frame`` computes the cos and sin of blocks of frames on
+``core.map_blocks``' threads (one per CPU of the process's affinity mask),
+into buffers the calling thread allocated; the calling thread adds them up
+in frame order, so the result is the same, bit for bit, for any worker
+count.  BLAS is not involved.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import wrap
+from .core import map_blocks, wrap
 
 #: Resultant lengths at or below this are treated as an undefined mean.
 RESULTANT_EPS = 1e-9
@@ -71,6 +77,9 @@ def circular_mean_frame(frames: np.ndarray, mask: np.ndarray):
         mean_frame : per-pixel circular mean, 0 where undefined/invalid
         resultant : per-pixel resultant length in [0, 1]
         out_mask : mask with undefined-mean pixels removed
+
+    Memory beyond the inputs and outputs is the cos and sin of the blocks
+    in flight, not of the whole stack.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 3 or frames.shape[0] == 0:
@@ -78,13 +87,20 @@ def circular_mean_frame(frames: np.ndarray, mask: np.ndarray):
     mask = np.asarray(mask, dtype=bool)
     if frames.shape[1:] != mask.shape:
         raise ValueError("circular_mean_frame: frame/mask shape mismatch")
+
+    def cos_sin(block, buf):
+        np.cos(frames[block], out=buf[:, 0])
+        np.sin(frames[block], out=buf[:, 1])
+        return buf
+
     # Frame-by-frame sums from zero, then one division: the order of
     # numpy's axis-0 mean, without two (k, h, w) temporaries.
     x = np.zeros(mask.shape)
     y = np.zeros(mask.shape)
-    for frame in frames:
-        x += np.cos(frame)
-        y += np.sin(frame)
+    for buf in map_blocks(cos_sin, len(frames), frames[0].nbytes, scratch=(2, *mask.shape)):
+        for c, s in buf:
+            x += c
+            y += s
     x /= len(frames)
     y /= len(frames)
     resultant = np.hypot(x, y)

@@ -16,16 +16,22 @@ Byte layout (all little-endian):
 Storage is 32-bit to halve file size; all computation is 64-bit.  Values
 that land marginally out of range in float32 (e.g. float32(pi) > pi) are
 normalized with wrap() on read.
+
+``read_stack`` reads, zeroes and wraps the rasters in blocks of frames on
+``core.map_blocks``' threads, one per CPU of the process's affinity mask.
+The threads write only into buffers the calling thread allocated, so the
+stack is the same, bit for bit, for any worker count; BLAS is not involved.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
 
-from .core import PhaseStack, wrap
+from .core import WRAP_LIMIT, PhaseStack, map_blocks, wrap
 
 MAGIC = b"WPHS"
 VERSION = 1
@@ -47,75 +53,86 @@ def read_stack(path) -> PhaseStack:
 
     Raises StackFormatError naming the byte offset for bad magic, wrong
     version or dtype, truncation, malformed mask bytes, a mask with no
-    valid pixel, or values at valid pixels that are non-finite or too
-    large to wrap into (-pi, pi].
+    valid pixel, or the first value at a valid pixel that is non-finite or
+    too large to wrap into (-pi, pi].
+
+    The rasters are read, zeroed at invalid pixels and wrapped in blocks of
+    frames on ``core.map_blocks``' threads (one per CPU of the process's
+    affinity mask).  Each block is read into a buffer allocated here and
+    written to its frames of the one float64 stack allocated here, so the
+    file is never held whole and the result does not depend on the worker
+    count.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < HEADER_SIZE:
-        raise StackFormatError(f"{path}: truncated at offset {len(data)}", offset=len(data))
-    magic, version, dtype, reserved, width, height, frame_count = HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise StackFormatError(f"{path}: bad magic {magic!r} at offset 0", offset=0)
-    if version != VERSION:
-        raise StackFormatError(f"{path}: unsupported version {version} at offset 4", offset=4)
-    if dtype != DTYPE_F32:
-        raise StackFormatError(f"{path}: unsupported dtype code {dtype} at offset 5", offset=5)
-    if reserved != 0:
-        raise StackFormatError(f"{path}: nonzero reserved field at offset 6", offset=6)
-    if width < 2 or height < 2:
-        raise StackFormatError(
-            f"{path}: frame size {width}x{height} below 2x2 minimum at offset 8", offset=8
+        size = os.fstat(fh.fileno()).st_size
+        if size < HEADER_SIZE:
+            raise StackFormatError(f"{path}: truncated at offset {size}", offset=size)
+        magic, version, dtype, reserved, width, height, frame_count = HEADER.unpack(
+            fh.read(HEADER_SIZE)
         )
-    if frame_count < 1:
-        raise StackFormatError(f"{path}: zero frame count at offset 16", offset=16)
+        if magic != MAGIC:
+            raise StackFormatError(f"{path}: bad magic {magic!r} at offset 0", offset=0)
+        if version != VERSION:
+            raise StackFormatError(f"{path}: unsupported version {version} at offset 4", offset=4)
+        if dtype != DTYPE_F32:
+            raise StackFormatError(f"{path}: unsupported dtype code {dtype} at offset 5", offset=5)
+        if reserved != 0:
+            raise StackFormatError(f"{path}: nonzero reserved field at offset 6", offset=6)
+        if width < 2 or height < 2:
+            raise StackFormatError(
+                f"{path}: frame size {width}x{height} below 2x2 minimum at offset 8", offset=8
+            )
+        if frame_count < 1:
+            raise StackFormatError(f"{path}: zero frame count at offset 16", offset=16)
 
-    wh = width * height
-    expected = HEADER_SIZE + wh + 4 * wh * frame_count
-    if len(data) < expected:
-        raise StackFormatError(f"{path}: truncated at offset {len(data)}", offset=len(data))
-    if len(data) > expected:
-        raise StackFormatError(
-            f"{path}: {len(data) - expected} trailing bytes at offset {expected}", offset=expected
-        )
+        wh = width * height
+        expected = HEADER_SIZE + wh + 4 * wh * frame_count
+        if size < expected:
+            raise StackFormatError(f"{path}: truncated at offset {size}", offset=size)
+        if size > expected:
+            raise StackFormatError(
+                f"{path}: {size - expected} trailing bytes at offset {expected}", offset=expected
+            )
 
-    mask_bytes = np.frombuffer(data, dtype=np.uint8, count=wh, offset=HEADER_SIZE)
-    bad = np.nonzero(mask_bytes > 1)[0]
-    if bad.size:
-        off = HEADER_SIZE + int(bad[0])
-        raise StackFormatError(
-            f"{path}: mask byte {mask_bytes[bad[0]]} not 0/1 at offset {off}", offset=off
-        )
-    mask = mask_bytes.astype(bool).reshape(height, width)
-    if not mask.any():
-        raise StackFormatError(
-            f"{path}: mask has no valid pixels at offset {HEADER_SIZE}", offset=HEADER_SIZE
-        )
-    frames = np.frombuffer(data, dtype="<f4", count=frame_count * wh, offset=HEADER_SIZE + wh)
-    frames = frames.astype(np.float64).reshape(frame_count, height, width)
-    del data, mask_bytes  # drop the raw bytes before any full-size temporary
-    bad = ~np.isfinite(frames)
-    bad &= mask  # invalid pixels may hold anything finite or not
-    if bad.any():
-        off = HEADER_SIZE + wh + 4 * int(np.argmax(bad))
-        raise StackFormatError(
-            f"{path}: non-finite value at a valid pixel, offset {off}", offset=off
-        )
-    del bad
-    np.copyto(frames, 0.0, where=~mask)
-    frames = wrap(frames)
-    try:
-        return PhaseStack(frames=frames, mask=mask)
-    except ValueError as exc:
-        # a value too large to wrap is a format error; any other failure is not
-        bad = ((frames > np.pi) | (frames <= -np.pi)) & mask
-        if not bad.any():
-            raise
-        off = HEADER_SIZE + wh + 4 * int(np.argmax(bad))
-        raise StackFormatError(
-            f"{path}: value at a valid pixel cannot be wrapped into (-pi, pi], offset {off}",
-            offset=off,
-        ) from exc
+        mask_bytes = np.frombuffer(fh.read(wh), dtype=np.uint8)
+        bad = np.nonzero(mask_bytes > 1)[0]
+        if bad.size:
+            off = HEADER_SIZE + int(bad[0])
+            raise StackFormatError(
+                f"{path}: mask byte {mask_bytes[bad[0]]} not 0/1 at offset {off}", offset=off
+            )
+        mask = mask_bytes.astype(bool).reshape(height, width)
+        if not mask.any():
+            raise StackFormatError(
+                f"{path}: mask has no valid pixels at offset {HEADER_SIZE}", offset=HEADER_SIZE
+            )
+        frames = np.empty((frame_count, height, width))
+        invalid = ~mask
+
+        def load(block, buf):
+            n = block.stop - block.start
+            raw = buf.reshape(-1).view("<f4")[: n * wh].reshape(n, height, width)
+            start = HEADER_SIZE + wh + 4 * wh * block.start
+            got = os.preadv(fh.fileno(), [raw], start)
+            if got < raw.nbytes:  # the file shrank after the size check
+                off = start + got
+                raise StackFormatError(f"{path}: truncated at offset {off}", offset=off)
+            np.copyto(raw, 0.0, where=invalid)  # invalid pixels may hold anything
+            try:
+                wrap(raw, out=frames[block])
+            except ValueError:
+                first = int(np.argmax(~(np.abs(raw) <= WRAP_LIMIT)))  # NaN too
+                off = start + 4 * first
+                if np.isfinite(raw.flat[first]):
+                    what = "value at a valid pixel cannot be wrapped into (-pi, pi]"
+                else:
+                    what = "non-finite value at a valid pixel"
+                raise StackFormatError(f"{path}: {what}, offset {off}", offset=off) from None
+
+        # float64 scratch of half a frame's values holds a float32 raster
+        for _ in map_blocks(load, frame_count, frames[0].nbytes, scratch=((wh + 1) // 2,)):
+            pass
+    return PhaseStack(frames=frames, mask=mask)
 
 
 def write_stack(stack: PhaseStack, path) -> None:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from phasestack.circular import (
     circular_mean_frame,
     circular_rms_error,
 )
+from phasestack import core
 from phasestack.core import wrap, wrapped_diff
 
 
@@ -140,6 +142,39 @@ class TestCircularMeanFrame:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             circular_mean_frame(np.zeros((2, 4, 4)), np.ones((4, 5), dtype=bool))
+
+
+class TestCircularMeanFrameBlocks:
+    """circular_mean_frame's blocks on 1 and 2 worker threads."""
+
+    @pytest.mark.parametrize("k, per_block", [(7, 7), (7, 1), (10, 3)])
+    def test_bits_match_axis0_mean(self, block_pool, k, per_block):
+        rng = np.random.default_rng(k * per_block)
+        frames = wrap(rng.normal(0.0, 2.0, size=(k, 6, 9)))
+        frames[:, 0, :] = -0.0
+        frames[:, 1, :] = math.pi
+        mask = rng.random((6, 9)) > 0.2
+        block_pool(per_block, (6, 9))
+        got = circular_mean_frame(frames, mask)
+        want = circular_mean_frame_expression(frames, mask)
+        for g, e in zip(got, want):
+            assert g.tobytes() == e.tobytes()
+
+    @pytest.mark.parametrize("k", [40, 400])
+    def test_peak_memory_is_the_window_not_the_cluster(self, block_pool, k):
+        """The traced peak is the cos and sin of the blocks in flight plus
+        a few frames, far below the 2 * k frames of a whole-cluster map."""
+        frames = wrap(np.random.default_rng(k).normal(0.0, 2.0, size=(k, 32, 32)))
+        mask = np.ones((32, 32), dtype=bool)
+        block_pool(4, (32, 32))
+        tracemalloc.start()
+        try:
+            circular_mean_frame(frames, mask)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        window = core.WORKERS + 1 if core.WORKERS > 1 else 1
+        assert peak <= window * 2 * core.BLOCK_BYTES + 16 * frames[0].nbytes
 
 
 class TestCircularRmsError:

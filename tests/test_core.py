@@ -1,15 +1,22 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from phasestack import core
 from phasestack.core import (
     TWO_PI,
+    WRAP_LIMIT,
     PhaseStack,
     check_frame,
     check_mask,
     circular_aperture,
     detect_residues,
+    map_blocks,
     mask_is_connected,
     residue_count,
     wrap,
@@ -23,10 +30,16 @@ finite_floats = st.floats(
 
 def wrap_expression(x):
     """wrap as one expression with full-size temporaries: the oracle for
-    the in-place steps."""
+    the in-place steps (which fold down only where |x| > 4 pi)."""
     x = np.asarray(x, dtype=np.float64)
     out = x - TWO_PI * np.rint(x / TWO_PI)
-    return np.where(out <= -np.pi, out + TWO_PI, out)
+    out = np.where(out <= -np.pi, out + TWO_PI, out)
+    return np.where(out > np.pi, out - TWO_PI, out)
+
+
+# Inputs whose unfolded reduction lands just above pi: -31 pi (by 3.6e-15)
+# and a value near 1e15 (by 0.11).
+ABOVE_PI_INPUTS = (-97.38937226128358, -999586381881838.0)
 
 
 class TestWrap:
@@ -73,21 +86,146 @@ class TestWrap:
          np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0), 1e18, -1e300],
     )
     def test_bits_match_expression_on_special_values(self, x):
+        if abs(x) > WRAP_LIMIT:
+            with pytest.raises(ValueError):
+                wrap(x)
+            return
         got = wrap(x)
         assert type(got) is float
         assert np.float64(got).tobytes() == wrap_expression(x).tobytes()
 
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    @given(st.lists(st.floats(-WRAP_LIMIT, WRAP_LIMIT), min_size=1, max_size=40))
+    @example(list(ABOVE_PI_INPUTS))
     def test_bits_match_expression(self, xs):
         x = np.array(xs)
         assert wrap(x).tobytes() == wrap_expression(x).tobytes()
         quarter = np.rint(x % 64) * (np.pi / 2) - 16 * np.pi  # exact-pi ties
         assert wrap(quarter).tobytes() == wrap_expression(quarter).tobytes()
 
+    @given(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(1e15, 1e308),
+            st.floats(-1e308, -1e15),
+        )
+    )
+    @example(ABOVE_PI_INPUTS[0])
+    @example(ABOVE_PI_INPUTS[1])
+    @example(WRAP_LIMIT)
+    @example(np.nextafter(WRAP_LIMIT, np.inf))
+    @example(-WRAP_LIMIT)
+    def test_in_range_or_raises(self, x):
+        """Every finite value up to WRAP_LIMIT wraps into (-pi, pi], as a
+        scalar and inside an array; every larger one raises."""
+        if abs(x) > WRAP_LIMIT:
+            with pytest.raises(ValueError):
+                wrap(x)
+            with pytest.raises(ValueError):
+                wrap(np.array([0.0, x]))
+            return
+        for got in (wrap(x), wrap(np.array([0.0, x]))[1]):
+            assert -np.pi < got <= np.pi
+
+    def test_out_argument(self, rng):
+        x = rng.uniform(-40.0, 40.0, size=(3, 5))
+        want = wrap(x)
+        into = np.empty_like(x)
+        assert wrap(x, out=into) is into and into.tobytes() == want.tobytes()
+        from32 = x.astype(np.float32)
+        assert wrap(from32, out=into).tobytes() == wrap(from32.astype(np.float64)).tobytes()
+        assert wrap(x, out=x) is x and x.tobytes() == want.tobytes()  # in place
+
     def test_array_input(self):
         out = wrap(np.array([0.0, 3 * np.pi, -TWO_PI]))
         assert out.shape == (3,)
         assert np.allclose(out, [0.0, np.pi, 0.0], atol=1e-12)
+
+
+class TestMapBlocks:
+    @pytest.mark.parametrize("n, per_block", [(7, 7), (7, 1), (10, 3)])
+    def test_blocks_in_order(self, block_pool, n, per_block):
+        block_pool(per_block, (4, 4))
+        got = list(map_blocks(lambda b: (b.start, b.stop), n, 8 * 16))
+        starts = range(0, n, per_block)
+        assert got == [(s, min(s + per_block, n)) for s in starts]
+
+    def test_scratch_slot_untouched_until_consumed(self, block_pool):
+        """Each block's buffer holds its own values when consumed, and at
+        most WORKERS + 1 blocks are submitted and not yet consumed."""
+        block_pool(2, (3, 3))
+        rng = np.random.default_rng(0)
+        delays = rng.uniform(0.0, 0.004, size=20)
+        started, consumed = [], 0
+        lock = threading.Lock()
+
+        def fill(block, buf):
+            with lock:
+                started.append(block.start)
+            time.sleep(delays[block.start // 2])
+            buf[...] = block.start
+            return block.start, buf
+
+        for start, buf in map_blocks(fill, 40, 8 * 9, scratch=(3, 3)):
+            assert buf.shape == (2, 3, 3) and np.all(buf == start)
+            consumed += 1
+            with lock:
+                assert len(started) - consumed <= core.WORKERS
+        assert consumed == 20
+
+    def test_worker_error_propagates_unchanged_with_no_block_running(self, block_pool):
+        block_pool(1, (2, 2))
+        error = ValueError("block 1 is bad")
+        running, started = set(), []
+        lock = threading.Lock()
+
+        def work(block):
+            with lock:
+                running.add(block.start)
+                started.append(block.start)
+            try:
+                if block.start == 1:
+                    raise error
+                time.sleep(0.05)  # still running when block 1 fails
+            finally:
+                with lock:
+                    running.discard(block.start)
+            return block.start
+
+        got = []
+        with pytest.raises(ValueError) as caught:
+            for start in map_blocks(work, 30, 32):
+                got.append(start)
+        assert caught.value is error
+        assert got == [0]  # results before the failing block still arrive
+        assert not running
+        assert max(started) <= core.WORKERS  # later blocks were never started
+
+    def test_stress_more_workers_than_cores(self, monkeypatch):
+        """8 threads, a short switch interval and one-frame blocks: every
+        buffer still holds its own block's values when consumed."""
+        monkeypatch.setattr(core, "WORKERS", 8)
+        monkeypatch.setattr(core, "BLOCK_BYTES", 8 * 64)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                seen = []
+                for start, buf in map_blocks(
+                    lambda b, buf: (b.start, np.copyto(buf, b.start) or buf), 300, 8 * 64, (8, 8)
+                ):
+                    assert np.all(buf == start)
+                    seen.append(start)
+                assert seen == list(range(300))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_runs_inline_with_one_block_or_worker(self, block_pool):
+        block_pool(4, (2, 2))
+        caller = threading.get_ident()
+        threads = set(map_blocks(lambda b: threading.get_ident(), 4, 32))
+        assert threads == {caller}
+        threads = set(map_blocks(lambda b: threading.get_ident(), 12, 32))
+        assert (threads == {caller}) == (core.WORKERS == 1)
 
 
 class TestWrappedDiff:

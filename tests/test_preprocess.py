@@ -203,3 +203,31 @@ class TestStackOperationsMatchFrameLoop:
             prepare_for_clustering(frames, full_mask((8, 8)))
         with pytest.raises(ValueError):
             prepare_for_clustering(np.zeros((8, 8)), full_mask((8, 8)))
+
+
+class TestPrepareBlocks:
+    """prepare_for_clustering's blocks on 1 and 2 worker threads give the
+    bits of the frame-by-frame reference."""
+
+    @pytest.mark.parametrize("levels", [0, 1, 2])
+    @pytest.mark.parametrize("n, per_block", [(7, 7), (7, 1), (10, 3)])
+    def test_bits_match_reference(self, block_pool, n, per_block, levels):
+        size = 35
+        rng = np.random.default_rng(n * per_block + levels)
+        mask = circular_aperture((size, size), margin=1)
+        frames = np.where(mask, wrap(rng.uniform(-4.0, 4.0, size=(n, size, size))), 0.0)
+        anchor = center_pixel((size, size))
+        block_pool(per_block, (size, size))
+        got = prepare_for_clustering(frames, mask, levels, anchor)
+        want = reference_prepare(frames, mask, levels, anchor)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    def test_worker_error_is_the_serial_error(self, block_pool):
+        frames = np.zeros((10, 8, 8))
+        frames[8, 2, 3] = 4.0  # out of range in the last block only
+        block_pool(3, (8, 8))
+        with pytest.raises(ValueError, match="outside") as err:
+            prepare_for_clustering(frames, full_mask((8, 8)))
+        assert type(err.value) is ValueError

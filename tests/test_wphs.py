@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from phasestack.core import PhaseStack, wrap
+from phasestack import core, wphs
+from phasestack.core import PhaseStack, circular_aperture, wrap
 from phasestack.wphs import (
     HEADER_SIZE,
     StackFormatError,
@@ -191,6 +193,68 @@ class TestReadStack:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * stack.frames.nbytes
+
+
+class TestReadStackBlocks:
+    """read_stack's blocks on 1 and 2 worker threads give the bits of a
+    whole-stack expression, and report the first bad value in file order."""
+
+    @pytest.mark.parametrize("n, per_block", [(7, 7), (7, 1), (10, 3)])
+    def test_bits_match_whole_stack_expression(self, tmp_path, block_pool, n, per_block):
+        rng = np.random.default_rng(n * per_block)
+        raw = rng.uniform(-4.0, 4.0, size=(n, 9, 11)).astype("<f4")
+        raw[:, 0, 0] = np.float32(np.pi)  # float32(pi) > pi: wrapped on read
+        mask = circular_aperture((9, 11))
+        mask[0, 0] = True
+        raw[:, ~mask] = np.nan  # garbage at invalid pixels
+        path = tmp_path / "s.wphs"
+        mask_bytes = mask.astype(np.uint8)
+        path.write_bytes(build_file(width=11, height=9, frames=list(raw), mask=mask_bytes))
+        block_pool(per_block, (9, 11))
+        stack = read_stack(path)
+        want = wrap(np.where(mask, raw.astype(np.float64), 0.0))
+        assert stack.frames.tobytes() == want.tobytes()
+        assert np.array_equal(stack.mask, mask)
+
+    def test_first_bad_block_reported_when_a_later_one_fails_first(
+        self, tmp_path, block_pool, monkeypatch
+    ):
+        frames = np.zeros((9, 2, 2), dtype="<f4")
+        frames[:, 0, 0] = np.arange(9) / 10  # frame index, readable in any block
+        frames[1, 1, 0] = np.nan  # block 0
+        frames[7, 0, 1] = np.inf  # block 2
+        path = tmp_path / "s.wphs"
+        path.write_bytes(build_file(frames=list(frames)))
+        block_pool(3, (2, 2))
+        finished = []
+        real_wrap = wphs.wrap
+
+        def slow_first_block(x, out=None):
+            first = int(round(float(x[0, 0, 0]) * 10))
+            try:
+                if first == 0:
+                    time.sleep(0.2)
+                return real_wrap(x, out=out)
+            finally:
+                finished.append(first)
+
+        monkeypatch.setattr(wphs, "wrap", slow_first_block)
+        with pytest.raises(StackFormatError) as err:
+            read_stack(path)
+        assert err.value.offset == HEADER_SIZE + 4 + 4 * (4 * 1 + 2)
+        if core.WORKERS > 1:  # block 2 failed while block 0 was still running
+            assert finished == [3, 6, 0]
+
+    def test_too_large_and_non_finite_messages(self, tmp_path, block_pool):
+        block_pool(1, (2, 2))
+        for value, words in ((1e30, "cannot be wrapped"), (-np.inf, "non-finite")):
+            frames = np.zeros((3, 2, 2), dtype="<f4")
+            frames[2, 1, 1] = value
+            path = tmp_path / "s.wphs"
+            path.write_bytes(build_file(frames=list(frames)))
+            with pytest.raises(StackFormatError, match=words) as err:
+                read_stack(path)
+            assert err.value.offset == HEADER_SIZE + 4 + 4 * (4 * 2 + 3)
 
 
 _VALID = build_file(
