@@ -104,8 +104,8 @@ def map_blocks(fn, n_frames: int, frame_bytes: int, scratch: tuple | None = None
     """Yield ``fn(block)`` for consecutive blocks of ``range(n_frames)``, in
     block order.
 
-    Each ``block`` is a slice of about ``BLOCK_BYTES // frame_bytes``
-    frames (at least one).  With more than one worker and more than one
+    Each ``block`` is a slice of at most ``BLOCK_BYTES // frame_bytes``
+    frames (at least one), the blocks as equal in length as that allows.  With more than one worker and more than one
     block, the calls run on a pool of up to ``WORKERS`` threads, with at
     most one more block submitted and not yet consumed than there are
     threads, so that the pool stays busy while the caller uses a result;
@@ -123,7 +123,8 @@ def map_blocks(fn, n_frames: int, frame_bytes: int, scratch: tuple | None = None
     reached, after blocks not yet started are cancelled and running ones
     have finished; earlier blocks' results have been yielded by then.
     """
-    step = max(1, min(BLOCK_BYTES // max(frame_bytes, 1), n_frames))
+    step = max(1, BLOCK_BYTES // max(frame_bytes, 1))
+    step = -(-n_frames // -(-n_frames // step)) if n_frames else 1  # equal blocks
     blocks = [slice(start, min(start + step, n_frames)) for start in range(0, n_frames, step)]
     workers = min(WORKERS, len(blocks))
     window = min(workers + 1, len(blocks)) if workers > 1 else 1

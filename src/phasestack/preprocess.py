@@ -7,8 +7,9 @@ cluster geometry the classifier sees.
 
 ``prepare_for_clustering`` streams the stack through ``core.map_blocks``:
 blocks of frames on one thread per CPU of the process's affinity mask, each
-writing its frames of output arrays allocated by the caller.  The result is
-the same, bit for bit, for any worker count; BLAS is not involved.
+writing its frames of the shifted and pooled stacks the calling thread
+allocated.  The result is the same, bit for bit, for any worker count.
+BLAS is not involved.
 """
 
 from __future__ import annotations
@@ -117,10 +118,8 @@ def prepare_for_clustering(
     Returns (shifted_frames, pooled_frames, pooled_mask); the full-
     resolution piston-shifted frames feed the denoiser, the pooled copies
     feed the classifier.  With ``pool_levels=0`` the pooled frames are
-    the shifted array itself.
-
-    Blocks of frames run on ``core.map_blocks``' threads; each writes its
-    frames of ``shifted`` and ``pooled``, both allocated here.
+    the shifted array itself.  Blocks of frames run on threads (see the
+    module docstring).
     """
     if pool_levels < 0:
         raise ValueError("pool_levels must be >= 0")

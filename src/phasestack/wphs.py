@@ -19,8 +19,10 @@ normalized with wrap() on read.
 
 ``read_stack`` reads, zeroes and wraps the rasters in blocks of frames on
 ``core.map_blocks``' threads, one per CPU of the process's affinity mask.
-The threads write only into buffers the calling thread allocated, so the
-stack is the same, bit for bit, for any worker count; BLAS is not involved.
+Each block is read (with ``os.preadv``) into a buffer the calling thread
+allocated and written to its frames of the one float64 stack, so the
+threads write only into arrays the calling thread allocated and the stack
+is the same, bit for bit, for any worker count.  BLAS is not involved.
 """
 
 from __future__ import annotations
@@ -56,12 +58,8 @@ def read_stack(path) -> PhaseStack:
     valid pixel, or the first value at a valid pixel that is non-finite or
     too large to wrap into (-pi, pi].
 
-    The rasters are read, zeroed at invalid pixels and wrapped in blocks of
-    frames on ``core.map_blocks``' threads (one per CPU of the process's
-    affinity mask).  Each block is read into a buffer allocated here and
-    written to its frames of the one float64 stack allocated here, so the
-    file is never held whole and the result does not depend on the worker
-    count.
+    The file is read block by block, never held whole (see the module
+    docstring).
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
