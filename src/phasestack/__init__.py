@@ -13,6 +13,7 @@ from .circular import (
     CircularSummary,
     circular_mean,
     circular_mean_frame,
+    circular_mean_rows,
     circular_rms_error,
 )
 from .cluster import (
@@ -75,6 +76,7 @@ __all__ = [
     "CircularSummary",
     "circular_mean",
     "circular_mean_frame",
+    "circular_mean_rows",
     "circular_rms_error",
     "ClusterSet",
     "Dendrogram",

@@ -8,11 +8,16 @@ resulting vectors, and takes the direction of the mean vector:
 The mean-vector magnitude (resultant length) measures concentration;
 near-zero resultants (antipodal cancellation) leave the mean undefined.
 
-``circular_mean_frame`` computes the cos and sin of blocks of frames on
-``core.map_blocks``' threads (one per CPU of the process's affinity mask),
+Two frame-stack kernels compute it per pixel.  ``circular_mean_frame`` is the
+float64 reference: cos and sin of the frames as given.  ``circular_mean_rows``
+is what the pipeline calls: it reads a cluster's rows of the whole stack in
+place and takes float32 cos and sin of each member's deviation from the first
+member, summed in float64; its error against ``circular_mean_frame`` is
+bounded in its docstring.  Both compute the cos and sin of blocks of frames
+on ``core.map_blocks``' threads (one per CPU of the process's affinity mask),
 into buffers the calling thread allocated; the calling thread adds them up
-in frame order, so the result is the same, bit for bit, for any worker
-count.  BLAS is not involved.
+in frame order, so each result is the same, bit for bit, for any worker
+count and block size.  BLAS is not involved.
 """
 
 from __future__ import annotations
@@ -21,10 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import map_blocks, wrap
+from .core import TWO_PI, map_blocks, wrap
 
-#: Resultant lengths at or below this are treated as an undefined mean.
-RESULTANT_EPS = 1e-9
+#: Resultant lengths at or below this are treated as an undefined mean.  It
+#: sits above the 3.2e-7 bound on ``circular_mean_rows``' resultant error, so
+#: an exact cancellation (such as a and wrap(a + pi)) is undefined on both
+#: frame kernels.
+RESULTANT_EPS = 1e-6
 
 
 @dataclass
@@ -107,6 +115,82 @@ def circular_mean_frame(frames: np.ndarray, mask: np.ndarray):
     out_mask = mask & (resultant > RESULTANT_EPS)
     mean_frame = np.where(out_mask, wrap(np.arctan2(y, x)), 0.0)
     return mean_frame, resultant, out_mask
+
+
+def circular_mean_rows(frames: np.ndarray, rows, mask: np.ndarray):
+    """Per-pixel circular mean of the frames ``frames[rows]``, read in place.
+
+    The fast kernel behind the pipeline's denoise step; ``circular_mean_frame``
+    of ``frames[rows]`` is its oracle.  Each member's deviation from the
+    first member, ``d = frames[r] - ref`` with ``ref = frames[rows[0]]``, is
+    taken in float64 and folded into (-pi, pi] by one masked 2*pi step; cos
+    and sin of ``float32(d)`` are computed in float32 and summed in float64,
+    frame by frame from zero; the mean is ``wrap(atan2(S, C) + ref)``.
+
+    Parameters
+    ----------
+    frames : (n, h, w) float64 stack of wrapped frames (the whole
+        piston-shifted stack); finite values at invalid pixels do not
+        change the outputs at valid ones
+    rows : nonempty sequence of frame indices (one cluster's members)
+    mask : (h, w) bool aperture mask
+
+    Returns
+    -------
+    (mean_frame, resultant, out_mask), as ``circular_mean_frame`` returns.
+
+    Error against ``circular_mean_frame(frames[rows], mask)``: rounding d to
+    float32 moves each unit vector by at most pi * 2**-24, and numpy's
+    float32 sin and cos (under 1.5 ulp) move it by at most
+    1.5 * sqrt(2) * 2**-24; the float64 steps add about k * 1e-16.  So the
+    mean vector differs by at most delta = 3.2e-7 (for k below 10**7), the
+    resultant by at most delta, and the mean by at most asin(delta / R),
+    about delta / R, where the resultant R exceeds delta.  The error scales
+    with the members' spread around the first one: identical members give
+    d = 0 exactly, so the mean is ``wrap(ref)`` and the resultant 1.0, bit
+    for bit.
+
+    Memory beyond the inputs and outputs is the blocks in flight; the
+    members are never gathered into a (k, h, w) copy.
+    """
+    frames = np.asarray(frames, dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.intp)
+    mask = np.asarray(mask, dtype=bool)
+    if frames.ndim != 3 or rows.ndim != 1 or rows.size == 0:
+        raise ValueError("circular_mean_rows: need an (n, h, w) stack and a nonempty 1-D rows")
+    if frames.shape[1:] != mask.shape:
+        raise ValueError("circular_mean_rows: frame/mask shape mismatch")
+    if rows.min() < 0 or rows.max() >= len(frames):
+        raise ValueError("circular_mean_rows: row index out of range")
+    ref = frames[rows[0]]
+
+    def cos_sin(block, buf):
+        # buf[:, 0] holds d in float64; buf[:, 1] holds its float32 cos and sin
+        d, n = buf[:, 0], len(buf)
+        for j, r in enumerate(rows[block]):
+            np.subtract(frames[r], ref, out=d[j])
+        np.subtract(d, TWO_PI, out=d, where=d > np.pi)
+        np.add(d, TWO_PI, out=d, where=d <= -np.pi)
+        cs = buf[:, 1].reshape(n, -1).view(np.float32).reshape(n, 2, *mask.shape)
+        c, s = cs[:, 0], cs[:, 1]
+        c[...] = d
+        np.sin(c, out=s)
+        np.cos(c, out=c)
+        return c, s
+
+    x = np.zeros(mask.shape)
+    y = np.zeros(mask.shape)
+    for c, s in map_blocks(cos_sin, len(rows), ref.nbytes, scratch=(2, *mask.shape)):
+        for cj, sj in zip(c, s):
+            x += cj
+            y += sj
+    x /= len(rows)
+    y /= len(rows)
+    resultant = np.hypot(x, y)
+    out_mask = mask & (resultant > RESULTANT_EPS)
+    mean_frame = np.zeros(mask.shape)
+    np.add(np.arctan2(y, x), ref, out=mean_frame, where=out_mask)
+    return wrap(mean_frame, out=mean_frame), resultant, out_mask
 
 
 def circular_rms_error(a: np.ndarray, b: np.ndarray, mask: np.ndarray | None = None) -> float:

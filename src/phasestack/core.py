@@ -11,12 +11,13 @@ Conventions used throughout the package:
 * Pixel (r, c) means row r, column c; rows increase downward.
 
 Whole-stack kernels (``wphs.read_stack``, ``preprocess.prepare_for_clustering``,
-``circular.circular_mean_frame``) stream the frames through ``map_blocks``:
-blocks of about ``BLOCK_BYTES`` of frames on a thread pool with one worker per
-CPU in the process's affinity mask (``WORKERS``; there is no option).  The
-workers write only into arrays the calling thread allocated, and each block's
-output is what a serial pass computes, so results are bit-identical for any
-worker count.  BLAS thread settings are left alone.
+``circular.circular_mean_rows`` and its reference ``circular.circular_mean_frame``)
+stream the frames through ``map_blocks``: blocks of about ``BLOCK_BYTES`` of
+frames on a thread pool with one worker per CPU in the process's affinity mask
+(``WORKERS``; there is no option).  The workers write only into arrays the
+calling thread allocated, and each block's output is what a serial pass
+computes, so results are bit-identical for any worker count.  BLAS thread
+settings are left alone.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy import ndimage
@@ -221,13 +222,18 @@ class PhaseStack:
     mask : (h, w) bool array
     acquisition_index : (n,) int array, unique and strictly increasing;
         preserves the data-acquisition order of the frames.
+
+    ``_wrapped`` is private to ``wphs.read_stack``, whose ``wrap`` has already
+    put every valid value into (-pi, pi]: it skips the range check of the
+    frames, a full pass over the stack, and none of the other checks.
     """
 
     frames: np.ndarray
     mask: np.ndarray
     acquisition_index: np.ndarray = field(default=None)  # type: ignore[assignment]
+    _wrapped: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _wrapped):
         self.frames = np.asarray(self.frames, dtype=np.float64)
         self.mask = np.asarray(self.mask, dtype=bool)
         if self.frames.ndim != 3:
@@ -245,7 +251,8 @@ class PhaseStack:
             raise ValueError("acquisition_index length must match frame count")
         if len(self.frames) and np.any(np.diff(self.acquisition_index) <= 0):
             raise ValueError("acquisition_index must be strictly increasing")
-        check_frame(self.frames, self.mask)
+        if not _wrapped:
+            check_frame(self.frames, self.mask)
 
     def __len__(self) -> int:
         return len(self.frames)

@@ -5,7 +5,9 @@ The routes differ only in the partition.  Clustered uses the chosen
 clusters of an average-linkage dendrogram cut on pooled copies of the
 piston-shifted frames; no-classify uses one part of all frames;
 conventional uses one part per frame.  A one-frame part skips the
-circular mean.  The unwrap count equals the number of parts, not frames.
+circular mean; a larger one is denoised by ``circular_mean_rows``, which
+reads its rows of the piston-shifted stack in place.  The unwrap count
+equals the number of parts, not frames.
 
 Every part has ``modes_removed`` fitted and removed before the parts
 enter a running weighted mean.  Piston must be among those modes: it
@@ -26,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circular import circular_mean_frame
+# circular_mean_frame stays importable here: perfbench's tracer rebinds it
+from .circular import circular_mean_frame, circular_mean_rows  # noqa: F401
 from .cluster import NoClusterError, agglomerate, min_samples_from_fraction
 from .cluster import pairwise_distances, select_clusters
 from .core import PhaseStack
@@ -192,7 +195,7 @@ def _measure(stack: PhaseStack, params: PipelineParams, method: str) -> SurfaceR
                 frame, mask = shifted[members[0]], stack.mask
             else:
                 with _timed(times, "denoise"):
-                    frame, _resultant, mask = circular_mean_frame(shifted[members], stack.mask)
+                    frame, _resultant, mask = circular_mean_rows(shifted, members, stack.mask)
             with _timed(times, "unwrap"):
                 seed = _anchor_for(mask)
                 unwraps += 1

@@ -130,7 +130,7 @@ def read_stack(path) -> PhaseStack:
         # float64 scratch of half a frame's values holds a float32 raster
         for _ in map_blocks(load, frame_count, frames[0].nbytes, scratch=((wh + 1) // 2,)):
             pass
-    return PhaseStack(frames=frames, mask=mask)
+    return PhaseStack(frames=frames, mask=mask, _wrapped=True)
 
 
 def write_stack(stack: PhaseStack, path) -> None:

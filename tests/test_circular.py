@@ -10,6 +10,7 @@ from phasestack.circular import (
     RESULTANT_EPS,
     circular_mean,
     circular_mean_frame,
+    circular_mean_rows,
     circular_rms_error,
 )
 from phasestack import core
@@ -175,6 +176,151 @@ class TestCircularMeanFrameBlocks:
             tracemalloc.stop()
         window = core.WORKERS + 1 if core.WORKERS > 1 else 1
         assert peak <= window * 2 * core.BLOCK_BYTES + 16 * frames[0].nbytes
+
+
+# Bound on circular_mean_rows' mean-vector error, from its docstring:
+# (pi + 1.5 * sqrt(2)) * 2**-24 = 3.14e-7 for float32(d) and the float32 sin
+# and cos, rounded up over the float64 steps.
+DELTA = 3.2e-7
+
+
+@st.composite
+def row_stacks(draw):
+    """(frames, rows, mask): a stack with a cluster's rows drawn from it.
+
+    The members scatter around a per-pixel center with one of several
+    spreads; some pixels hold pi exactly, and on some the second half of
+    the members is antipodal to the first (an exact cancellation)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 24))
+    n = k + draw(st.integers(0, 4))
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    spread = draw(st.sampled_from([0.0, 1e-7, 1e-3, 0.3, 1.5, 10.0]))
+    center = rng.uniform(-math.pi, math.pi, size=(h, w))
+    frames = wrap(center + rng.normal(0.0, spread, size=(n, h, w)))
+    frames[rng.random((n, h, w)) < 0.05] = math.pi
+    rows = rng.permutation(n)[:k]
+    if k % 2 == 0 and draw(st.booleans()):
+        cancel = rng.random((h, w)) < 0.5
+        first, second = rows[: k // 2], rows[k // 2 :]
+        frames[second] = np.where(cancel, wrap(frames[first] + math.pi), frames[second])
+    mask = rng.random((h, w)) > 0.2
+    return frames, rows, mask
+
+
+class TestCircularMeanRows:
+    """The float32 kernel against circular_mean_frame, its float64 oracle."""
+
+    @given(row_stacks())
+    def test_within_bound_of_oracle(self, case):
+        frames, rows, mask = case
+        mean, resultant, out_mask = circular_mean_rows(frames, rows, mask)
+        o_mean, o_resultant, o_mask = circular_mean_frame(frames[rows], mask)
+        assert np.all(np.abs(resultant - o_resultant) <= DELTA)
+        decided = np.abs(o_resultant - RESULTANT_EPS) > DELTA
+        assert np.array_equal(out_mask[decided], o_mask[decided])
+        both = out_mask & o_mask
+        bound = np.arcsin(np.minimum(1.0, DELTA / o_resultant[both])) + 1e-12
+        assert np.all(np.abs(wrapped_diff(mean[both], o_mean[both])) <= bound)
+        assert not np.any(out_mask & ~mask)
+        assert np.all(mean[~out_mask] == 0.0)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 40])
+    def test_identical_frames_come_back_bit_for_bit(self, k):
+        rng = np.random.default_rng(k)
+        f = wrap(rng.uniform(-math.pi, math.pi, size=(9, 7)))
+        f[0, :] = math.pi
+        f[1, :] = -0.0  # wrap returns +0.0 for it, as it does everywhere
+        f[2, :] = np.nextafter(-math.pi, 0.0)
+        frames = np.stack([f] * k)
+        mask = np.ones(f.shape, dtype=bool)
+        mean, resultant, out_mask = circular_mean_rows(frames, range(k), mask)
+        assert mean.tobytes() == wrap(f).tobytes()
+        assert np.all(resultant == 1.0)
+        assert np.array_equal(out_mask, mask)
+
+    @pytest.mark.parametrize("center", [math.pi, np.nextafter(-math.pi, 0.0), 1.0])
+    def test_error_scales_with_spread_across_the_cut(self, center):
+        # members within +-1e-3 of a center, straddling +-pi for the first
+        # two: deviations from the first member are folded, so rounding them
+        # to float32 costs about 2e-3 * 2**-24, not pi * 2**-24
+        spread = 1e-3
+        rng = np.random.default_rng(11)
+        frames = wrap(center + rng.uniform(-spread, spread, size=(50, 8, 8)))
+        mask = np.ones((8, 8), dtype=bool)
+        mean, _, _ = circular_mean_rows(frames, range(50), mask)
+        o_mean, _, _ = circular_mean_frame(frames, mask)
+        assert np.abs(wrapped_diff(mean, o_mean)).max() <= 8 * spread * 2.0**-24
+
+    @pytest.mark.parametrize(
+        "a", [0.0, 0.5, -2.0, math.pi, np.nextafter(-math.pi, 0.0), 3.0, -3.1, 1e-300]
+    )
+    def test_exact_antipodal_pair_is_undefined(self, a):
+        frames = np.full((2, 2, 2), a)
+        frames[1] = wrap(a + math.pi)
+        mask = np.ones((2, 2), dtype=bool)
+        mean, resultant, out_mask = circular_mean_rows(frames, [0, 1], mask)
+        assert not out_mask.any()
+        assert np.all(resultant <= DELTA)
+        assert np.all(mean == 0.0)
+
+    @pytest.mark.parametrize("k, per_block", [(7, 7), (7, 1), (10, 3), (13, 4)])
+    def test_same_bits_for_any_worker_count_and_block(self, block_pool, k, per_block):
+        rng = np.random.default_rng(k * per_block)
+        frames = wrap(rng.normal(0.0, 2.0, size=(k + 3, 6, 9)))
+        frames[:, 1, :] = math.pi
+        rows = rng.permutation(k + 3)[:k]
+        mask = rng.random((6, 9)) > 0.2
+        want = circular_mean_rows(frames, rows, mask)  # one block, calling thread
+        block_pool(per_block, (6, 9))
+        got = circular_mean_rows(frames, rows, mask)
+        for g, e in zip(got, want):
+            assert g.tobytes() == e.tobytes()
+
+    def test_invalid_pixels_do_not_reach_valid_ones(self):
+        rng = np.random.default_rng(3)
+        frames = wrap(rng.normal(0.0, 1.0, size=(6, 5, 5)))
+        mask = rng.random((5, 5)) > 0.3
+        garbage = frames.copy()
+        garbage[:, ~mask] = rng.uniform(-1e30, 1e30, size=(6, int((~mask).sum())))
+        want = circular_mean_rows(frames, [5, 1, 2], mask)
+        mean, resultant, out_mask = circular_mean_rows(garbage, [5, 1, 2], mask)
+        assert mean.tobytes() == want[0].tobytes()
+        assert resultant[mask].tobytes() == want[1][mask].tobytes()
+        assert np.array_equal(out_mask, want[2])
+
+    @pytest.mark.parametrize("k", [40, 400])
+    def test_no_copy_of_the_members(self, block_pool, k):
+        """The traced peak is the blocks in flight plus a few frames, far
+        below the k frames of a frames[rows] gather."""
+        # 64x64 frames: numpy's 64 KB casting buffers are two frames each
+        frames = wrap(np.random.default_rng(k).normal(0.0, 2.0, size=(k + 5, 64, 64)))
+        rows = list(range(5, k + 5))
+        mask = np.ones((64, 64), dtype=bool)
+        block_pool(4, (64, 64))
+        tracemalloc.start()
+        try:
+            circular_mean_rows(frames, rows, mask)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        window = core.WORKERS + 1 if core.WORKERS > 1 else 1
+        assert peak <= window * 2 * core.BLOCK_BYTES + 16 * frames[0].nbytes
+
+    @pytest.mark.parametrize(
+        "frames, rows, mask",
+        [
+            (np.zeros((3, 4, 4)), [], np.ones((4, 4), dtype=bool)),
+            (np.zeros((3, 4, 4)), [[0, 1]], np.ones((4, 4), dtype=bool)),
+            (np.zeros((4, 4)), [0], np.ones((4, 4), dtype=bool)),
+            (np.zeros((3, 4, 4)), [0, 1], np.ones((4, 5), dtype=bool)),
+            (np.zeros((3, 4, 4)), [0, 3], np.ones((4, 4), dtype=bool)),
+            (np.zeros((3, 4, 4)), [-1, 0], np.ones((4, 4), dtype=bool)),
+        ],
+    )
+    def test_bad_input_rejected(self, frames, rows, mask):
+        with pytest.raises(ValueError):
+            circular_mean_rows(frames, rows, mask)
 
 
 class TestCircularRmsError:

@@ -176,6 +176,27 @@ class TestReadStack:
             read_stack(path)
         assert not isinstance(err.value, StackFormatError)
 
+    def test_stack_equals_public_constructor(self, tmp_path, monkeypatch):
+        """read_stack skips only the range check its own wrap guarantees: its
+        stack equals, bit for bit, the one PhaseStack builds with every
+        check from the same wrapped values."""
+        rng = np.random.default_rng(12)
+        raw = rng.uniform(-3.5, 3.5, size=(5, 6, 7)).astype("<f4")
+        raw[:, 0, 0] = np.float32(math.pi)
+        mask = (rng.random((6, 7)) > 0.2).astype(np.uint8)
+        path = tmp_path / "s.wphs"
+        path.write_bytes(build_file(width=7, height=6, frames=list(raw), mask=mask))
+        checks = []
+        monkeypatch.setattr(core, "check_frame", lambda *a: checks.append(a))
+        got = read_stack(path)
+        assert checks == []
+        monkeypatch.undo()
+        want = PhaseStack(frames=wrap(np.where(mask, raw, 0.0)), mask=mask.astype(bool))
+        for name in ("frames", "mask", "acquisition_index"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
     def test_peak_memory_bounded(self, tmp_path):
         """The traced peak stays within 2.5x the float64 stack: one float64
         copy, one wrap buffer, bool temporaries; no raw bytes or np.where
