@@ -9,15 +9,13 @@ The mean-vector magnitude (resultant length) measures concentration;
 near-zero resultants (antipodal cancellation) leave the mean undefined.
 
 Two frame-stack kernels compute it per pixel.  ``circular_mean_frame`` is the
-float64 reference: cos and sin of the frames as given.  ``circular_mean_rows``
-is what the pipeline calls: it reads a cluster's rows of the whole stack in
-place and takes float32 cos and sin of each member's deviation from the first
-member, summed in float64; its error against ``circular_mean_frame`` is
-bounded in its docstring.  Both compute the cos and sin of blocks of frames
-on ``core.map_blocks``' threads (one per CPU of the process's affinity mask),
-into buffers the calling thread allocated; the calling thread adds them up
-in frame order, so each result is the same, bit for bit, for any worker
-count and block size.  BLAS is not involved.
+float64 reference: axis-0 means of the cos and sin of a whole (k, h, w) stack.
+``circular_mean_rows``, which the pipeline calls, reads a cluster's rows of the
+stack in place and takes float32 cos and sin of each member's deviation from
+the first member on ``core.map_blocks``' threads; the calling thread sums them
+in float64 in frame order, so its bits do not depend on the worker count or
+block size.  Its error against the reference is bounded in its docstring.
+BLAS is not involved.
 """
 
 from __future__ import annotations
@@ -75,8 +73,7 @@ def circular_mean_frame(frames: np.ndarray, mask: np.ndarray):
 
     Parameters
     ----------
-    frames : (k, h, w) array of wrapped frames (one cluster's members,
-        already piston-shifted, full resolution)
+    frames : (k, h, w) array of wrapped frames (one cluster's members)
     mask : (h, w) bool aperture mask
 
     Returns
@@ -85,9 +82,6 @@ def circular_mean_frame(frames: np.ndarray, mask: np.ndarray):
         mean_frame : per-pixel circular mean, 0 where undefined/invalid
         resultant : per-pixel resultant length in [0, 1]
         out_mask : mask with undefined-mean pixels removed
-
-    Memory beyond the inputs and outputs is the cos and sin of the blocks
-    in flight, not of the whole stack.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 3 or frames.shape[0] == 0:
@@ -95,22 +89,8 @@ def circular_mean_frame(frames: np.ndarray, mask: np.ndarray):
     mask = np.asarray(mask, dtype=bool)
     if frames.shape[1:] != mask.shape:
         raise ValueError("circular_mean_frame: frame/mask shape mismatch")
-
-    def cos_sin(block, buf):
-        np.cos(frames[block], out=buf[:, 0])
-        np.sin(frames[block], out=buf[:, 1])
-        return buf
-
-    # Frame-by-frame sums from zero, then one division: the order of
-    # numpy's axis-0 mean, without two (k, h, w) temporaries.
-    x = np.zeros(mask.shape)
-    y = np.zeros(mask.shape)
-    for buf in map_blocks(cos_sin, len(frames), frames[0].nbytes, scratch=(2, *mask.shape)):
-        for c, s in buf:
-            x += c
-            y += s
-    x /= len(frames)
-    y /= len(frames)
+    x = np.cos(frames).mean(axis=0)
+    y = np.sin(frames).mean(axis=0)
     resultant = np.hypot(x, y)
     out_mask = mask & (resultant > RESULTANT_EPS)
     mean_frame = np.where(out_mask, wrap(np.arctan2(y, x)), 0.0)

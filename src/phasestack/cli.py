@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .cluster import NoClusterError, agglomerate, pairwise_distances
 from .core import detect_residues, residue_count
-from .pipeline import PipelineParams, compare, run_clustered, run_conventional
+from .pipeline import WEIGHTINGS, PipelineParams, compare, run_clustered, run_conventional
 from .preprocess import prepare_for_clustering
 from .synth import TrialSpec, make_trial, peaks_surface
 from .wphs import StackFormatError, read_stack, write_report, write_stack
@@ -34,25 +34,30 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_params_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cut", type=float, default=0.5, help="normalized dendrogram cut height")
+    p.add_argument(
+        "--cut", type=float, default=PipelineParams.cut, help="normalized dendrogram cut height"
+    )
     g = p.add_mutually_exclusive_group()
     g.add_argument("--min-samples", type=int, default=None, help="minimum frames per chosen cluster")
     g.add_argument(
         "--min-fraction", type=float, default=None, help="minimum fraction of N per chosen cluster"
     )
-    p.add_argument("--pool-levels", type=int, default=1, help="2x2 pooling passes before clustering")
     p.add_argument(
-        "--weighting", choices=("by-size", "uniform"), default="by-size",
+        "--pool-levels", type=int, default=PipelineParams.pool_levels,
+        help="2x2 pooling passes before clustering",
+    )
+    p.add_argument(
+        "--weighting", choices=WEIGHTINGS, default=PipelineParams.cluster_weighting,
         help="cluster combination weights",
     )
-    p.add_argument("--wavelength-nm", type=float, default=632.8)
+    p.add_argument("--wavelength-nm", type=float, default=PipelineParams.wavelength_nm)
     p.add_argument("--no-classify", action="store_true", help="single cluster of all frames")
 
 
 def _params_from(args) -> PipelineParams:
     min_samples, min_fraction = args.min_samples, args.min_fraction
     if min_samples is None and min_fraction is None:
-        min_samples = 2
+        min_samples = PipelineParams.min_samples
     return PipelineParams(
         cut=args.cut,
         min_samples=min_samples,
@@ -89,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conventional", help="unwrap-every-frame baseline")
     p.add_argument("stack", help="input WPHS path")
-    p.add_argument("--wavelength-nm", type=float, default=632.8)
+    p.add_argument("--wavelength-nm", type=float, default=PipelineParams.wavelength_nm)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
 
@@ -102,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inspect", help="print header, per-frame residue counts, dendrogram JSON")
     p.add_argument("stack", help="input WPHS path")
-    p.add_argument("--pool-levels", type=int, default=1)
+    p.add_argument("--pool-levels", type=int, default=PipelineParams.pool_levels)
     return parser
 
 

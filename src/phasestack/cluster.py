@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import wrapped_diff
-
 # Squared distances below this fraction of |x_i|^2 + |x_j|^2 are recomputed
 # by direct subtraction (see pairwise_distances).
 _NEAR_REL = 1e-3
@@ -36,17 +34,13 @@ class NoClusterError(RuntimeError):
         self.clusters = clusters
 
 
-def pairwise_distances(
-    frames: np.ndarray, mask: np.ndarray, circular: bool = False
-) -> np.ndarray:
+def pairwise_distances(frames: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Symmetric matrix of RMS pixel differences over the valid region.
 
-    d(i, j) = sqrt( sum_valid (W_i - W_j)^2 / n_valid )
+    d(i, j) = sqrt( sum_valid (W_i - W_j)^2 / n_valid ), by direct
+    subtraction of the wrapped values.
 
-    Direct subtraction of the wrapped values by default; circular=True
-    substitutes the wrapped difference per pixel instead.
-
-    The direct metric takes its squared distances from one Gram product,
+    The squared distances come from one Gram product,
     |x_i|^2 + |x_j|^2 - 2 x_i.x_j, in O(N^2 P) for N frames of P valid
     pixels.  Pairs whose squared distance falls below _NEAR_REL of
     |x_i|^2 + |x_j|^2, where the Gram form loses its relative accuracy to
@@ -66,23 +60,16 @@ def pairwise_distances(
     # compress is a plain copy of the valid columns, several times faster
     # than the same gather by boolean indexing
     x = frames.reshape(len(frames), -1).compress(mask.ravel(), axis=1)
-    if not circular:
-        sq = np.einsum("ij,ij->i", x, x)
-        norms = sq[:, None] + sq[None, :]
-        d2 = np.triu(np.maximum(norms - 2.0 * (x @ x.T), 0.0), 1)
-        near = np.triu(d2 <= _NEAR_REL * norms, 1)
-        for i in np.flatnonzero(near.any(axis=1)):
-            js = np.flatnonzero(near[i])
-            diff = x[js] - x[i]
-            d2[i, js] = np.einsum("ij,ij->i", diff, diff)
-        d = np.sqrt(d2) / math.sqrt(n_valid)
-        return d + d.T
-    n = x.shape[0]
-    d = np.zeros((n, n))
-    for i in range(n - 1):
-        diff = wrapped_diff(x[i + 1 :], x[i])
-        d[i, i + 1 :] = d[i + 1 :, i] = np.sqrt(np.mean(diff * diff, axis=1))
-    return d
+    sq = np.einsum("ij,ij->i", x, x)
+    norms = sq[:, None] + sq[None, :]
+    d2 = np.triu(np.maximum(norms - 2.0 * (x @ x.T), 0.0), 1)
+    near = np.triu(d2 <= _NEAR_REL * norms, 1)
+    for i in np.flatnonzero(near.any(axis=1)):
+        js = np.flatnonzero(near[i])
+        diff = x[js] - x[i]
+        d2[i, js] = np.einsum("ij,ij->i", diff, diff)
+    d = np.sqrt(d2) / math.sqrt(n_valid)
+    return d + d.T
 
 
 def check_distance_matrix(d: np.ndarray) -> None:
@@ -130,16 +117,6 @@ class Dendrogram:
             "merges": [[int(a), int(b), float(h)] for a, b, h in self.merges],
             "normalized_heights": [float(v) for v in self.normalized_heights],
         }
-
-    def to_linkage(self) -> np.ndarray:
-        """Scipy-style (n-1, 4) linkage matrix [a, b, height, size]."""
-        sizes = {i: 1 for i in range(self.n_leaves)}
-        out = np.zeros((len(self.merges), 4))
-        for t, (a, b, h) in enumerate(self.merges):
-            s = sizes[a] + sizes[b]
-            sizes[self.n_leaves + t] = s
-            out[t] = [a, b, h, s]
-        return out
 
 
 def agglomerate(d: np.ndarray) -> Dendrogram:

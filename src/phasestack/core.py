@@ -6,18 +6,17 @@ Conventions used throughout the package:
   valid pixel in the half-open interval (-pi, pi].  The boundary value +pi
   is legal, -pi is not (atan2 convention).
 * An *aperture mask* is a 2-D bool array of the same shape; True marks a
-  measured pixel.  Invalid pixels may hold any finite value (writers store
-  zeros there).
+  measured pixel; a shape mismatch raises ``ValueError``.  Invalid pixels
+  may hold any value, even NaN (writers store zeros there).
 * Pixel (r, c) means row r, column c; rows increase downward.
 
-Whole-stack kernels (``wphs.read_stack``, ``preprocess.prepare_for_clustering``,
-``circular.circular_mean_rows`` and its reference ``circular.circular_mean_frame``)
-stream the frames through ``map_blocks``: blocks of about ``BLOCK_BYTES`` of
-frames on a thread pool with one worker per CPU in the process's affinity mask
-(``WORKERS``; there is no option).  The workers write only into arrays the
-calling thread allocated, and each block's output is what a serial pass
-computes, so results are bit-identical for any worker count.  BLAS thread
-settings are left alone.
+Whole-stack kernels (``wphs.read_stack``, ``preprocess.prepare_for_clustering``
+and ``circular.circular_mean_rows``) stream the frames through ``map_blocks``:
+blocks of about ``BLOCK_BYTES`` of frames on a thread pool with one worker per
+CPU in the process's affinity mask (``WORKERS``; there is no option).  The
+workers write only into arrays the calling thread allocated, and each block's
+output is what a serial pass computes, so results are bit-identical for any
+worker count.  BLAS thread settings are left alone.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -169,6 +168,8 @@ def check_frame(values: np.ndarray, mask: np.ndarray | None = None) -> None:
     h, w = values.shape[-2:]
     if h < 2 or w < 2:
         raise ValueError(f"phase frame must be at least 2x2, got {h}x{w}")
+    if mask is not None and np.shape(mask) != (h, w):
+        raise ValueError(f"frame shape {(h, w)} does not match mask shape {np.shape(mask)}")
     if values.size == 0:
         return
     # min and max propagate NaN and reach +-inf, so they check finiteness
@@ -186,15 +187,13 @@ def check_frame(values: np.ndarray, mask: np.ndarray | None = None) -> None:
         raise ValueError("phase frame has valid pixels outside (-pi, pi]")
 
 
-def check_mask(mask: np.ndarray, require_connected: bool = False) -> None:
-    """Validate an aperture mask; optionally require 4-connectivity."""
+def check_mask(mask: np.ndarray) -> None:
+    """Validate an aperture mask: 2-D bool with at least one valid pixel."""
     mask = np.asarray(mask)
     if mask.ndim != 2 or mask.dtype != bool:
         raise ValueError("aperture mask must be a 2-D bool array")
     if not mask.any():
         raise ValueError("aperture mask has no valid pixels")
-    if require_connected and not mask_is_connected(mask):
-        raise ValueError("valid region is not 4-connected")
 
 
 def mask_is_connected(mask: np.ndarray) -> bool:
@@ -218,10 +217,9 @@ class PhaseStack:
 
     Attributes
     ----------
-    frames : (n, h, w) float64 array, each frame wrapped into (-pi, pi]
+    frames : (n, h, w) float64 array in acquisition order, every valid
+        pixel wrapped into (-pi, pi]; invalid pixels may hold NaN
     mask : (h, w) bool array
-    acquisition_index : (n,) int array, unique and strictly increasing;
-        preserves the data-acquisition order of the frames.
 
     ``_wrapped`` is private to ``wphs.read_stack``, whose ``wrap`` has already
     put every valid value into (-pi, pi]: it skips the range check of the
@@ -230,7 +228,6 @@ class PhaseStack:
 
     frames: np.ndarray
     mask: np.ndarray
-    acquisition_index: np.ndarray = field(default=None)  # type: ignore[assignment]
     _wrapped: InitVar[bool] = False
 
     def __post_init__(self, _wrapped):
@@ -244,13 +241,6 @@ class PhaseStack:
                 f"mask shape {self.mask.shape}"
             )
         check_mask(self.mask)
-        if self.acquisition_index is None:
-            self.acquisition_index = np.arange(len(self.frames))
-        self.acquisition_index = np.asarray(self.acquisition_index, dtype=np.int64)
-        if self.acquisition_index.shape != (len(self.frames),):
-            raise ValueError("acquisition_index length must match frame count")
-        if len(self.frames) and np.any(np.diff(self.acquisition_index) <= 0):
-            raise ValueError("acquisition_index must be strictly increasing")
         if not _wrapped:
             check_frame(self.frames, self.mask)
 
@@ -281,6 +271,7 @@ def detect_residues(frame: np.ndarray, mask: np.ndarray | None = None) -> np.nda
     """
     frame = np.asarray(frame, dtype=np.float64)
     check_frame(frame, mask)
+    frame = frame if mask is None else np.where(mask, frame, 0.0)  # invalid may hold NaN
     d_right = wrapped_diff(frame[:, 1:], frame[:, :-1])
     d_down = wrapped_diff(frame[1:, :], frame[:-1, :])
     circ = d_right[:-1, :] + d_down[:, 1:] - d_right[1:, :] - d_down[:, :-1]

@@ -55,9 +55,10 @@ def piston_shift(
             f"piston anchor pixel ({i}, {j}) is invalid; "
             "supply an alternate anchor inside the aperture"
         )
-    out = wrap(frames - frames[..., i, j, None, None], out=out)
+    out = np.subtract(frames, frames[..., i, j, None, None], out=out)
+    # zeroed before wrap, which rejects NaN or huge garbage at invalid pixels
     np.copyto(out, 0.0, where=~mask)  # a third of the time of out[..., ~mask] = 0.0
-    return out
+    return wrap(out, out=out)
 
 
 def avg_pool2(frames: np.ndarray, mask: np.ndarray):

@@ -23,9 +23,10 @@ def _values_mask(surface, mask):
     if isinstance(surface, Surface):
         return np.asarray(surface.values, dtype=np.float64), np.asarray(surface.mask, dtype=bool)
     values = np.asarray(surface, dtype=np.float64)
-    if mask is None:
-        mask = np.ones(values.shape, dtype=bool)
-    return values, np.asarray(mask, dtype=bool)
+    mask = np.ones(values.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if mask.shape != values.shape:
+        raise ValueError(f"surface shape {values.shape} does not match mask shape {mask.shape}")
+    return values, mask
 
 
 @dataclass

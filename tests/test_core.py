@@ -344,19 +344,10 @@ class TestPhaseStack:
         s = PhaseStack(frames=frames, mask=mask)
         assert len(s) == 3
         assert s.shape == (4, 5)
-        assert np.array_equal(s.acquisition_index, [0, 1, 2])
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             PhaseStack(frames=np.zeros((2, 4, 4)), mask=np.ones((5, 5), dtype=bool))
-
-    def test_rejects_non_increasing_acquisition_index(self):
-        with pytest.raises(ValueError):
-            PhaseStack(
-                frames=np.zeros((2, 4, 4)),
-                mask=np.ones((4, 4), dtype=bool),
-                acquisition_index=np.array([3, 3]),
-            )
 
     def test_rejects_out_of_range_frames(self):
         frames = np.full((1, 4, 4), 5.0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from phasestack.cluster import NoClusterError
-from phasestack.core import PhaseStack, wrap
+from phasestack.core import PhaseStack, circular_aperture, detect_residues, wrap
 from phasestack.pipeline import (
     STAGES,
     ComparisonReport,
@@ -15,9 +15,9 @@ from phasestack.pipeline import (
     run_conventional,
     snr_from_min_fraction,
 )
-from phasestack.preprocess import center_pixel, piston_shift
+from phasestack.preprocess import avg_pool2, center_pixel, piston_shift
 from phasestack.synth import CONTAMINANT, TrialSpec, make_trial, peaks_surface
-from phasestack.unwrap import unwrap
+from phasestack.unwrap import flood_unwrap, unwrap
 from phasestack.zernike import zernike_fit_remove
 
 
@@ -248,6 +248,51 @@ class TestFailurePolicy:
         monkeypatch.setattr(unwrap_module, "flood_unwrap", fails(ValueError("bad frame")))
         with pytest.raises(ValueError, match="every part was dropped"):
             run_conventional(stack, PipelineParams())
+
+
+class TestInputContract:
+    """What every step promises about its inputs: invalid pixels may hold
+    any value, NaN included, and a frame/mask shape mismatch is a
+    ValueError naming both shapes."""
+
+    @staticmethod
+    def zero_and_garbage_stacks(garbage):
+        stack, _ = family_trial(seed=15, n=8, q=2, grid=32, snr=10.0)
+        mask = circular_aperture(stack.shape)
+        return (
+            PhaseStack(frames=np.where(mask, stack.frames, fill), mask=mask)
+            for fill in (0.0, garbage)
+        )
+
+    @pytest.mark.parametrize("garbage", [np.nan, 1e300, -1e300])
+    @pytest.mark.parametrize("route", [run_clustered, run_conventional])
+    def test_routes_ignore_invalid_pixel_values(self, route, garbage):
+        zeros, dirty = self.zero_and_garbage_stacks(garbage)
+        want, got = route(zeros, PipelineParams()), route(dirty, PipelineParams())
+        assert got.unwrap_call_count == want.unwrap_call_count and not got.warnings
+        assert np.array_equal(got.surface.mask, want.surface.mask)
+        assert got.surface.values.tobytes() == want.surface.values.tobytes()
+
+    @pytest.mark.parametrize("garbage", [np.nan, 1e300])
+    def test_steps_ignore_invalid_pixel_values(self, garbage):
+        zeros, dirty = self.zero_and_garbage_stacks(garbage)
+        mask = zeros.mask
+        want = piston_shift(zeros.frames, mask)
+        assert piston_shift(dirty.frames, mask).tobytes() == want.tobytes()
+        for z, d in zip(zeros.frames, dirty.frames):
+            assert np.array_equal(detect_residues(d, mask), detect_residues(z, mask))
+            a, b = unwrap(d, mask), unwrap(z, mask)
+            assert np.array_equal(a.mask, b.mask)
+            assert a.values.tobytes() == b.values.tobytes()
+
+    @pytest.mark.parametrize(
+        "step",
+        [piston_shift, avg_pool2, detect_residues, flood_unwrap, unwrap, zernike_fit_remove],
+    )
+    def test_shape_mismatch_is_a_value_error(self, step):
+        with pytest.raises(ValueError) as info:
+            step(np.zeros((8, 10)), np.ones((10, 8), dtype=bool))
+        assert "(8, 10)" in str(info.value) and "(10, 8)" in str(info.value)
 
 
 class TestAgreementWhenClusteringIsMoot:

@@ -192,7 +192,7 @@ class TestReadStack:
         assert checks == []
         monkeypatch.undo()
         want = PhaseStack(frames=wrap(np.where(mask, raw, 0.0)), mask=mask.astype(bool))
-        for name in ("frames", "mask", "acquisition_index"):
+        for name in ("frames", "mask"):
             g, w = getattr(got, name), getattr(want, name)
             assert g.dtype == w.dtype and g.shape == w.shape
             assert g.tobytes() == w.tobytes()

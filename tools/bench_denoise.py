@@ -16,6 +16,12 @@ records:
 
 and writes them to ``BENCH_denoise.json``.
 
+The committed ``BENCH_denoise.json`` is the record of the change that added
+``circular_mean_rows``.  It was measured when ``circular_mean_frame`` still
+computed its cos and sin in blocks on ``core.map_blocks``' threads, so its
+``oracle_s`` times that threaded oracle; the oracle is now plain numpy on
+one thread, and a new run would time that instead.
+
 Run from the repository root:
 
     PYTHONPATH=src python tools/bench_denoise.py [--out BENCH_denoise.json]
