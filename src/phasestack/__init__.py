@@ -65,6 +65,7 @@ from .unwrap import (
 from .wphs import StackFormatError, read_stack, write_report, write_stack
 from .zernike import (
     DEFAULT_WAVELENGTH_NM,
+    ZernikeBasis,
     ZernikeFit,
     phase_to_height,
     rmse,
@@ -121,6 +122,7 @@ __all__ = [
     "write_report",
     "write_stack",
     "DEFAULT_WAVELENGTH_NM",
+    "ZernikeBasis",
     "ZernikeFit",
     "phase_to_height",
     "rmse",

@@ -93,7 +93,8 @@ def circular_mean_frame(frames: np.ndarray, mask: np.ndarray):
     y = np.sin(frames).mean(axis=0)
     resultant = np.hypot(x, y)
     out_mask = mask & (resultant > RESULTANT_EPS)
-    mean_frame = np.where(out_mask, wrap(np.arctan2(y, x)), 0.0)
+    mean_frame = np.zeros(mask.shape)  # invalid pixels may hold NaN: wrap only out_mask
+    mean_frame[out_mask] = wrap(np.arctan2(y[out_mask], x[out_mask]))
     return mean_frame, resultant, out_mask
 
 

@@ -10,10 +10,14 @@ Unwrapped values are computed as psi + 2*pi*k with integer k propagated
 from the seed down a breadth-first spanning tree, which makes path
 independence and the output-minus-input multiple-of-2*pi property exact
 rather than accumulation-limited.
+
+The facts that depend on the mask alone (4-connectivity, border sinks) are
+derived once per distinct mask and reused while consecutive calls share it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +120,18 @@ def _border_sinks(mask: np.ndarray) -> np.ndarray:
     return touches
 
 
+@functools.lru_cache(maxsize=1)
+def _mask_facts(shape: tuple, mask_bytes: bytes) -> tuple:
+    """(mask_is_connected(mask), _border_sinks(mask)) of the bool mask with
+    these C-order bytes.  Keyed on the bytes, so a run of frames on one mask
+    derives them once and a mask edited in place cannot hit a stale entry;
+    the sinks are read-only because every caller shares them."""
+    mask = np.frombuffer(mask_bytes, dtype=bool).reshape(shape)
+    sinks = _border_sinks(mask)
+    sinks.flags.writeable = False
+    return mask_is_connected(mask), sinks
+
+
 def place_branch_cuts(charges: np.ndarray, mask: np.ndarray | None = None) -> BranchCutMap:
     """Goldstein branch-cut placement.
 
@@ -142,7 +158,7 @@ def place_branch_cuts(charges: np.ndarray, mask: np.ndarray | None = None) -> Br
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (h, w):
             raise ValueError("place_branch_cuts: mask shape mismatch")
-        sinks = _border_sinks(mask)
+        sinks = _mask_facts(mask.shape, mask.tobytes())[1]
     positions = np.argwhere(charges != 0)
     if positions.size == 0:
         return cuts
@@ -222,7 +238,7 @@ def flood_unwrap(
         mask = np.ones((h, w), dtype=bool)
     else:
         mask = np.asarray(mask, dtype=bool)
-    if not mask_is_connected(mask):
+    if not _mask_facts(mask.shape, mask.tobytes())[0]:
         raise ValueError("flood_unwrap: valid region is not 4-connected")
     if cuts is None:
         cuts = BranchCutMap(
@@ -251,6 +267,7 @@ def flood_unwrap(
     graph = csr_matrix((np.ones(4 * n), columns.ravel(), indptr), shape=(n, n))
     order, found_by = breadth_first_order(graph, sr * w + sc, return_predecessors=True)
     order = order.astype(np.intp)
+    del graph, columns  # 52 bytes a pixel, freed before the tree's arrays are built
 
     # FIFO order is sorted by level and each pixel's discoverer sits at a
     # non-decreasing position along it, so level L + 1 ends where the

@@ -4,6 +4,10 @@ Only the four modes the comparison needs: piston Z0 = 1, tilt-x
 Z1 = rho*cos(theta), tilt-y Z2 = rho*sin(theta), and power (defocus)
 Z3 = 2*rho^2 - 1.  The unit disk is the mask's bounding circle centered
 at the mask centroid, so rho <= 1 on every valid pixel.
+
+``zernike_fit_remove`` fits by ``np.linalg.lstsq``, one SVD per call; that
+path is the reference.  ``ZernikeBasis`` factors one mask's design once, so
+fits of many surfaces on that mask cost two matrix-vector products each.
 """
 
 from __future__ import annotations
@@ -64,17 +68,8 @@ def _mode_values(mode: str, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown Zernike mode {mode!r}")
 
 
-def zernike_fit_remove(surface, mask=None, modes=MODES):
-    """Fit the selected modes over valid pixels and subtract them.
-
-    Returns (residual, fit); residual is a Surface when a Surface was
-    passed in, otherwise a plain array.  Raises on a rank-deficient
-    design (e.g., all valid pixels collinear).
-    """
-    values, m = _values_mask(surface, mask)
-    modes = tuple(modes)
-    if not modes or any(name not in MODES for name in modes):
-        raise ValueError(f"modes must be a nonempty subset of {MODES}")
+def _design(m: np.ndarray, modes: tuple):
+    """Centre, radius and (pixels x modes) design of the mask ``m``."""
     rows, cols = np.nonzero(m)
     if rows.size < 10:
         raise ValueError("zernike_fit_remove: need at least 10 valid pixels")
@@ -85,10 +80,66 @@ def zernike_fit_remove(surface, mask=None, modes=MODES):
     dx = (cols - cx) / radius
     dy = (rows - cy) / radius
     design = np.column_stack([_mode_values(name, dx, dy) for name in modes])
-    coef, _res, rank, _sv = np.linalg.lstsq(design, values[m], rcond=None)
-    if rank < len(modes):
-        raise ValueError("zernike_fit_remove: rank-deficient design (collinear valid pixels)")
-    fit = ZernikeFit(modes=modes, coefficients=coef, center=(float(cy), float(cx)), radius=radius)
+    return (float(cy), float(cx)), radius, design
+
+
+def _check_modes(modes) -> tuple:
+    modes = tuple(modes)
+    if not modes or any(name not in MODES for name in modes):
+        raise ValueError(f"modes must be a nonempty subset of {MODES}")
+    return modes
+
+
+_RANK_DEFICIENT = "zernike_fit_remove: rank-deficient design (collinear valid pixels)"
+
+
+class ZernikeBasis:
+    """The design of one mask, factored once: ``zernike_fit_remove(...,
+    basis=)`` fits any surface on exactly this mask and these modes with two
+    matrix-vector products instead of an SVD.
+
+    The pseudo-inverse comes from one thin SVD of the design, ranked by
+    lstsq's ``rcond=None`` rule (a singular value counts when it exceeds
+    eps * max(M, N) times the largest); the checks and their ``ValueError``
+    messages are ``zernike_fit_remove``'s.  The mask is copied, so later
+    edits of the caller's array do not reach it.
+    """
+
+    def __init__(self, mask, modes=MODES):
+        self.mask = np.array(mask, dtype=bool)
+        self.modes = _check_modes(modes)
+        self.center, self.radius, self.design = _design(self.mask, self.modes)
+        u, s, vt = np.linalg.svd(self.design, full_matrices=False)
+        if np.count_nonzero(s > np.finfo(float).eps * max(self.design.shape) * s[0]) < len(s):
+            raise ValueError(_RANK_DEFICIENT)
+        self.pinv = np.ascontiguousarray((vt.T / s) @ u.T)
+
+
+def zernike_fit_remove(surface, mask=None, modes=MODES, *, basis: ZernikeBasis | None = None):
+    """Fit the selected modes over valid pixels and subtract them.
+
+    Returns (residual, fit); residual is a Surface when a Surface was
+    passed in, otherwise a plain array.  Raises on a rank-deficient
+    design (e.g., all valid pixels collinear).
+
+    With a ``basis`` whose mask equals the surface's valid mask and whose
+    modes equal ``modes``, the coefficients are ``basis.pinv @ v`` and the
+    residual ``v - design @ coef``; otherwise ``basis`` is ignored and the
+    fit is ``np.linalg.lstsq``'s.  The two agree to within the bounds in
+    README "Conventions".
+    """
+    values, m = _values_mask(surface, mask)
+    modes = _check_modes(modes)
+    v = values[m]
+    if basis is not None and basis.modes == modes and np.array_equal(basis.mask, m):
+        center, radius, design = basis.center, basis.radius, basis.design
+        coef = basis.pinv @ v
+    else:
+        center, radius, design = _design(m, modes)
+        coef, _res, rank, _sv = np.linalg.lstsq(design, v, rcond=None)
+        if rank < len(modes):
+            raise ValueError(_RANK_DEFICIENT)
+    fit = ZernikeFit(modes=modes, coefficients=coef, center=center, radius=radius)
     residual = values.copy()
     residual[m] -= design @ coef
     residual[~m] = 0.0

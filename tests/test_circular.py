@@ -14,7 +14,7 @@ from phasestack.circular import (
     circular_rms_error,
 )
 from phasestack import core
-from phasestack.core import wrap, wrapped_diff
+from phasestack.core import circular_aperture, wrap, wrapped_diff
 
 
 class TestCircularMean:
@@ -100,6 +100,18 @@ class TestCircularMeanFrame:
         want = circular_mean_frame_expression(frames, mask)
         for g, e in zip(got, want):
             assert g.tobytes() == e.tobytes()
+
+    def test_nan_at_invalid_pixels_is_ignored(self):
+        mask = circular_aperture((8, 8))
+        rng = np.random.default_rng(3)
+        frames = wrap(rng.normal(0.0, 1.0, size=(3, 8, 8)))
+        with_nan = frames.copy()
+        with_nan[:, ~mask] = np.nan
+        got = circular_mean_frame(with_nan, mask)
+        want = circular_mean_frame(frames, mask)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.array_equal(got[2], want[2])
+        assert np.array_equal(got[1][mask], want[1][mask])
 
     def test_identical_frames_pass_through(self):
         rng = np.random.default_rng(4)

@@ -18,7 +18,7 @@ from phasestack.pipeline import (
 from phasestack.preprocess import avg_pool2, center_pixel, piston_shift
 from phasestack.synth import CONTAMINANT, TrialSpec, make_trial, peaks_surface
 from phasestack.unwrap import flood_unwrap, unwrap
-from phasestack.zernike import zernike_fit_remove
+from phasestack.zernike import ZernikeBasis, zernike_fit_remove
 
 
 def family_trial(seed=0, n=16, grid=32, q=2, snr=20.0, jitter=3.0, frac=0.0):
@@ -205,10 +205,15 @@ class TestOnePipeline:
         params = PipelineParams(classify=False)
         shifted = piston_shift(stack.frames, stack.mask)
         surface = unwrap(shifted[0], stack.mask, seed=center_pixel(stack.shape))
-        expected, _ = zernike_fit_remove(surface, modes=params.modes_removed)
+        basis = ZernikeBasis(stack.mask, params.modes_removed)
+        expected, _ = zernike_fit_remove(surface, modes=params.modes_removed, basis=basis)
         rep = run_clustered(stack, params)
         assert np.array_equal(rep.surface.mask, expected.mask)
         assert np.array_equal(rep.surface.values, expected.values)
+        # and within the basis fit's stated bound of the lstsq oracle
+        oracle, _ = zernike_fit_remove(surface, modes=params.modes_removed)
+        bound = 1e-12 * (1.0 + np.abs(surface.values[surface.mask]).max())
+        assert np.abs(rep.surface.values - oracle.values).max() <= bound
 
 
 class TestFailurePolicy:

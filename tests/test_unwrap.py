@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from phasestack.core import TWO_PI, circular_aperture, detect_residues, wrap
+from phasestack.core import TWO_PI, circular_aperture, detect_residues, mask_is_connected, wrap
 from phasestack.synth import peaks_surface
 from phasestack.unwrap import (
     BranchCutMap,
+    _border_sinks,
+    _mask_facts,
     default_seed,
     flood_unwrap,
     place_branch_cuts,
@@ -177,6 +181,42 @@ class TestFloodUnwrap:
         assert np.array_equal(surf.mask, mask)
         diff = (surf.values - truth)[mask]
         assert np.abs(diff - diff[0]).max() < 1e-9
+
+
+def facts_of(mask):
+    return _mask_facts(mask.shape, mask.tobytes())
+
+
+def assert_facts_are_fresh(mask):
+    connected, sinks = facts_of(mask)
+    assert connected == mask_is_connected(mask)
+    assert np.array_equal(sinks, _border_sinks(mask))
+
+
+class TestMaskFacts:
+    @given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+           st.integers(2, 12), st.integers(2, 12))
+    def test_alternating_masks_match_uncached(self, seeds, h, w):
+        masks = [np.random.default_rng(seed).random((h, w)) > 0.3 for seed in seeds]
+        for mask in masks + masks[::-1] + masks:  # A, B, ..., B, A, A, B, ...
+            assert_facts_are_fresh(mask)
+
+    def test_mask_edited_in_place_is_not_stale(self):
+        mask = circular_aperture((16, 16))
+        assert_facts_are_fresh(mask)
+        mask[8, :] = False  # cut the disk in two
+        assert_facts_are_fresh(mask)
+        assert not facts_of(mask)[0]
+        with pytest.raises(ValueError, match="4-connected"):
+            flood_unwrap(np.zeros((16, 16)), mask)
+        mask[8, :] = circular_aperture((16, 16))[8, :]
+        assert_facts_are_fresh(mask)
+        assert flood_unwrap(np.zeros((16, 16)), mask).mask.sum() == mask.sum()
+
+    def test_shared_sinks_are_read_only(self):
+        _, sinks = facts_of(circular_aperture((10, 10)))
+        with pytest.raises(ValueError):
+            sinks[0, 0] = not sinks[0, 0]
 
 
 class TestGoldsteinEndToEnd:

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from phasestack.core import circular_aperture
 from phasestack.unwrap import Surface
 from phasestack.zernike import (
     DEFAULT_WAVELENGTH_NM,
     MODES,
+    ZernikeBasis,
     ZernikeFit,
     _mode_values,
     phase_to_height,
@@ -150,6 +153,136 @@ class TestFitRemove:
         residual, fit = zernike_fit_remove(values, mask)
         recon = residual + fit.evaluate((19, 19))
         assert np.abs(recon - values)[mask].max() < 1e-9
+
+
+# ZernikeBasis against the lstsq oracle: coefficients within FIT_TOL of
+# max(max|coef|, max|v|), residuals within FIT_TOL * (1 + max|v|) rad.  The
+# largest seen over these suites and the 256x256 disk of BENCH_fit.json is
+# under 2e-13 and 1e-14 of those scales.
+FIT_TOL = 1e-12
+
+
+@st.composite
+def fit_masks(draw):
+    """Masks of every shape the fit must handle or reject: disks, disks
+    with holes, strips, collinear pixels, fewer than 10 pixels, noise."""
+    h, w = draw(st.integers(2, 24)), draw(st.integers(2, 24))
+    kind = draw(st.sampled_from(["disk", "hole", "strip", "collinear", "few", "random"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("disk", "hole"):
+        mask = circular_aperture((h, w), margin=draw(st.integers(0, 2)))
+        if kind == "hole":
+            r, c = rng.integers(0, h), rng.integers(0, w)
+            mask[r : r + rng.integers(1, 5), c : c + rng.integers(1, 5)] = False
+    elif kind == "strip":
+        mask = np.zeros((h, w), dtype=bool)
+        r = rng.integers(0, h)
+        mask[r : r + draw(st.integers(1, 3)), :] = True
+        if draw(st.booleans()):
+            mask = np.ascontiguousarray(mask.T)
+    elif kind == "collinear":
+        mask = np.zeros((h, w), dtype=bool)
+        i = np.arange(min(h, w))
+        mask[i, i if draw(st.booleans()) else i[::-1]] = True
+        if draw(st.booleans()):  # one pixel off the line
+            mask[rng.integers(0, h), rng.integers(0, w)] = True
+    elif kind == "few":
+        mask = np.zeros(h * w, dtype=bool)
+        mask[rng.choice(h * w, size=min(h * w, draw(st.integers(0, 9))), replace=False)] = True
+        mask = mask.reshape(h, w)
+    else:
+        mask = rng.random((h, w)) > draw(st.floats(0.05, 0.95))
+    return mask
+
+
+def fit_or_error(values, mask, modes, basis=None):
+    try:
+        return zernike_fit_remove(values, mask, modes, basis=basis)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestZernikeBasis:
+    @given(fit_masks(), st.integers(1, len(MODES)), st.integers(0, 2**32 - 1),
+           st.floats(-3.0, 3.0))
+    def test_within_bound_of_lstsq(self, mask, n_modes, seed, log_scale):
+        modes = MODES[:n_modes]
+        values = np.random.default_rng(seed).normal(0.0, 10.0**log_scale, size=mask.shape)
+        want = fit_or_error(values, mask, modes)
+        try:
+            basis = ZernikeBasis(mask, modes)
+        except ValueError as exc:
+            assert str(exc) == want  # the same check fails, with the same message
+            return
+        residual, fit = zernike_fit_remove(values, mask, modes, basis=basis)
+        assert not isinstance(want, str), want
+        want_residual, want_fit = want
+        v_max = np.abs(values[mask]).max()
+        c_max = np.abs(want_fit.coefficients).max()
+        assert np.abs(fit.coefficients - want_fit.coefficients).max() <= FIT_TOL * max(c_max, v_max)
+        assert np.abs(residual - want_residual).max() <= FIT_TOL * (1.0 + v_max)
+        assert not residual[~mask].any()
+        assert (fit.modes, fit.center, fit.radius) == (
+            want_fit.modes, want_fit.center, want_fit.radius)
+
+    @pytest.mark.parametrize("case", ["few", "collinear_row", "collinear_diagonal", "column"])
+    def test_same_errors_as_lstsq(self, case):
+        mask = np.zeros((12, 12), dtype=bool)
+        if case == "few":
+            mask[0:3, 0:3] = True
+        elif case == "collinear_row":
+            mask[5, :] = True
+        elif case == "collinear_diagonal":
+            mask[np.arange(12), np.arange(12)[::-1]] = True
+        else:
+            mask[:, 4] = True
+        for modes in (MODES, ("tilt_x",)):
+            want = fit_or_error(np.zeros((12, 12)), mask, modes)
+            if isinstance(want, str):
+                with pytest.raises(ValueError) as info:
+                    ZernikeBasis(mask, modes)
+                assert str(info.value) == want
+        with pytest.raises(ValueError, match="nonempty subset"):
+            ZernikeBasis(disk_mask(16), ("piston", "coma"))
+
+    @given(fit_masks(), st.integers(0, 2**32 - 1))
+    def test_other_mask_or_modes_gets_the_lstsq_bits(self, mask, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=mask.shape)
+        other = mask.copy()
+        other.flat[rng.integers(0, mask.size)] ^= True
+        try:
+            basis = ZernikeBasis(mask, MODES)
+        except ValueError:
+            return
+        for m, modes in ((other, MODES), (mask, MODES[:3]), (mask, MODES[::-1])):
+            got = fit_or_error(values, m, modes, basis=basis)
+            want = fit_or_error(values, m, modes)
+            if isinstance(want, str):
+                assert got == want
+                continue
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].coefficients.tobytes() == want[1].coefficients.tobytes()
+
+    def test_mask_is_copied(self):
+        mask = disk_mask(21)
+        basis = ZernikeBasis(mask)
+        mask[10, 10] = False
+        values = np.random.default_rng(1).normal(size=(21, 21))
+        got, _ = zernike_fit_remove(values, mask, basis=basis)
+        want, _ = zernike_fit_remove(values, mask)
+        assert got.tobytes() == want.tobytes()
+        assert basis.mask[10, 10]
+
+    def test_surface_in_surface_out(self):
+        mask = disk_mask(16)
+        values = np.random.default_rng(2).normal(size=(16, 16))
+        surf = Surface(values=values, mask=mask, warning="w")
+        residual, fit = zernike_fit_remove(surf, basis=ZernikeBasis(mask))
+        want, _ = zernike_fit_remove(values, mask, basis=ZernikeBasis(mask))
+        assert isinstance(residual, Surface)
+        assert residual.warning == "w"
+        assert residual.values.tobytes() == want.tobytes()
 
 
 class TestRmse:
