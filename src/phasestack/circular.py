@@ -11,11 +11,11 @@ near-zero resultants (antipodal cancellation) leave the mean undefined.
 Two frame-stack kernels compute it per pixel.  ``circular_mean_frame`` is the
 float64 reference: axis-0 means of the cos and sin of a whole (k, h, w) stack.
 ``circular_mean_rows``, which the pipeline calls, reads a cluster's rows of the
-stack in place and takes float32 cos and sin of each member's deviation from
-the first member on ``core.map_blocks``' threads; the calling thread sums them
-in float64 in frame order, so its bits do not depend on the worker count or
-block size.  Its error against the reference is bounded in its docstring.
-BLAS is not involved.
+stack (float32 or float64) in place, piston-shifts each member in float64 and
+takes float32 cos and sin of its deviation from the first member on
+``core.map_blocks``' threads; the calling thread sums them in float64 in frame
+order, so its bits do not depend on the worker count or block size.  Its error
+against the reference is bounded in its docstring.  BLAS is not involved.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, map_blocks, wrap
+from .core import TWO_PI, as_frames, map_blocks, wrap
+from .preprocess import center_pixel, piston_shift
 
 #: Resultant lengths at or below this are treated as an undefined mean.  It
 #: sits above the 3.2e-7 bound on ``circular_mean_rows``' resultant error, so
@@ -98,43 +99,53 @@ def circular_mean_frame(frames: np.ndarray, mask: np.ndarray):
     return mean_frame, resultant, out_mask
 
 
-def circular_mean_rows(frames: np.ndarray, rows, mask: np.ndarray):
-    """Per-pixel circular mean of the frames ``frames[rows]``, read in place.
+def circular_mean_rows(frames: np.ndarray, rows, mask: np.ndarray, anchor=None):
+    """Per-pixel circular mean of the piston-shifted frames ``frames[rows]``,
+    read in place.
 
-    The fast kernel behind the pipeline's denoise step; ``circular_mean_frame``
-    of ``frames[rows]`` is its oracle.  Each member's deviation from the
-    first member, ``d = frames[r] - ref`` with ``ref = frames[rows[0]]``, is
-    taken in float64 and folded into (-pi, pi] by one masked 2*pi step; cos
-    and sin of ``float32(d)`` are computed in float32 and summed in float64,
-    frame by frame from zero; the mean is ``wrap(atan2(S, C) + ref)``.
+    The fast kernel behind the pipeline's denoise step; its oracle is
+    ``circular_mean_frame(piston_shift(frames[rows], mask, anchor), mask)``.
+    Each member is shifted as ``piston_shift`` shifts it, in float64:
+    ``s = wrap(f - f[anchor])``, with the invalid pixels zeroed before the
+    ``wrap``.  Its deviation from the first shifted member, ``d = s - ref``,
+    is folded into (-pi, pi] by one masked 2*pi step; cos and sin of
+    ``float32(d)`` are computed in float32 and summed in float64, frame by
+    frame from zero; the mean is ``wrap(atan2(S, C) + ref)``.
 
     Parameters
     ----------
-    frames : (n, h, w) float64 stack of wrapped frames (the whole
-        piston-shifted stack); finite values at invalid pixels do not
-        change the outputs at valid ones
+    frames : (n, h, w) float32 or float64 stack of wrapped frames (the
+        whole stack); values at invalid pixels, even NaN, do not change the
+        outputs at valid ones
     rows : nonempty sequence of frame indices (one cluster's members)
     mask : (h, w) bool aperture mask
+    anchor : the valid pixel of the piston shift, the center pixel by
+        default
 
     Returns
     -------
     (mean_frame, resultant, out_mask), as ``circular_mean_frame`` returns.
 
-    Error against ``circular_mean_frame(frames[rows], mask)``: rounding d to
-    float32 moves each unit vector by at most pi * 2**-24, and numpy's
-    float32 sin and cos (under 1.5 ulp) move it by at most
-    1.5 * sqrt(2) * 2**-24; the float64 steps add about k * 1e-16.  So the
-    mean vector differs by at most delta = 3.2e-7 (for k below 10**7), the
-    resultant by at most delta, and the mean by at most asin(delta / R),
-    about delta / R, where the resultant R exceeds delta.  The error scales
-    with the members' spread around the first one: identical members give
-    d = 0 exactly, so the mean is ``wrap(ref)`` and the resultant 1.0, bit
-    for bit.
+    Raises
+    ------
+    ValueError
+        On a bad shape or row index, an invalid anchor pixel, or a member
+        that ``wrap`` rejects (a non-finite value at a valid pixel).
 
-    Memory beyond the inputs and outputs is the blocks in flight; the
-    members are never gathered into a (k, h, w) copy.
+    Error against the oracle: rounding d to float32 moves each unit vector
+    by at most pi * 2**-24, and numpy's float32 sin and cos (under 1.5 ulp)
+    move it by at most 1.5 * sqrt(2) * 2**-24; the float64 steps add about
+    k * 1e-16.  So the mean vector differs by at most delta = 3.2e-7 (for k
+    below 10**7), the resultant by at most delta, and the mean by at most
+    asin(delta / R), about delta / R, where the resultant R exceeds delta.
+    The error scales with the members' spread around the first one:
+    members with the same shifted values give d = 0 exactly, so the mean is
+    ``wrap(ref)`` and the resultant 1.0, bit for bit.
+
+    Memory beyond the inputs and outputs is the blocks in flight; neither
+    the members nor their shifted values are gathered into a (k, h, w) copy.
     """
-    frames = np.asarray(frames, dtype=np.float64)
+    frames = as_frames(frames)
     rows = np.asarray(rows, dtype=np.intp)
     mask = np.asarray(mask, dtype=bool)
     if frames.ndim != 3 or rows.ndim != 1 or rows.size == 0:
@@ -143,16 +154,25 @@ def circular_mean_rows(frames: np.ndarray, rows, mask: np.ndarray):
         raise ValueError("circular_mean_rows: frame/mask shape mismatch")
     if rows.min() < 0 or rows.max() >= len(frames):
         raise ValueError("circular_mean_rows: row index out of range")
-    ref = frames[rows[0]]
+    anchor = center_pixel(mask.shape) if anchor is None else anchor
+    ref = piston_shift(frames[rows[0]], mask, anchor)  # checks the anchor
+    i, j = anchor
+    invalid = ~mask
 
     def cos_sin(block, buf):
-        # buf[:, 0] holds d in float64; buf[:, 1] holds its float32 cos and sin
-        d, n = buf[:, 0], len(buf)
-        for j, r in enumerate(rows[block]):
-            np.subtract(frames[r], ref, out=d[j])
+        # Two halves of the block's scratch: `raw` holds f - f[anchor], then
+        # the float32 cos and sin of d; `d` the shifted members, then d.  They
+        # do not overlap, so wrap needs no temporary.
+        n = len(buf)
+        d, raw = buf.reshape(2, n, *mask.shape)
+        for k, r in enumerate(rows[block]):
+            np.subtract(frames[r], frames[r, i, j], out=raw[k], dtype=np.float64)
+        np.copyto(raw, 0.0, where=invalid)
+        wrap(raw, out=d)
+        np.subtract(d, ref, out=d)
         np.subtract(d, TWO_PI, out=d, where=d > np.pi)
         np.add(d, TWO_PI, out=d, where=d <= -np.pi)
-        cs = buf[:, 1].reshape(n, -1).view(np.float32).reshape(n, 2, *mask.shape)
+        cs = raw.reshape(n, -1).view(np.float32).reshape(n, 2, *mask.shape)
         c, s = cs[:, 0], cs[:, 1]
         c[...] = d
         np.sin(c, out=s)

@@ -222,7 +222,7 @@ def _cmd_inspect(args) -> int:
         "dendrogram": None,
     }
     if n >= 2:
-        _, pooled, pooled_mask = prepare_for_clustering(stack.frames, stack.mask, args.pool_levels)
+        pooled, pooled_mask = prepare_for_clustering(stack.frames, stack.mask, args.pool_levels)
         doc["dendrogram"] = agglomerate(pairwise_distances(pooled, pooled_mask)).to_dict()
     json.dump(doc, sys.stdout, indent=2)
     print()

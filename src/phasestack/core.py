@@ -2,9 +2,11 @@
 
 Conventions used throughout the package:
 
-* A *phase frame* is a 2-D float64 array of radians, row-major, with every
-  valid pixel in the half-open interval (-pi, pi].  The boundary value +pi
-  is legal, -pi is not (atan2 convention).
+* A *phase frame* is a 2-D float64 or float32 array of radians, row-major,
+  with every valid pixel in the half-open interval (-pi, pi].  The boundary
+  value +pi is legal, -pi is not (atan2 convention).  float32 frames are a
+  stack as WPHS stores it; the kernels compute in float64, converting per
+  block or per frame, and return float64.
 * An *aperture mask* is a 2-D bool array of the same shape; True marks a
   measured pixel; a shape mismatch raises ``ValueError``.  Invalid pixels
   may hold any value, even NaN (writers store zeros there).
@@ -30,6 +32,11 @@ import numpy as np
 from scipy import ndimage
 
 TWO_PI = 2.0 * np.pi
+
+# pi as a float64 scalar for range tests: a float32 compared with the Python
+# float pi is compared in float32 (NEP 50), where pi rounds up to
+# float32(pi) > pi, so float32(pi) would pass as inside (-pi, pi].
+_PI = np.float64(np.pi)
 
 #: wrap rejects magnitudes above this (2**50, about 1.1e15): float64 values
 #: there are 0.25 apart, so a wrapped phase carries no information, and the
@@ -63,12 +70,18 @@ def wrap(x, out=None):
         Any real dtype; the arithmetic is float64 (float32 input gives the
         bits of its float64 copy).
     out : optional float64 ndarray of ``x``'s shape to write the result to;
-        it may be ``x`` itself, at the cost of one temporary.
+        it may be ``x`` itself, at the cost of one temporary.  A float32 ``x``
+        may also be its own ``out`` (a stack as WPHS stores it): then only
+        the values outside (-pi, pi] are rewritten, each to the float32
+        nearest its wrapped value inside the interval (float32 of it, or one
+        step towards 0 where that rounds onto float32(+-pi)); values inside
+        are left as they are (-0.0 too), so an array already inside costs
+        only the range check.
 
     Returns
     -------
     float64 array of ``x``'s shape (``out`` when given, a float for a
-    scalar), wrapped into (-pi, pi].
+    scalar), wrapped into (-pi, pi]; ``x`` itself in the float32 case.
 
     Raises
     ------
@@ -79,6 +92,14 @@ def wrap(x, out=None):
     lo, hi = (x.min(), x.max()) if x.size else (0.0, 0.0)
     if not (-WRAP_LIMIT <= lo and hi <= WRAP_LIMIT):  # NaN fails both
         raise ValueError(f"wrap: input must be finite and of magnitude at most {WRAP_LIMIT:g}")
+    if out is x and x.dtype == np.float32:
+        if lo <= -_PI or hi > _PI:
+            outside = (x <= -_PI) | (x > _PI)
+            v = wrap(x[outside]).astype(np.float32)
+            edge = np.abs(v) > _PI  # rounded onto float32(+-pi)
+            v[edge] = np.nextafter(v[edge], np.float32(0.0))
+            x[outside] = v
+        return x
     # out = x - TWO_PI * rint(x / TWO_PI), with the quotient held in `out`
     # unless that is x's own memory.
     q = np.empty(x.shape) if out is None or np.may_share_memory(x, out) else out
@@ -159,6 +180,15 @@ def wrapped_diff(a, b):
     return wrap(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))
 
 
+def as_frames(values) -> np.ndarray:
+    """``values`` as an array of phase frames: float32 and float64 as given,
+    any other dtype converted to float64."""
+    values = np.asarray(values)
+    if values.dtype not in (np.float32, np.float64):
+        values = values.astype(np.float64)
+    return values
+
+
 def check_frame(values: np.ndarray, mask: np.ndarray | None = None) -> None:
     """Validate a phase frame, or an (n, h, w) stack of frames sharing one
     mask: frames >= 2x2, valid pixels finite and in range."""
@@ -183,7 +213,7 @@ def check_frame(values: np.ndarray, mask: np.ndarray | None = None) -> None:
     lo, hi = lo.min(), hi.max()
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("phase frame has non-finite valid pixels")
-    if lo <= -np.pi or hi > np.pi:
+    if lo <= -_PI or hi > _PI:
         raise ValueError("phase frame has valid pixels outside (-pi, pi]")
 
 
@@ -217,8 +247,10 @@ class PhaseStack:
 
     Attributes
     ----------
-    frames : (n, h, w) float64 array in acquisition order, every valid
-        pixel wrapped into (-pi, pi]; invalid pixels may hold NaN
+    frames : (n, h, w) array in acquisition order, every valid pixel
+        wrapped into (-pi, pi]; invalid pixels may hold NaN.  float32 and
+        float64 frames are kept as given (``wphs.read_stack`` gives float32,
+        the synthetic lab float64); any other dtype is converted to float64.
     mask : (h, w) bool array
 
     ``_wrapped`` is private to ``wphs.read_stack``, whose ``wrap`` has already
@@ -231,7 +263,7 @@ class PhaseStack:
     _wrapped: InitVar[bool] = False
 
     def __post_init__(self, _wrapped):
-        self.frames = np.asarray(self.frames, dtype=np.float64)
+        self.frames = as_frames(self.frames)
         self.mask = np.asarray(self.mask, dtype=bool)
         if self.frames.ndim != 3:
             raise ValueError("frames must be a (n, h, w) array")

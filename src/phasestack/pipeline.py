@@ -4,10 +4,12 @@
 The routes differ only in the partition.  Clustered uses the chosen
 clusters of an average-linkage dendrogram cut on pooled copies of the
 piston-shifted frames; no-classify uses one part of all frames;
-conventional uses one part per frame.  A one-frame part skips the
-circular mean; a larger one is denoised by ``circular_mean_rows``, which
-reads its rows of the piston-shifted stack in place.  The unwrap count
-equals the number of parts, not frames.
+conventional uses one part per frame.  Only the clustered route pools.  A
+one-frame part is its frame, piston-shifted, and skips the circular mean;
+a larger one is denoised by ``circular_mean_rows``, which reads its rows of
+the stack in place and shifts each one itself, so no piston-shifted copy of
+the stack is held.  The unwrap count equals the number of parts, not
+frames.
 
 Every part has ``modes_removed`` fitted and removed before the parts
 enter a running weighted mean.  Piston must be among those modes: it
@@ -35,7 +37,7 @@ from .circular import circular_mean_frame, circular_mean_rows  # noqa: F401
 from .cluster import NoClusterError, agglomerate, min_samples_from_fraction
 from .cluster import pairwise_distances, select_clusters
 from .core import PhaseStack
-from .preprocess import center_pixel, prepare_for_clustering
+from .preprocess import center_pixel, piston_shift, prepare_for_clustering
 from .unwrap import Surface, default_seed, unwrap
 from .zernike import DEFAULT_WAVELENGTH_NM, MODES, ZernikeBasis, phase_to_height, rmse
 from .zernike import zernike_fit_remove
@@ -167,11 +169,13 @@ def _measure(stack: PhaseStack, params: PipelineParams, method: str) -> SurfaceR
     warnings: list = []
     n = len(stack)
     classify = method == "clustered"
+    anchor = _anchor_for(stack.mask)
 
     with _timed(times, "preprocess"):
-        shifted, pooled, pooled_mask = prepare_for_clustering(
-            stack.frames, stack.mask, params.pool_levels if classify else 0, _anchor_for(stack.mask)
-        )
+        if classify:
+            pooled, pooled_mask = prepare_for_clustering(
+                stack.frames, stack.mask, params.pool_levels, anchor
+            )
 
     with _timed(times, "classify"):
         abandoned: list = []
@@ -196,10 +200,14 @@ def _measure(stack: PhaseStack, params: PipelineParams, method: str) -> SurfaceR
     for members in parts:
         try:
             if len(members) == 1:
-                frame, mask = shifted[members[0]], stack.mask
+                with _timed(times, "preprocess"):
+                    frame = piston_shift(stack.frames[members[0]], stack.mask, anchor)
+                mask = stack.mask
             else:
                 with _timed(times, "denoise"):
-                    frame, _resultant, mask = circular_mean_rows(shifted, members, stack.mask)
+                    frame, _resultant, mask = circular_mean_rows(
+                        stack.frames, members, stack.mask, anchor
+                    )
             with _timed(times, "unwrap"):
                 seed = _anchor_for(mask)
                 unwraps += 1

@@ -5,18 +5,22 @@ Pooling averages the wrapped values arithmetically, exactly as a stock
 average-pooling layer would; circular averaging here would change the
 cluster geometry the classifier sees.
 
+Frames may be float32 (a stack as ``wphs.read_stack`` gives it) or float64;
+the arithmetic is float64 either way, with the same bits.
+
 ``prepare_for_clustering`` streams the stack through ``core.map_blocks``:
 blocks of frames on one thread per CPU of the process's affinity mask, each
-writing its frames of the shifted and pooled stacks the calling thread
-allocated.  The result is the same, bit for bit, for any worker count.
-BLAS is not involved.
+shifted in float64 scratch and pooled into its frames of the one pooled
+stack the calling thread allocated; the shifted stack is never held whole.
+The result is the same, bit for bit, for any worker count.  BLAS is not
+involved.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import check_frame, check_mask, map_blocks, wrap
+from .core import as_frames, check_frame, check_mask, map_blocks, wrap
 
 
 def center_pixel(shape: tuple[int, int]) -> tuple[int, int]:
@@ -36,15 +40,16 @@ def piston_shift(
     output(m, n) = wrap(input(m, n) - input(i, j)) with (i, j) the center
     pixel by default; the anchor pixel of the output is exactly 0.
     ``frames`` is one (h, w) frame or an (n, h, w) stack; each frame is
-    shifted by its own anchor value.  ``out``, a float64 array of the
-    frames' shape, receives the result when given.
+    shifted by its own anchor value, in float64: float32 frames give the
+    bits of their float64 copy.  ``out``, a float64 array of the frames'
+    shape, receives the result when given.
 
     Raises
     ------
     ValueError
         If the anchor pixel is invalid; pass an alternate ``anchor``.
     """
-    frames = np.asarray(frames, dtype=np.float64)
+    frames = as_frames(frames)
     check_frame(frames, mask)
     check_mask(mask)
     if anchor is None:
@@ -55,7 +60,7 @@ def piston_shift(
             f"piston anchor pixel ({i}, {j}) is invalid; "
             "supply an alternate anchor inside the aperture"
         )
-    out = np.subtract(frames, frames[..., i, j, None, None], out=out)
+    out = np.subtract(frames, frames[..., i, j, None, None], out=out, dtype=np.float64)
     # zeroed before wrap, which rejects NaN or huge garbage at invalid pixels
     np.copyto(out, 0.0, where=~mask)  # a third of the time of out[..., ~mask] = 0.0
     return wrap(out, out=out)
@@ -116,29 +121,31 @@ def prepare_for_clustering(
 ):
     """Piston-shift every frame, then pool ``pool_levels`` times.
 
-    Returns (shifted_frames, pooled_frames, pooled_mask); the full-
-    resolution piston-shifted frames feed the denoiser, the pooled copies
-    feed the classifier.  With ``pool_levels=0`` the pooled frames are
-    the shifted array itself.  Blocks of frames run on threads (see the
-    module docstring).
+    Returns (pooled_frames, pooled_mask): the float64 copies the classifier
+    reads.  With ``pool_levels=0`` they are the piston-shifted frames.  Each
+    block of frames is shifted into float64 scratch and pooled from there, so
+    no whole shifted stack is held beside the pooled one; the consumers of
+    full-resolution shifted frames (``circular.circular_mean_rows``, the
+    pipeline's one-frame parts) shift their own.  Blocks of frames run on
+    threads (see the module docstring).
     """
     if pool_levels < 0:
         raise ValueError("pool_levels must be >= 0")
-    frames = np.asarray(frames, dtype=np.float64)
+    frames = as_frames(frames)
     if frames.ndim != 3:
         raise ValueError("prepare_for_clustering: frames must be an (n, h, w) stack")
     counts, pooled_mask = [], mask
     for _ in range(pool_levels):
         counts.append(_pool_counts(pooled_mask))
         pooled_mask = counts[-1] > 0
-    shifted = np.empty_like(frames)
-    pooled = np.empty((len(frames), *pooled_mask.shape)) if pool_levels else shifted
+    pooled = np.empty((len(frames), *pooled_mask.shape))
 
-    def prepare(block):
-        out = piston_shift(frames[block], mask, anchor, out=shifted[block])
+    def prepare(block, buf=None):
+        out = piston_shift(frames[block], mask, anchor, out=pooled[block] if buf is None else buf)
         for level, c in enumerate(counts, 1):
             out = _pool2(out, c, out=pooled[block] if level == pool_levels else None)
 
-    for _ in map_blocks(prepare, len(frames), frames[:1].nbytes):
+    scratch = frames.shape[1:] if pool_levels else None
+    for _ in map_blocks(prepare, len(frames), 8 * frames[:1].size, scratch=scratch):
         pass
-    return shifted, pooled, pooled_mask
+    return pooled, pooled_mask

@@ -13,16 +13,18 @@ Byte layout (all little-endian):
     then       frame_count rasters of width*height float32, row-major,
                radians in (-pi, pi]
 
-Storage is 32-bit to halve file size; all computation is 64-bit.  Values
-that land marginally out of range in float32 (e.g. float32(pi) > pi) are
-normalized with wrap() on read.
+Storage is 32-bit to halve file size, and ``read_stack`` keeps it: its
+stack holds float32 frames, which the kernels convert to float64 per block
+or per frame.  A stored value outside (-pi, pi] (float32(pi) > pi, say) is
+replaced by the float32 nearest its ``wrap`` inside the interval; values
+inside are kept as stored.
 
-``read_stack`` reads, zeroes and wraps the rasters in blocks of frames on
+``read_stack`` reads, zeroes and checks the rasters in blocks of frames on
 ``core.map_blocks``' threads, one per CPU of the process's affinity mask.
-Each block is read (with ``os.preadv``) into a buffer the calling thread
-allocated and written to its frames of the one float64 stack, so the
-threads write only into arrays the calling thread allocated and the stack
-is the same, bit for bit, for any worker count.  BLAS is not involved.
+Each block is read (with ``os.preadv``) straight into its frames of the one
+float32 stack, which the calling thread allocated, so the threads write
+only into that array and the stack is the same, bit for bit, for any
+worker count.  BLAS is not involved.
 """
 
 from __future__ import annotations
@@ -51,15 +53,22 @@ class StackFormatError(ValueError):
 
 
 def read_stack(path) -> PhaseStack:
-    """Parse a WPHS file into a 64-bit PhaseStack.
+    """Parse a WPHS file into a PhaseStack of float32 frames, as stored.
+
+    Invalid pixels read as 0.0.  A valid value v outside (-pi, pi] is
+    stored as the float32 nearest ``wrap(v)`` inside the interval:
+    float32(wrap(v)), or one float32 step towards 0 where that would round
+    onto float32(+-pi).  That is at most 1.2e-7 rad (half a float32 ulp at
+    pi) from the float64 ``wrap(v)``, or 1.6e-7 rad in the second case.
+    Other values are kept bit for bit.
 
     Raises StackFormatError naming the byte offset for bad magic, wrong
     version or dtype, truncation, malformed mask bytes, a mask with no
     valid pixel, or the first value at a valid pixel that is non-finite or
     too large to wrap into (-pi, pi].
 
-    The file is read block by block, never held whole (see the module
-    docstring).
+    The file is read block by block into the stack itself, with no other
+    copy of the rasters (see the module docstring).
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -104,12 +113,11 @@ def read_stack(path) -> PhaseStack:
             raise StackFormatError(
                 f"{path}: mask has no valid pixels at offset {HEADER_SIZE}", offset=HEADER_SIZE
             )
-        frames = np.empty((frame_count, height, width))
+        frames = np.empty((frame_count, height, width), dtype="<f4")
         invalid = ~mask
 
-        def load(block, buf):
-            n = block.stop - block.start
-            raw = buf.reshape(-1).view("<f4")[: n * wh].reshape(n, height, width)
+        def load(block):
+            raw = frames[block]
             start = HEADER_SIZE + wh + 4 * wh * block.start
             got = os.preadv(fh.fileno(), [raw], start)
             if got < raw.nbytes:  # the file shrank after the size check
@@ -117,7 +125,7 @@ def read_stack(path) -> PhaseStack:
                 raise StackFormatError(f"{path}: truncated at offset {off}", offset=off)
             np.copyto(raw, 0.0, where=invalid)  # invalid pixels may hold anything
             try:
-                wrap(raw, out=frames[block])
+                wrap(raw, out=raw)  # float32 in place: rewrites only values outside
             except ValueError:
                 first = int(np.argmax(~(np.abs(raw) <= WRAP_LIMIT)))  # NaN too
                 off = start + 4 * first
@@ -127,8 +135,8 @@ def read_stack(path) -> PhaseStack:
                     what = "non-finite value at a valid pixel"
                 raise StackFormatError(f"{path}: {what}, offset {off}", offset=off) from None
 
-        # float64 scratch of half a frame's values holds a float32 raster
-        for _ in map_blocks(load, frame_count, frames[0].nbytes, scratch=((wh + 1) // 2,)):
+        # blocks as long as the other whole-stack kernels', in float64 frames
+        for _ in map_blocks(load, frame_count, 8 * wh):
             pass
     return PhaseStack(frames=frames, mask=mask, _wrapped=True)
 
@@ -143,11 +151,11 @@ def write_stack(stack: PhaseStack, path) -> None:
     n, (h, w) = len(stack), stack.shape
     header = HEADER.pack(MAGIC, VERSION, DTYPE_F32, 0, w, h, n)
     mask_bytes = stack.mask.astype(np.uint8).tobytes()
-    payload = np.ascontiguousarray(stack.frames, dtype="<f4").tobytes()
+    payload = np.ascontiguousarray(stack.frames, dtype="<f4")
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(mask_bytes)
-        fh.write(payload)
+        fh.write(payload)  # through the buffer protocol, with no bytes copy
 
 
 def write_report(report_dict: dict, path) -> None:

@@ -15,6 +15,7 @@ from phasestack.circular import (
 )
 from phasestack import core
 from phasestack.core import circular_aperture, wrap, wrapped_diff
+from phasestack.preprocess import piston_shift
 
 
 class TestCircularMean:
@@ -184,36 +185,48 @@ DELTA = 3.2e-7
 
 @st.composite
 def row_stacks(draw):
-    """(frames, rows, mask): a stack with a cluster's rows drawn from it.
+    """(frames, rows, mask, anchor): a stack with a cluster's rows drawn
+    from it, float64 or float32.
 
     The members scatter around a per-pixel center with one of several
-    spreads; some pixels hold pi exactly, and on some the second half of
-    the members is antipodal to the first (an exact cancellation)."""
+    spreads, each offset by its own piston; some pixels hold pi exactly, and
+    on some the second half of the members is antipodal to the first, with
+    the first half's anchor values (a cancellation once shifted).  Frames
+    are at least 2x2, as piston_shift, the oracle's first step, requires."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     k = draw(st.integers(1, 24))
     n = k + draw(st.integers(0, 4))
-    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    h, w = draw(st.integers(2, 6)), draw(st.integers(2, 6))
     spread = draw(st.sampled_from([0.0, 1e-7, 1e-3, 0.3, 1.5, 10.0]))
     center = rng.uniform(-math.pi, math.pi, size=(h, w))
-    frames = wrap(center + rng.normal(0.0, spread, size=(n, h, w)))
+    piston = rng.uniform(-math.pi, math.pi, size=(n, 1, 1))
+    frames = wrap(center + piston + rng.normal(0.0, spread, size=(n, h, w)))
     frames[rng.random((n, h, w)) < 0.05] = math.pi
     rows = rng.permutation(n)[:k]
+    anchor = (draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1)))
     if k % 2 == 0 and draw(st.booleans()):
         cancel = rng.random((h, w)) < 0.5
         first, second = rows[: k // 2], rows[k // 2 :]
         frames[second] = np.where(cancel, wrap(frames[first] + math.pi), frames[second])
+        frames[second, anchor[0], anchor[1]] = frames[first, anchor[0], anchor[1]]
+    if draw(st.booleans()):
+        frames = frames.astype(np.float32)
+        wrap(frames, out=frames)
     mask = rng.random((h, w)) > 0.2
-    return frames, rows, mask
+    mask[anchor] = True
+    return frames, rows, mask, anchor
 
 
 class TestCircularMeanRows:
-    """The float32 kernel against circular_mean_frame, its float64 oracle."""
+    """The float32 kernel against its float64 oracle, circular_mean_frame of
+    the piston-shifted members."""
 
     @given(row_stacks())
     def test_within_bound_of_oracle(self, case):
-        frames, rows, mask = case
-        mean, resultant, out_mask = circular_mean_rows(frames, rows, mask)
-        o_mean, o_resultant, o_mask = circular_mean_frame(frames[rows], mask)
+        frames, rows, mask, anchor = case
+        mean, resultant, out_mask = circular_mean_rows(frames, rows, mask, anchor)
+        shifted = piston_shift(frames[rows], mask, anchor)
+        o_mean, o_resultant, o_mask = circular_mean_frame(shifted, mask)
         assert np.all(np.abs(resultant - o_resultant) <= DELTA)
         decided = np.abs(o_resultant - RESULTANT_EPS) > DELTA
         assert np.array_equal(out_mask[decided], o_mask[decided])
@@ -230,10 +243,11 @@ class TestCircularMeanRows:
         f[0, :] = math.pi
         f[1, :] = -0.0  # wrap returns +0.0 for it, as it does everywhere
         f[2, :] = np.nextafter(-math.pi, 0.0)
+        f[4, 3] = 0.0  # the anchor: the shifted frame is wrap(f), special values and all
         frames = np.stack([f] * k)
         mask = np.ones(f.shape, dtype=bool)
         mean, resultant, out_mask = circular_mean_rows(frames, range(k), mask)
-        assert mean.tobytes() == wrap(f).tobytes()
+        assert mean.tobytes() == piston_shift(f, mask).tobytes() == wrap(f).tobytes()
         assert np.all(resultant == 1.0)
         assert np.array_equal(out_mask, mask)
 
@@ -245,9 +259,10 @@ class TestCircularMeanRows:
         spread = 1e-3
         rng = np.random.default_rng(11)
         frames = wrap(center + rng.uniform(-spread, spread, size=(50, 8, 8)))
+        frames[:, 4, 4] = 0.0  # the anchor: shifted, the members still straddle the cut
         mask = np.ones((8, 8), dtype=bool)
         mean, _, _ = circular_mean_rows(frames, range(50), mask)
-        o_mean, _, _ = circular_mean_frame(frames, mask)
+        o_mean, _, _ = circular_mean_frame(piston_shift(frames, mask), mask)
         assert np.abs(wrapped_diff(mean, o_mean)).max() <= 8 * spread * 2.0**-24
 
     @pytest.mark.parametrize(
@@ -256,11 +271,15 @@ class TestCircularMeanRows:
     def test_exact_antipodal_pair_is_undefined(self, a):
         frames = np.full((2, 2, 2), a)
         frames[1] = wrap(a + math.pi)
+        frames[:, 1, 1] = 0.0  # the anchor: the shifted members stay antipodal
         mask = np.ones((2, 2), dtype=bool)
+        off = mask.copy()
+        off[1, 1] = False
         mean, resultant, out_mask = circular_mean_rows(frames, [0, 1], mask)
-        assert not out_mask.any()
-        assert np.all(resultant <= DELTA)
+        assert not out_mask[off].any()
+        assert np.all(resultant[off] <= DELTA)
         assert np.all(mean == 0.0)
+        assert out_mask[1, 1] and resultant[1, 1] == 1.0
 
     @pytest.mark.parametrize("k, per_block", [(7, 7), (7, 1), (10, 3), (13, 4)])
     def test_same_bits_for_any_worker_count_and_block(self, block_pool, k, per_block):
@@ -269,6 +288,7 @@ class TestCircularMeanRows:
         frames[:, 1, :] = math.pi
         rows = rng.permutation(k + 3)[:k]
         mask = rng.random((6, 9)) > 0.2
+        mask[3, 4] = True  # the anchor
         want = circular_mean_rows(frames, rows, mask)  # one block, calling thread
         block_pool(per_block, (6, 9))
         got = circular_mean_rows(frames, rows, mask)
@@ -279,13 +299,29 @@ class TestCircularMeanRows:
         rng = np.random.default_rng(3)
         frames = wrap(rng.normal(0.0, 1.0, size=(6, 5, 5)))
         mask = rng.random((5, 5)) > 0.3
-        garbage = frames.copy()
-        garbage[:, ~mask] = rng.uniform(-1e30, 1e30, size=(6, int((~mask).sum())))
+        mask[2, 2] = True  # the anchor
         want = circular_mean_rows(frames, [5, 1, 2], mask)
-        mean, resultant, out_mask = circular_mean_rows(garbage, [5, 1, 2], mask)
-        assert mean.tobytes() == want[0].tobytes()
-        assert resultant[mask].tobytes() == want[1][mask].tobytes()
-        assert np.array_equal(out_mask, want[2])
+        for junk in (rng.uniform(-1e30, 1e30, size=(6, int((~mask).sum()))), np.nan):
+            garbage = frames.copy()
+            garbage[:, ~mask] = junk
+            mean, resultant, out_mask = circular_mean_rows(garbage, [5, 1, 2], mask)
+            assert mean.tobytes() == want[0].tobytes()
+            assert resultant[mask].tobytes() == want[1][mask].tobytes()
+            assert np.array_equal(out_mask, want[2])
+
+    def test_float32_stack_gives_the_bits_of_its_float64_copy(self, block_pool):
+        rng = np.random.default_rng(21)
+        frames = rng.normal(0.0, 2.0, size=(12, 6, 9)).astype(np.float32)
+        wrap(frames, out=frames)
+        mask = rng.random((6, 9)) > 0.2
+        mask[3, 4] = mask[2, 5] = True  # the default anchor and another
+        rows = [9, 2, 4, 7, 0, 11]
+        block_pool(4, (6, 9))
+        for anchor in (None, (2, 5)):
+            got = circular_mean_rows(frames, rows, mask, anchor)
+            want = circular_mean_rows(frames.astype(np.float64), rows, mask, anchor)
+            for g, e in zip(got, want):
+                assert g.tobytes() == e.tobytes()
 
     @pytest.mark.parametrize("k", [40, 400])
     def test_no_copy_of_the_members(self, block_pool, k):
@@ -314,6 +350,7 @@ class TestCircularMeanRows:
             (np.zeros((3, 4, 4)), [0, 1], np.ones((4, 5), dtype=bool)),
             (np.zeros((3, 4, 4)), [0, 3], np.ones((4, 4), dtype=bool)),
             (np.zeros((3, 4, 4)), [-1, 0], np.ones((4, 4), dtype=bool)),
+            (np.zeros((3, 4, 4)), [0, 1], ~np.eye(4, dtype=bool)),  # invalid anchor (2, 2)
         ],
     )
     def test_bad_input_rejected(self, frames, rows, mask):

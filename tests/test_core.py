@@ -135,6 +135,26 @@ class TestWrap:
         assert wrap(from32, out=into).tobytes() == wrap(from32.astype(np.float64)).tobytes()
         assert wrap(x, out=x) is x and x.tobytes() == want.tobytes()  # in place
 
+    def test_float32_in_place_rewrites_only_values_outside(self, rng):
+        x = rng.uniform(-3.0, 3.0, size=(4, 6)).astype(np.float32)
+        x[0, :4] = [-0.0, np.nextafter(np.float32(np.pi), np.float32(0.0)), np.pi, -np.pi]
+        x[1, :3] = [3.2, 3 * np.pi, -40.0]
+        before = x.copy()
+        outside = np.abs(before.astype(np.float64)) > np.pi
+        assert outside.sum() == 5
+        assert wrap(x, out=x) is x and x.dtype == np.float32
+        assert x[~outside].tobytes() == before[~outside].tobytes()  # -0.0 kept
+        assert np.all(x > -np.float64(np.pi)) and np.all(x <= np.float64(np.pi))
+        want = wrap(before[outside].astype(np.float64))
+        assert np.all(np.abs(wrap(x[outside] - want)) <= 1.6e-7)
+        again = x.copy()
+        assert wrap(again, out=again).tobytes() == x.tobytes()  # idempotent
+        x[2, 2] = np.nan
+        held = x.copy()
+        with pytest.raises(ValueError):
+            wrap(x, out=x)
+        assert x.tobytes() == held.tobytes()
+
     def test_array_input(self):
         out = wrap(np.array([0.0, 3 * np.pi, -TWO_PI]))
         assert out.shape == (3,)
@@ -330,6 +350,24 @@ class TestCheckFrame:
         m[1, 1] = False
         check_frame(f, m)
 
+    @pytest.mark.parametrize("stack", [False, True])
+    def test_float32_pi_is_outside(self, stack):
+        """float32(pi) lies above pi and float32(-pi) below -pi: a float32
+        frame holding either is rejected, as its float64 copy is, and their
+        inward float32 neighbours are accepted."""
+        f32 = np.float32
+        for v, ok in (
+            (f32(np.pi), False),
+            (f32(-np.pi), False),
+            (np.nextafter(f32(np.pi), f32(0.0)), True),
+            (np.nextafter(f32(-np.pi), f32(0.0)), True),
+        ):
+            f = np.zeros((2, 4, 4) if stack else (4, 4), dtype=np.float32)
+            f[..., 1, 2] = v
+            want = None if ok else "phase frame has valid pixels outside (-pi, pi]"
+            for frame in (f, f.astype(np.float64)):
+                assert _outcome(check_frame, frame, None) == want
+
     def test_rejects_1d_and_tiny(self):
         with pytest.raises(ValueError):
             check_frame(np.zeros(9))
@@ -353,6 +391,17 @@ class TestPhaseStack:
         frames = np.full((1, 4, 4), 5.0)
         with pytest.raises(ValueError):
             PhaseStack(frames=frames, mask=np.ones((4, 4), dtype=bool))
+
+    def test_float32_frames_kept_and_checked(self):
+        mask = np.ones((4, 4), dtype=bool)
+        frames = np.zeros((2, 4, 4), dtype=np.float32)
+        assert PhaseStack(frames=frames, mask=mask).frames is frames
+        assert PhaseStack(frames=frames.astype(np.int16), mask=mask).frames.dtype == np.float64
+        frames[1, 2, 3] = np.pi  # float32(pi) > pi
+        with pytest.raises(ValueError, match="outside"):
+            PhaseStack(frames=frames, mask=mask)
+        mask[2, 3] = False  # only valid pixels are checked
+        assert PhaseStack(frames=frames, mask=mask).frames.dtype == np.float32
 
 
 def vortex(n, yc, xc, sign=1.0):

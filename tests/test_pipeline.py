@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from phasestack.pipeline import (
 from phasestack.preprocess import avg_pool2, center_pixel, piston_shift
 from phasestack.synth import CONTAMINANT, TrialSpec, make_trial, peaks_surface
 from phasestack.unwrap import flood_unwrap, unwrap
+from phasestack.wphs import read_stack, write_stack
 from phasestack.zernike import ZernikeBasis, zernike_fit_remove
 
 
@@ -214,6 +216,44 @@ class TestOnePipeline:
         oracle, _ = zernike_fit_remove(surface, modes=params.modes_removed)
         bound = 1e-12 * (1.0 + np.abs(surface.values[surface.mask]).max())
         assert np.abs(rep.surface.values - oracle.values).max() <= bound
+
+
+class TestStackHeldOnce:
+    """A stack read from WPHS keeps its float32 frames; every route shifts
+    the rows it needs, per block or per frame."""
+
+    @pytest.mark.parametrize("route, classify", [(run_clustered, True), (run_clustered, False),
+                                                 (run_conventional, True)])
+    def test_float32_stack_gives_the_bits_of_its_float64_copy(self, tmp_path, route, classify):
+        stack, _ = family_trial(seed=3, n=12, frac=0.2)
+        write_stack(stack, tmp_path / "s.wphs")
+        read = read_stack(tmp_path / "s.wphs")
+        assert read.frames.dtype == np.float32
+        copy = PhaseStack(frames=read.frames.astype(np.float64), mask=read.mask)
+        params = PipelineParams(classify=classify)
+        got, want = route(read, params), route(copy, params)
+        assert got.chosen_sizes == want.chosen_sizes
+        assert got.abandoned_frames == want.abandoned_frames
+        assert got.surface.values.tobytes() == want.surface.values.tobytes()
+        assert np.array_equal(got.surface.mask, want.surface.mask)
+
+    def test_clustered_peak_below_one_float64_stack(self, tmp_path):
+        """No float64 (N, h, w) copy of the stack is made: N = 200 frames at
+        128x128, read from disk, the perfbench cluster recipe."""
+        spec = TrialSpec(frame_count=200, grid=128, snr_db=20.0, perturbation_count=2,
+                         contaminant_fraction=0.03, tilt_jitter=30.0, seed=0)
+        stack, _ = make_trial(peaks_surface(128, 37.82), spec)
+        write_stack(stack, tmp_path / "s.wphs")
+        stack = read_stack(tmp_path / "s.wphs")
+        params = PipelineParams(cut=0.5, min_samples=None, min_fraction=0.04)
+        tracemalloc.start()
+        try:
+            report = run_clustered(stack, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.unwrap_call_count == len(report.chosen_sizes) >= 1
+        assert peak < 8 * stack.frames.size
 
 
 class TestFailurePolicy:

@@ -38,7 +38,7 @@ def reference_prepare(frames, mask, pool_levels, anchor):
             pf, pm = reference_avg_pool2(f, pooled_mask)
             pooled_frames.append(pf)
         pooled, pooled_mask = np.stack(pooled_frames), pm
-    return shifted, pooled, pooled_mask
+    return pooled, pooled_mask
 
 
 class TestPistonShift:
@@ -134,18 +134,19 @@ class TestPrepareForClustering:
         rng = np.random.default_rng(0)
         frames = rng.uniform(-3, 3, size=(3, 16, 16))
         mask = full_mask((16, 16))
-        shifted, pooled, pmask = prepare_for_clustering(frames, mask, pool_levels=2)
-        assert shifted.shape == (3, 16, 16)
+        pooled, pmask = prepare_for_clustering(frames, mask, pool_levels=2)
         assert pooled.shape == (3, 4, 4)
         assert pmask.shape == (4, 4)
+        pooled, pmask = prepare_for_clustering(frames, mask, pool_levels=0)
+        assert pooled.shape == (3, 16, 16)
+        assert pmask.shape == (16, 16)
 
     def test_level_zero_only_piston_shifts(self):
         rng = np.random.default_rng(1)
         frames = rng.uniform(-1, 1, size=(2, 8, 8))
         mask = full_mask((8, 8))
-        shifted, pooled, pmask = prepare_for_clustering(frames, mask, pool_levels=0,
-                                                        anchor=(4, 4))
-        assert np.array_equal(pooled, shifted)
+        shifted, pmask = prepare_for_clustering(frames, mask, pool_levels=0, anchor=(4, 4))
+        assert shifted.dtype == np.float64
         for i in range(2):
             assert np.allclose(shifted[i], frames[i] - frames[i, 4, 4], atol=1e-12)
         assert np.array_equal(pmask, mask)
@@ -155,7 +156,7 @@ class TestPrepareForClustering:
         base = np.random.default_rng(2).uniform(-1, 1, size=(8, 8))
         frames = np.stack([base, base + 1.7])
         mask = full_mask((8, 8))
-        _, pooled, _ = prepare_for_clustering(frames, mask, pool_levels=1)
+        pooled, _ = prepare_for_clustering(frames, mask, pool_levels=1)
         assert np.allclose(pooled[0], pooled[1], atol=1e-12)
 
     def test_negative_levels_rejected(self):
@@ -222,6 +223,22 @@ class TestPrepareBlocks:
         want = reference_prepare(frames, mask, levels, anchor)
         for g, w in zip(got, want):
             assert g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("levels", [0, 1, 2])
+    def test_float32_frames_give_the_bits_of_their_float64_copy(self, block_pool, levels):
+        size = 35
+        rng = np.random.default_rng(40 + levels)
+        mask = circular_aperture((size, size), margin=1)
+        frames = rng.uniform(-4.0, 4.0, size=(10, size, size)).astype(np.float32)
+        frames[:, ~mask] = 0.0
+        wrap(frames, out=frames)  # float32 in range, as read_stack stores it
+        anchor = center_pixel((size, size))
+        block_pool(3, (size, size))
+        got = prepare_for_clustering(frames, mask, levels, anchor)
+        want = reference_prepare(frames.astype(np.float64), mask, levels, anchor)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
             assert g.tobytes() == w.tobytes()
 
     def test_worker_error_is_the_serial_error(self, block_pool):

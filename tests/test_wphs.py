@@ -45,7 +45,7 @@ class TestReadStack:
         path.write_bytes(build_file(frames=[f]))
         stack = read_stack(path)
         assert len(stack) == 1
-        assert stack.frames.dtype == np.float64
+        assert stack.frames.dtype == np.float32
         assert np.array_equal(stack.frames[0], [[0.0, 1.0], [-1.0, 3.0]])
         assert stack.mask.all()
 
@@ -62,8 +62,8 @@ class TestReadStack:
         path = tmp_path / "s.wphs"
         path.write_bytes(build_file(frames=[f]))
         stack = read_stack(path)
-        expect = float(np.float32(3.2)) - 2 * math.pi
-        assert stack.frames[0, 0, 0] == pytest.approx(expect, abs=1e-12)
+        expect = np.float32(float(np.float32(3.2)) - 2 * math.pi)
+        assert stack.frames[0, 0, 0].tobytes() == expect.tobytes()
 
     def test_invalid_pixels_tolerate_garbage_and_read_as_zero(self, tmp_path):
         f = np.array([[np.nan, 0.25], [np.inf, 0.5]], dtype="<f4")
@@ -191,7 +191,9 @@ class TestReadStack:
         got = read_stack(path)
         assert checks == []
         monkeypatch.undo()
-        want = PhaseStack(frames=wrap(np.where(mask, raw, 0.0)), mask=mask.astype(bool))
+        want = PhaseStack(
+            frames=wrap(np.where(mask, raw, 0.0)).astype(np.float32), mask=mask.astype(bool)
+        )
         for name in ("frames", "mask"):
             g, w = getattr(got, name), getattr(want, name)
             assert g.dtype == w.dtype and g.shape == w.shape
@@ -216,6 +218,48 @@ class TestReadStack:
         assert peak <= 2.5 * stack.frames.nbytes
 
 
+    def test_peak_memory_is_the_float32_stack(self, tmp_path):
+        """The stack is read straight into its float32 frames: the traced
+        peak is within 1.1x of their bytes, plus the mask."""
+        rng = np.random.default_rng(8)
+        frames = rng.uniform(-3.0, 3.0, size=(100, 64, 64)).astype(np.float32)
+        mask = circular_aperture((64, 64)).astype(np.uint8)
+        frames[:, mask == 0] = np.nan
+        path = tmp_path / "s.wphs"
+        path.write_bytes(build_file(width=64, height=64, frames=list(frames), mask=mask))
+        tracemalloc.start()
+        try:
+            stack = read_stack(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stack.frames.dtype == np.float32
+        assert peak <= 1.1 * frames.nbytes + mask.nbytes
+
+    def test_values_at_and_beyond_pi(self, tmp_path):
+        """Values inside (-pi, pi] are kept bit for bit; each one outside
+        becomes the float32 nearest its wrap inside the interval, within
+        1.2e-7 rad of it (1.6e-7 where float32 rounding would land on
+        float32(+-pi), as for float32(3 pi))."""
+        f32 = np.float32
+        below_pi = np.nextafter(f32(np.pi), f32(0.0))
+        inside = [below_pi, -below_pi, f32(-0.0), f32(1.5)]
+        outside = [f32(np.pi), f32(-np.pi), f32(3.2), f32(3 * np.pi), f32(-3 * np.pi), f32(-40.0)]
+        f = np.array([inside + outside], dtype="<f4").reshape(2, 5)
+        path = tmp_path / "s.wphs"
+        path.write_bytes(build_file(width=5, height=2, frames=[f]))
+        got = read_stack(path).frames.reshape(-1)
+        assert got[:4].tobytes() == np.array(inside, dtype=np.float32).tobytes()
+        assert np.all(got > -np.float64(np.pi)) and np.all(got <= np.float64(np.pi))
+        want = wrap(np.array(outside, dtype=np.float64))
+        move = np.abs(wrap(got[4:].astype(np.float64) - want))
+        edge = np.abs(want.astype(np.float32)) > np.float64(np.pi)
+        assert edge.tolist() == [False, False, False, True, True, False]
+        assert np.all(move[~edge] <= 1.2e-7) and np.all(move[edge] <= 1.6e-7)
+        assert got[4:][~edge].tobytes() == want[~edge].astype(np.float32).tobytes()
+        assert got[4:][edge].tolist() == [-below_pi, below_pi]
+
+
 class TestReadStackBlocks:
     """read_stack's blocks on 1 and 2 worker threads give the bits of a
     whole-stack expression, and report the first bad value in file order."""
@@ -233,7 +277,7 @@ class TestReadStackBlocks:
         path.write_bytes(build_file(width=11, height=9, frames=list(raw), mask=mask_bytes))
         block_pool(per_block, (9, 11))
         stack = read_stack(path)
-        want = wrap(np.where(mask, raw.astype(np.float64), 0.0))
+        want = wrap(np.where(mask, raw.astype(np.float64), 0.0)).astype(np.float32)
         assert stack.frames.tobytes() == want.tobytes()
         assert np.array_equal(stack.mask, mask)
 

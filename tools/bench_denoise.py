@@ -2,14 +2,14 @@
 
 Builds perfbench's cluster-n1000 recipe (1000 frames of the 128x128 peaks
 surface, two tilt families with 30 rad jitter, 3% contaminants, seed 0) at
-20 and 5 dB, piston-shifts and classifies it as ``run_clustered`` does with
+20 and 5 dB, classifies it as ``run_clustered`` does with
 ``PipelineParams(cut=0.5, min_fraction=0.04)``, and for each chosen cluster
 records:
 
-- ``oracle_s``: median of 7 calls of ``circular_mean_frame(shifted[rows],
-  mask)``, the float64 kernel the pipeline used to call, with its gather
-- ``rows_s``: median of 7 calls of ``circular_mean_rows(shifted, rows,
-  mask)``, the float32 kernel it calls now (the calls alternate)
+- ``oracle_s``: median of 7 calls of ``circular_mean_frame(piston_shift(
+  frames[rows], mask, anchor), mask)``, the float64 oracle with its gather
+- ``rows_s``: median of 7 calls of ``circular_mean_rows(frames, rows, mask,
+  anchor)``, the float32 kernel the pipeline calls (the calls alternate)
 - the largest wrapped |mean difference| where both means are defined, the
   largest |resultant difference|, and the count of ``out_mask`` pixels on
   which the two disagree
@@ -17,10 +17,16 @@ records:
 and writes them to ``BENCH_denoise.json``.
 
 The committed ``BENCH_denoise.json`` is the record of the change that added
-``circular_mean_rows``.  It was measured when ``circular_mean_frame`` still
-computed its cos and sin in blocks on ``core.map_blocks``' threads, so its
-``oracle_s`` times that threaded oracle; the oracle is now plain numpy on
-one thread, and a new run would time that instead.
+``circular_mean_rows``, measured before two later changes:
+
+- ``circular_mean_frame`` then computed its cos and sin in blocks on
+  ``core.map_blocks``' threads, so that ``oracle_s`` times the threaded
+  oracle; the oracle is now plain numpy on one thread.
+- Both kernels then read a piston-shifted stack that
+  ``prepare_for_clustering`` returned.  That stack is no longer made:
+  ``circular_mean_rows`` now reads the stack as it is and shifts each
+  member itself, and the oracle shifts its gather, so a new run times the
+  shift in both columns.
 
 Run from the repository root:
 
@@ -43,7 +49,7 @@ from phasestack.circular import circular_mean_frame, circular_mean_rows
 from phasestack.cluster import agglomerate, pairwise_distances, select_clusters
 from phasestack.core import wrap
 from phasestack.pipeline import PipelineParams
-from phasestack.preprocess import center_pixel, prepare_for_clustering
+from phasestack.preprocess import center_pixel, piston_shift, prepare_for_clustering
 from phasestack.synth import TrialSpec, make_trial, peaks_surface
 
 PARAMS = PipelineParams(cut=0.5, min_samples=None, min_fraction=0.04)
@@ -54,28 +60,29 @@ DELTA = 3.2e-7
 
 
 def clusters(snr_db: float):
-    """Piston-shifted stack, mask and chosen clusters of the recipe."""
+    """Frames, mask, anchor and chosen clusters of the recipe."""
     spec = TrialSpec(
         frame_count=1000, grid=128, snr_db=snr_db, perturbation_count=2,
         contaminant_fraction=0.03, tilt_jitter=30.0, seed=0,
     )
     stack, _ = make_trial(peaks_surface(128, 37.82), spec)
     # the recipe's mask is full, so the pipeline's anchor is the center pixel
-    shifted, pooled, pooled_mask = prepare_for_clustering(
-        stack.frames, stack.mask, PARAMS.pool_levels, center_pixel(stack.shape)
+    anchor = center_pixel(stack.shape)
+    pooled, pooled_mask = prepare_for_clustering(
+        stack.frames, stack.mask, PARAMS.pool_levels, anchor
     )
     dendrogram = agglomerate(pairwise_distances(pooled, pooled_mask))
     chosen = select_clusters(dendrogram, PARAMS.cut, PARAMS.resolve_min_samples(len(stack)))
-    return shifted, stack.mask, chosen.chosen
+    return stack.frames, stack.mask, anchor, chosen.chosen
 
 
-def compare(shifted, mask, rows) -> dict:
+def compare(frames, mask, anchor, rows) -> dict:
     oracle_t, rows_t = [], []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        want = circular_mean_frame(shifted[rows], mask)
+        want = circular_mean_frame(piston_shift(frames[rows], mask, anchor), mask)
         t1 = time.perf_counter()
-        got = circular_mean_rows(shifted, rows, mask)
+        got = circular_mean_rows(frames, rows, mask, anchor)
         t2 = time.perf_counter()
         oracle_t.append(t1 - t0)
         rows_t.append(t2 - t1)
@@ -100,12 +107,12 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     results = []
     for snr_db in SNRS_DB:
-        shifted, mask, chosen = clusters(snr_db)
+        frames, mask, anchor, chosen = clusters(snr_db)
         for rows in chosen:
-            row = {"snr_db": snr_db, **compare(shifted, mask, rows)}
+            row = {"snr_db": snr_db, **compare(frames, mask, anchor, rows)}
             results.append(row)
             print(json.dumps(row))
-        del shifted
+        del frames
     doc = {
         "benchmark": "denoise: circular_mean_rows vs circular_mean_frame with its gather",
         "recipe": "cluster-n1000 (1000 x 128x128, 2 families, 3% contaminants, seed 0)",
