@@ -6,24 +6,38 @@ Distances are RMS pixel differences of the piston-shifted, pooled wrapped
 values (direct subtraction, no circular difference); the RMS normalization
 keeps cut thresholds comparable across pupil sizes.
 
-Cost for N frames of P valid pixels: O(N^2 P) for the distances (one Gram
-product), O(N^2) typical for the linkage (cached nearest neighbours), never
-worse than the O(N^3) of a full rescan per merge.  Both are exact where
-exactness decides the partition: identical frames are exactly 0.0 apart,
-and the merge list, ties and heights included, is the one a full rescan
-with the min-leaf tie rule gives.
+Cost for N frames of P valid pixels: O(N^2 P) for the distances (Gram
+products of 128-row panels, on ``core.WORKERS`` threads), O(N^2) typical for
+the linkage (cached nearest neighbours, on the calling thread), never worse
+than the O(N^3) of a full rescan per merge.  Both are exact where exactness
+decides the partition: identical frames are exactly 0.0 apart, and the
+merge list, ties and heights included, is the one a full rescan with the
+min-leaf tie rule gives.  The distances' bits do not depend on the worker
+count.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import core
+
 # Squared distances below this fraction of |x_i|^2 + |x_j|^2 are recomputed
 # by direct subtraction (see pairwise_distances).
 _NEAR_REL = 1e-3
+
+# Rows per panel of pairwise_distances.  Panels start at multiples of 64
+# rows, where OpenBLAS 0.3.31 gave every Gram entry the bits of one whole
+# x @ x.T when N is a multiple of 8 (with other N the last N mod 8 columns
+# moved by up to 5e-13, as they do between OpenBLAS thread counts); panels
+# of 100 or 131 rows moved entries by up to 7e-12, and those bits decide
+# ties in the linkage.
+_PANEL_ROWS = 128
+_LOWER = np.tri(_PANEL_ROWS, dtype=bool)
 
 
 class NoClusterError(RuntimeError):
@@ -40,13 +54,20 @@ def pairwise_distances(frames: np.ndarray, mask: np.ndarray) -> np.ndarray:
     d(i, j) = sqrt( sum_valid (W_i - W_j)^2 / n_valid ), by direct
     subtraction of the wrapped values.
 
-    The squared distances come from one Gram product,
+    The squared distances come from Gram products,
     |x_i|^2 + |x_j|^2 - 2 x_i.x_j, in O(N^2 P) for N frames of P valid
     pixels.  Pairs whose squared distance falls below _NEAR_REL of
     |x_i|^2 + |x_j|^2, where the Gram form loses its relative accuracy to
     cancellation, are recomputed by direct subtraction, so identical
     frames are exactly 0.0 apart.  The result is exactly symmetric with a
     zero diagonal.
+
+    The strict upper triangle is computed in panels of _PANEL_ROWS rows
+    [lo, hi) by columns [lo, N), on ``core.WORKERS`` threads (numpy and
+    BLAS release the GIL).  Each panel writes its Gram product straight
+    into its part of the result, works on it in place with panel-sized
+    temporaries, and mirrors it below the diagonal, so no N x N temporary
+    exists; the bits do not depend on the worker count.
     """
     frames = np.asarray(frames, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
@@ -60,16 +81,39 @@ def pairwise_distances(frames: np.ndarray, mask: np.ndarray) -> np.ndarray:
     # compress is a plain copy of the valid columns, several times faster
     # than the same gather by boolean indexing
     x = frames.reshape(len(frames), -1).compress(mask.ravel(), axis=1)
+    n = len(x)
     sq = np.einsum("ij,ij->i", x, x)
-    norms = sq[:, None] + sq[None, :]
-    d2 = np.triu(np.maximum(norms - 2.0 * (x @ x.T), 0.0), 1)
-    near = np.triu(d2 <= _NEAR_REL * norms, 1)
-    for i in np.flatnonzero(near.any(axis=1)):
-        js = np.flatnonzero(near[i])
-        diff = x[js] - x[i]
-        d2[i, js] = np.einsum("ij,ij->i", diff, diff)
-    d = np.sqrt(d2) / math.sqrt(n_valid)
-    return d + d.T
+    d = np.empty((n, n))
+
+    def panel(lo: int) -> None:
+        hi = min(lo + _PANEL_ROWS, n)
+        h = hi - lo
+        below = _LOWER[:h, :h]  # the diagonal block's lower part
+        d2 = d[lo:hi, lo:]
+        # one gemm: a syrk of the diagonal block saves half its work, but
+        # with BLAS at its default thread count it doubled the time at N = 2000
+        np.matmul(x[lo:hi], x[lo:].T, out=d2)
+        norms = sq[lo:hi, None] + sq[None, lo:]
+        np.maximum(norms - 2.0 * d2, 0.0, out=d2)
+        d2[:, :h][below] = 0.0
+        near = d2 <= _NEAR_REL * norms
+        near[:, :h][below] = False
+        for r in np.flatnonzero(near.any(axis=1)):
+            js = np.flatnonzero(near[r])
+            diff = x[lo + js] - x[lo + r]
+            d2[r, js] = np.einsum("ij,ij->i", diff, diff)
+        np.sqrt(d2, out=d2)
+        np.divide(d2, math.sqrt(n_valid), out=d2)
+        # mirror into the rows below, which no other panel writes; the
+        # block's own lower part holds 0.0, so this is d + d.T bit for bit
+        block = d2[:, :h]
+        block += block.T
+        d[hi:, lo:hi] = d2[:, h:].T
+
+    starts = range(0, n, _PANEL_ROWS)
+    with ThreadPoolExecutor(min(core.WORKERS, len(starts))) as pool:
+        list(pool.map(panel, starts))
+    return d
 
 
 def check_distance_matrix(d: np.ndarray) -> None:
@@ -143,13 +187,14 @@ def agglomerate(d: np.ndarray) -> Dendrogram:
     # a retired slot's row and column hold inf, above any finite distance
     work = np.asarray(d, dtype=np.float64).copy()
     np.fill_diagonal(work, np.inf)
-    cluster_id = np.arange(n)
-    size = np.ones(n, dtype=np.int64)
+    # per-merge scalars as Python ints: numpy scalar indexing costs more
+    cluster_id = list(range(n))
+    size = [1] * n
     nn = np.full(n, -1)
     nd = np.full(n, np.inf)
 
     def rescan(i: int) -> None:
-        j = i + 1 + int(np.argmin(work[i, i + 1 :]))
+        j = i + 1 + int(work[i, i + 1 :].argmin())
         nn[i], nd[i] = j, work[i, j]
 
     for i in range(n - 1):
@@ -158,25 +203,26 @@ def agglomerate(d: np.ndarray) -> Dendrogram:
     merges = []
     last_height = 0.0
     for step in range(n - 1):
-        p = int(np.argmin(nd))
+        p = int(nd.argmin())
         q = int(nn[p])
-        h = nd[p]
+        h = float(nd[p])
         if h < last_height:
             raise AssertionError("average-linkage heights must be nondecreasing")
         last_height = h
-        merges.append((int(cluster_id[p]), int(cluster_id[q]), float(h)))
+        merges.append((cluster_id[p], cluster_id[q], h))
 
         # Lance-Williams update for average linkage; slot p keeps the merge
         # (entries of p, q and retired slots come out inf)
-        row = (size[p] * work[p] + size[q] * work[q]) / (size[p] + size[q])
+        sp, sq = size[p], size[q]
+        row = (sp * work[p] + sq * work[q]) / (sp + sq)
         work[p] = work[:, p] = row
         work[q] = work[:, q] = np.inf
-        size[p] += size[q]
+        size[p] = sp + sq
         cluster_id[p] = n + step
 
         # slots whose neighbour was merged rescan; the slots below p compare
         # their cache with the merged cluster, the lower slot winning a tie
-        stale = np.flatnonzero((nn == p) | (nn == q))
+        stale = np.flatnonzero((nn == p) | (nn == q)).tolist()
         nn[q], nd[q] = -1, np.inf
         closer = (row[:p] < nd[:p]) | ((row[:p] == nd[:p]) & (p < nn[:p]))
         nn[:p][closer] = p

@@ -18,7 +18,10 @@ blocks of about ``BLOCK_BYTES`` of frames on a thread pool with one worker per
 CPU in the process's affinity mask (``WORKERS``; there is no option).  The
 workers write only into arrays the calling thread allocated, and each block's
 output is what a serial pass computes, so results are bit-identical for any
-worker count.  BLAS thread settings are left alone.
+worker count.  ``cluster.pairwise_distances`` runs its 128-row panels on
+``WORKERS`` threads of its own; each panel writes only its part of the
+result the caller allocated, so its bits do not depend on the worker count
+either.  BLAS thread settings are left alone.
 """
 
 from __future__ import annotations
@@ -59,9 +62,11 @@ _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 def wrap(x, out=None):
     """Wrap phase values into (-pi, pi].
 
-    Values already inside the interval pass through bit-exactly (the
-    correction term is exactly zero there), which keeps the operator
-    idempotent.
+    Values already inside the interval come back unchanged (the correction
+    term is exactly zero there), which keeps the operator idempotent.  The
+    one exception is -0.0, which comes back as +0.0 (its correction term
+    is -0.0, and -0.0 - -0.0 is +0.0); only the float32 in-place path
+    below leaves it as it is.
 
     Parameters
     ----------

@@ -18,6 +18,7 @@ from scipy.spatial.distance import squareform
 
 from cluster_reference import agglomerate_reference, pairwise_distances_reference
 from phasestack import PipelineParams, TrialSpec, make_trial, peaks_surface, pipeline, run_clustered
+from phasestack import core
 from phasestack.cluster import agglomerate, pairwise_distances
 
 
@@ -129,6 +130,47 @@ class TestPairwiseDistancesMatchesReference:
         frames = np.repeat(np.linspace(-3.0, 3.0, 64).reshape(1, 8, 8), 12, axis=0)
         d = pairwise_distances(frames, np.ones((8, 8), dtype=bool))
         assert np.array_equal(d, np.zeros((12, 12)))
+
+
+class TestPairwiseDistancesPanels:
+    """Stacks taller than one 128-row panel: panel edges, duplicates across
+    panels and inside a diagonal block, and the same bits for any number of
+    worker threads."""
+
+    @staticmethod
+    def stack(n, near):
+        rng = np.random.default_rng(n)
+        frames = rng.uniform(-math.pi, math.pi, (n, 5, 7))
+        mask = rng.random((5, 7)) < 0.7
+        mask[2, 3] = True
+        # (i, j) inside one diagonal block, and across panels
+        pairs = [(0, n - 1), (1, 2), (60, 63), (126, 127), (127, 128), (5, 130), (64, 257)]
+        for k, (i, j) in enumerate(p for p in pairs if p[1] < n):
+            frames[j] = frames[i]
+            if near and k % 2:
+                frames[j] += 1e-12 * rng.standard_normal((5, 7))
+        return frames, mask
+
+    @pytest.mark.parametrize("near", [False, True], ids=["exact", "near"])
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 128, 129, 300])
+    def test_matches_reference_and_any_worker_count(self, n, near, monkeypatch):
+        frames, mask = self.stack(n, near)
+        ref = pairwise_distances_reference(frames, mask)
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(core, "WORKERS", workers)
+            runs.append(pairwise_distances(frames, mask))
+        d = runs[0]
+        assert all(r.tobytes() == d.tobytes() for r in runs[1:])
+        assert d.tobytes() == d.T.tobytes()
+        assert np.all(np.diag(d) == 0.0)
+        assert np.all(np.abs(d - ref) <= 1e-12 * ref)
+        # identical rows over the mask, and only those, are exactly 0.0 apart
+        x = frames[:, mask]
+        same = (x[:, None, :] == x[None, :, :]).all(axis=2)
+        assert np.array_equal(d == 0.0, same)
+        if near and n > 2:
+            assert 0.0 < d[1, 2] < 1e-11
 
 
 def _run(stack, params, monkeypatch, reference: bool):

@@ -62,6 +62,18 @@ class TestWrap:
         out = wrap(x)
         assert np.array_equal(out, x)
 
+    def test_negative_zero(self):
+        # float64 (and float32 copied to float64) turn -0.0 into +0.0;
+        # only the float32 in-place path leaves it as stored
+        x = np.array([-0.0, 1.0, -0.0])
+        y = x.copy()
+        for out in (wrap(x), wrap(y, out=y), wrap(x.astype(np.float32))):
+            assert not np.signbit(out).any()
+        assert not np.signbit(wrap(-0.0))
+        x32 = np.array([-0.0, 4.0, -0.0], dtype=np.float32)
+        assert wrap(x32, out=x32) is x32
+        assert np.signbit(x32[[0, 2]]).all() and x32[1] < 0
+
     @given(finite_floats)
     def test_idempotent(self, x):
         once = wrap(x)

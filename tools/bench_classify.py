@@ -1,0 +1,302 @@
+"""Classify benchmark: time, page faults and output hashes of
+``pairwise_distances`` and ``agglomerate``, for this tree and for another one
+(such as the parent commit).
+
+Builds perfbench's cluster-n1000 recipe (the 128x128 peaks surface, two tilt
+families with 30 rad jitter, 3% contaminants, 20 dB, seed 0) at N = 500,
+1000 and 2000 frames and writes each as one WPHS file, which both trees
+read and pool with ``prepare_for_clustering``.  Each (N, BLAS setting,
+tree) is measured in a fresh process whose ``PYTHONPATH`` is that tree's
+``src``; the trees alternate which runs first.  BLAS runs with one thread
+(``OPENBLAS_NUM_THREADS=1``, as perfbench sets it) and at OpenBLAS's
+default (one thread per CPU).  Per run it records:
+
+- ``pairwise_s`` and ``agglomerate_s``: the tree's own functions
+- the steps of ``pairwise_distances``, re-enacted here in the tree's
+  layout (one whole matrix, or the 128-row panels of a tree whose
+  ``cluster`` has ``_PANEL_ROWS``, each step on ``core.WORKERS`` threads
+  and finished before the next starts): ``compress_s`` (gather of the
+  valid pixels), ``gram_s`` (the Gram products), ``elementwise_s`` (norms,
+  clamp, triangle, near-duplicate test and recompute, sqrt, scale) and
+  ``mirror_s`` (``d + d.T``, or each panel's transposed copy)
+- ``minflt``: minor page faults of each ``pairwise_distances`` call made
+  right after a ``prepare_for_clustering`` (whose worker threads leave
+  their arenas behind), as the pipeline calls it
+- ``d_sha256`` and ``merges_sha256``
+
+Each ``*_s`` is the median of ``REPEATS`` calls.  The summary compares each
+run's ``d`` and merge list with the parent's and with
+``tests/cluster_reference.py`` (``pdist`` within the tests' 1e-12 relative
+bound; the full-rescan linkage exactly).
+
+Run from the repository root, with the ``src`` of the tree to compare with,
+labelled ``parent`` (for example a ``git archive`` of the parent commit):
+
+    PYTHONPATH=src python tools/bench_classify.py --other PATH/src [--out BENCH_classify.json]
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import math
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import numpy as np
+
+SIZES = (500, 1000, 2000)
+GRID = 128
+REPEATS = 5
+BLAS_SETTINGS = ("1", "default")
+HERE = Path(__file__).resolve()
+ROOT = HERE.parent.parent
+SRC = ROOT / "src"
+
+
+def write_recipe(n: int, path: Path) -> None:
+    from phasestack.synth import TrialSpec, make_trial, peaks_surface
+    from phasestack.wphs import write_stack
+
+    spec = TrialSpec(
+        frame_count=n, grid=GRID, snr_db=20.0, perturbation_count=2,
+        contaminant_fraction=0.03, tilt_jitter=30.0, seed=0,
+    )
+    stack, _ = make_trial(peaks_surface(GRID, 37.82), spec)
+    write_stack(stack, path)
+
+
+def median_s(fn) -> float:
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
+def step_times(pooled, mask, cluster, core) -> dict:
+    """Median time of each step of pairwise_distances in the tree's layout."""
+    x = pooled.reshape(len(pooled), -1).compress(mask.ravel(), axis=1)
+    n, scale, rel = len(x), math.sqrt(int(mask.sum())), cluster._NEAR_REL
+    sq = np.einsum("ij,ij->i", x, x)
+    out = {"compress_s": median_s(lambda: pooled.reshape(n, -1).compress(mask.ravel(), axis=1))}
+
+    def near_recompute(d2, near, lo):
+        for r in np.flatnonzero(near.any(axis=1)):
+            js = np.flatnonzero(near[r])
+            diff = x[lo + js] - x[lo + r]
+            d2[r, js] = np.einsum("ij,ij->i", diff, diff)
+
+    rows = getattr(cluster, "_PANEL_ROWS", None)
+    if rows is None:  # one whole matrix
+        g = x @ x.T
+        d = np.empty((n, n))
+
+        def elementwise():
+            norms = sq[:, None] + sq[None, :]
+            d2 = np.triu(np.maximum(norms - 2.0 * g, 0.0), 1)
+            near_recompute(d2, np.triu(d2 <= rel * norms, 1), 0)
+            d[...] = np.sqrt(d2) / scale
+
+        out["gram_s"] = median_s(lambda: x @ x.T)
+        out["elementwise_s"] = median_s(elementwise)
+        out["mirror_s"] = median_s(lambda: d + d.T)
+        return out
+
+    starts = range(0, n, rows)
+    lower = np.tri(rows, dtype=bool)
+    d = np.empty((n, n))
+
+    def each(fn):
+        with ThreadPoolExecutor(min(core.WORKERS, len(starts))) as pool:
+            list(pool.map(fn, starts))
+
+    def gram(lo):
+        np.matmul(x[lo : lo + rows], x[lo:].T, out=d[lo : lo + rows, lo:])
+
+    def elementwise(lo):
+        hi = min(lo + rows, n)
+        h, d2 = hi - lo, d[lo:hi, lo:]
+        norms = sq[lo:hi, None] + sq[None, lo:]
+        np.maximum(norms - 2.0 * d2, 0.0, out=d2)
+        d2[:, :h][lower[:h, :h]] = 0.0
+        near = d2 <= rel * norms
+        near[:, :h][lower[:h, :h]] = False
+        near_recompute(d2, near, lo)
+        np.sqrt(d2, out=d2)
+        np.divide(d2, scale, out=d2)
+
+    def mirror(lo):
+        hi = min(lo + rows, n)
+        block = d[lo:hi, lo:hi]
+        block += block.T
+        d[hi:, lo:hi] = d[lo:hi, hi:].T
+
+    def timed_gram():
+        each(gram)
+
+    def timed_elementwise():
+        each(gram)  # elementwise works in place on the Gram entries
+        t0 = time.perf_counter()
+        each(elementwise)
+        return time.perf_counter() - t0
+
+    def timed_mirror():
+        each(gram)
+        each(elementwise)
+        t0 = time.perf_counter()
+        each(mirror)
+        return time.perf_counter() - t0
+
+    out["gram_s"] = median_s(timed_gram)
+    out["elementwise_s"] = statistics.median(timed_elementwise() for _ in range(REPEATS))
+    out["mirror_s"] = statistics.median(timed_mirror() for _ in range(REPEATS))
+    return out
+
+
+def worker(path: str, save: str) -> dict:
+    """The measurements of one tree, the one on the import path."""
+    from phasestack import cluster, core
+    from phasestack.preprocess import center_pixel, prepare_for_clustering
+    from phasestack.wphs import read_stack
+
+    stack = read_stack(path)
+    anchor = center_pixel(stack.shape)  # the recipe's mask is full
+
+    def prepare():
+        return prepare_for_clustering(stack.frames, stack.mask, 1, anchor)[-2:]
+
+    pooled, mask = prepare()
+    d = cluster.pairwise_distances(pooled, mask)
+    merges = cluster.agglomerate(d).merges
+    np.save(save + ".npy", d)
+    with open(save + ".json", "w", encoding="utf-8") as fh:
+        json.dump(merges, fh)
+    out = {
+        "d_sha256": hashlib.sha256(d.tobytes()).hexdigest(),
+        "merges_sha256": hashlib.sha256(repr(merges).encode()).hexdigest(),
+        "workers": core.WORKERS,
+        "panel_rows": getattr(cluster, "_PANEL_ROWS", None),
+        "pairwise_s": median_s(lambda: cluster.pairwise_distances(pooled, mask)),
+        "agglomerate_s": median_s(lambda: cluster.agglomerate(d)),
+        **step_times(pooled, mask, cluster, core),
+    }
+    faults = []
+    for _ in range(REPEATS):
+        pooled, mask = prepare()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        cluster.pairwise_distances(pooled, mask)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    out["minflt"] = faults
+    out["ru_maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return out
+
+
+def run_tree(src: Path, path: Path, blas: str, save: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(var, None)
+        if blas != "default":
+            env[var] = blas
+    done = subprocess.run(
+        [sys.executable, str(HERE), "--worker", str(path), "--save", save],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def compare(runs: list, tmp: Path, path: Path) -> dict:
+    """Each run's outputs against the parent's and the test references."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    from cluster_reference import agglomerate_reference, pairwise_distances_reference
+
+    from phasestack.preprocess import center_pixel, prepare_for_clustering
+    from phasestack.wphs import read_stack
+
+    stack = read_stack(path)
+    pooled, mask = prepare_for_clustering(stack.frames, stack.mask, 1, center_pixel(stack.shape))[-2:]
+    ref_d = pairwise_distances_reference(pooled, mask)
+    ref_merges, out = {}, {}
+    for row in runs:
+        d = np.load(tmp / f"{row['save']}.npy")
+        with open(tmp / f"{row['save']}.json", encoding="utf-8") as fh:
+            merges = json.load(fh)
+        if row["d_sha256"] not in ref_merges:  # the linkage of this very d
+            ref_merges[row["d_sha256"]] = [list(m) for m in agglomerate_reference(d).merges]
+        rel = np.abs(d - ref_d) / np.where(ref_d > 0, ref_d, 1.0)
+        out[row["save"]] = {
+            "d_max_rel_err_vs_pdist": float(rel.max()),
+            "d_within_1e-12_of_pdist": bool(np.all(np.abs(d - ref_d) <= 1e-12 * ref_d)),
+            "merges_equal_full_rescan": merges == ref_merges[row["d_sha256"]],
+        }
+    return out
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--other", type=Path, help="src directory of the tree to compare with")
+    parser.add_argument("--out", default="BENCH_classify.json")
+    parser.add_argument("--worker", help=argparse.SUPPRESS)
+    parser.add_argument("--save", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        print(json.dumps(worker(args.worker, args.save)))
+        return
+    trees = [("change", SRC)] + ([("parent", args.other.resolve())] if args.other else [])
+    runs, checks, i = [], {}, 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for n in SIZES:
+            path = tmp / f"n{n}.wphs"
+            write_recipe(n, path)
+            rows = []
+            for blas in BLAS_SETTINGS:
+                for name, src in trees if i % 2 == 0 else trees[::-1]:
+                    save = f"{name}-n{n}-blas{blas}"
+                    row = {"tree": name, "n": n, "blas_threads": blas, "save": save,
+                           **run_tree(src, path, blas, str(tmp / save))}
+                    rows.append(row)
+                    print(json.dumps(row), flush=True)
+                i += 1
+            checks.update(compare(rows, tmp, path))
+            for row in rows:
+                parent = next(
+                    (r for r in rows if r["tree"] == "parent" and r["blas_threads"] == row["blas_threads"]),
+                    None,
+                )
+                row.update(checks[row.pop("save")])
+                if parent is not None and row["tree"] == "change":
+                    row["d_equal_parent"] = row["d_sha256"] == parent["d_sha256"]
+                    row["merges_equal_parent"] = row["merges_sha256"] == parent["merges_sha256"]
+            runs += rows
+            path.unlink()
+    doc = {
+        "benchmark": "classify: pairwise_distances and agglomerate, time, page faults and output equality",
+        "recipe": f"cluster-n1000 at N = {SIZES} ({GRID}x{GRID}, 2 families, 3% contaminants, 20 dB, seed 0)",
+        "repeats": REPEATS,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+            "blas_threads": "1 (OPENBLAS_NUM_THREADS=1) or default (unset: one per CPU)",
+        },
+        "runs": runs,
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()
