@@ -13,6 +13,13 @@ rather than accumulation-limited.
 
 The facts that depend on the mask alone (4-connectivity, border sinks) are
 derived once per distinct mask and reused while consecutive calls share it.
+So is the cut-free breadth-first tree of each (mask, seed), keyed on the
+mask's bytes and the seed (``_flood_tree``, two entries): a frame's cuts
+only remove edges, so where every pixel keeps an open neighbour one level
+up the frame's tree is the cached one with the cut edges taken out; where
+some lose it, ``_repair`` moves only the pixels whose level changed
+(decremental breadth-first search, after Ramalingam & Reps, J. Algorithms
+21, 1996), and where those are many the frame gets a search of its own.
 """
 
 from __future__ import annotations
@@ -214,49 +221,40 @@ def default_seed(mask: np.ndarray) -> tuple:
     return int(rows[k]), int(cols[k])
 
 
-def flood_unwrap(
-    frame: np.ndarray,
-    mask: np.ndarray | None = None,
-    cuts: BranchCutMap | None = None,
-    seed: tuple | None = None,
-) -> Surface:
-    """Flood-fill integration from a seed pixel, never crossing a cut edge.
+#: ``_repair`` gives up, and the frame gets a search of its own, when more
+#: than 1/_REPAIR_SHARE of the reached pixels are affected.  On a 256x256
+#: disk (2 vCPUs) the repair took about 6 us an affected pixel and the
+#: search about 6 ms, so the two break even near 1/64 of the pixels.
+_REPAIR_SHARE = 64
 
-    The seed keeps its input value; every reached pixel gets its parent's
-    value plus wrap(pixel - parent).  The pixels reached, and their
-    breadth-first levels, come from one scipy breadth-first search over
-    the graph of open edges (both ends valid, edge not cut).  A pixel's
-    parent is its open neighbour one level up, taken in the priority
-    left, above, right, below; k then propagates down that tree one level
-    at a time.  Pixels that cannot be reached without crossing a cut are
-    invalid in the output mask.
+
+@dataclass(frozen=True)
+class _Tree:
+    """Breadth-first spanning tree of the open edges from one seed pixel.
+
+    order holds the reached pixels (flat indices) level by level, level L
+    at order[bounds[L]:bounds[L + 1]]; pos[p] is p's position in order
+    (undefined where p is not reached) and depth[r, c] its level (-1 where
+    not reached).  up[d, r, c] is set where the edge from (r, c) to its
+    neighbour in direction d (left, above, right, below) is open and that
+    neighbour is one level up.
     """
-    frame = np.asarray(frame, dtype=np.float64)
-    check_frame(frame, mask)
-    h, w = frame.shape
-    if mask is None:
-        mask = np.ones((h, w), dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-    if not _mask_facts(mask.shape, mask.tobytes())[0]:
-        raise ValueError("flood_unwrap: valid region is not 4-connected")
-    if cuts is None:
-        cuts = BranchCutMap(
-            cut_right=np.zeros((h, w - 1), dtype=bool),
-            cut_down=np.zeros((h - 1, w), dtype=bool),
-        )
-    if seed is None:
-        seed = default_seed(mask)
-    sr, sc = seed
-    if not (0 <= sr < h and 0 <= sc < w) or not mask[sr, sc]:
-        raise ValueError("flood_unwrap: seed pixel is not valid")
 
-    ok_right = mask[:, :-1] & mask[:, 1:] & ~cuts.cut_right
-    ok_down = mask[:-1, :] & mask[1:, :] & ~cuts.cut_down
+    order: np.ndarray
+    pos: np.ndarray
+    bounds: tuple
+    depth: np.ndarray
+    up: np.ndarray
+
+
+def _bfs_tree(ok_right: np.ndarray, ok_down: np.ndarray, seed: int) -> _Tree:
+    """One scipy breadth-first search from the flat pixel index ``seed`` over
+    the open edges (ok_right as BranchCutMap.cut_right, ok_down as cut_down)."""
+    h, w = ok_right.shape[0], ok_down.shape[1]
     # Open-edge table in CSR form, four columns per row: p-w, p-1, p+1, p+w
     # where that edge is open, p itself where it is not (a self-loop is
     # never followed).  Rows need not be sorted: the levels, and the parents
-    # chosen below by direction priority, do not depend on neighbour order.
+    # chosen by direction priority, do not depend on neighbour order.
     n = h * w
     columns = np.arange(n, dtype=np.int32).reshape(h, w, 1).repeat(4, axis=2)
     columns[1:, :, 0] -= w * ok_down
@@ -265,7 +263,7 @@ def flood_unwrap(
     columns[:-1, :, 3] += w * ok_down
     indptr = np.arange(0, 4 * n + 1, 4, dtype=np.int32)
     graph = csr_matrix((np.ones(4 * n), columns.ravel(), indptr), shape=(n, n))
-    order, found_by = breadth_first_order(graph, sr * w + sc, return_predecessors=True)
+    order, found_by = breadth_first_order(graph, seed, return_predecessors=True)
     order = order.astype(np.intp)
     del graph, columns  # 52 bytes a pixel, freed before the tree's arrays are built
 
@@ -278,37 +276,216 @@ def flood_unwrap(
     bounds = [0, 1]
     while bounds[-1] < order.size:
         bounds.append(1 + int(np.searchsorted(found_at, bounds[-1])))
-    depth = np.full(n, -1, dtype=np.int32)
-    depth[order] = np.repeat(np.arange(len(bounds) - 1, dtype=np.int32), np.diff(bounds))
+    d = np.full((h, w), -1, dtype=np.int32)
+    d.ravel()[order] = np.repeat(np.arange(len(bounds) - 1, dtype=np.int32), np.diff(bounds))
+    up = np.zeros((4, h, w), dtype=bool)
+    np.logical_and(ok_right, d[:, :-1] == d[:, 1:] - 1, out=up[0, :, 1:])
+    np.logical_and(ok_down, d[:-1, :] == d[1:, :] - 1, out=up[1, 1:, :])
+    np.logical_and(ok_right, d[:, 1:] == d[:, :-1] - 1, out=up[2, :, :-1])
+    np.logical_and(ok_down, d[1:, :] == d[:-1, :] - 1, out=up[3, :-1, :])
+    return _Tree(order, pos, tuple(bounds), d, up)
 
-    # Each pixel's parent is its open neighbour one level up, in the
-    # priority left, above, right, below: lowest priority is written first.
-    d = depth.reshape(h, w)
-    to_parent = np.zeros((h, w), dtype=np.intp)
-    np.copyto(to_parent[:-1, :], w, where=ok_down & (d[1:, :] == d[:-1, :] - 1))
-    np.copyto(to_parent[:, :-1], 1, where=ok_right & (d[:, 1:] == d[:, :-1] - 1))
-    np.copyto(to_parent[1:, :], -w, where=ok_down & (d[:-1, :] == d[1:, :] - 1))
-    np.copyto(to_parent[:, 1:], -1, where=ok_right & (d[:, :-1] == d[:, 1:] - 1))
-    parent = order + to_parent.ravel()[order]
+
+@functools.lru_cache(maxsize=2)
+def _flood_tree(shape: tuple, mask_bytes: bytes, seed: int) -> _Tree:
+    """The cut-free ``_bfs_tree`` of the bool mask with these C-order bytes
+    from the flat pixel index ``seed``.  Keyed like ``_mask_facts``; two
+    entries, so two seeds on one mask, or two masks, alternate without a
+    rebuild.  Read-only because every caller shares it."""
+    mask = np.frombuffer(mask_bytes, dtype=bool).reshape(shape)
+    tree = _bfs_tree(mask[:, :-1] & mask[:, 1:], mask[:-1, :] & mask[1:, :], seed)
+    for a in (tree.order, tree.pos, tree.depth, tree.up):
+        a.flags.writeable = False
+    return tree
+
+
+def _parent_steps(up: np.ndarray) -> np.ndarray:
+    """Flat offset from each pixel to its parent: the first direction set in
+    ``up`` in the priority left, above, right, below; 0 where none is."""
+    _, h, w = up.shape
+    steps = np.zeros((h, w), dtype=np.intp)
+    for d, step in ((3, w), (2, 1), (1, -w), (0, -1)):  # the first direction is written last
+        np.copyto(steps, step, where=up[d])
+    return steps.ravel()
+
+
+def _repair(tree: _Tree, up: np.ndarray, ok_right: np.ndarray, ok_down: np.ndarray, lost: list):
+    """New levels and parents of the pixels whose level the cuts changed.
+
+    ``up`` is the cached tree's level-up edges minus the cut ones and
+    ``lost`` the reached pixels (other than the seed) left with none.  A
+    pixel is affected when every one of its remaining level-up neighbours
+    is affected; the lost ones are, and the rest follow from a count of
+    unaffected level-up neighbours per pixel, decremented as affected
+    pixels are found.  By induction on level, an unaffected pixel keeps
+    its level and an affected one moves down, so an unaffected pixel's
+    parent is its first unaffected level-up neighbour: ``up`` loses the
+    bits that point to affected pixels.  The affected pixels get their
+    levels from a breadth-first search among them, seeded from their
+    unaffected neighbours' levels, and their parents by the same priority.
+
+    Returns (late, parents, gone): the affected pixels still reached, in
+    order of their new levels, their parents, and the affected pixels no
+    longer reached.  Returns None, before the search, when more than
+    1/_REPAIR_SHARE of the reached pixels are affected.
+    """
+    _, h, w = up.shape
+    n = h * w
+    flat = list(up.reshape(4, n))
+    count = up.sum(axis=0, dtype=np.uint8).ravel()
+    steps = (-1, -w, 1, w)
+    affected = list(lost)
+    limit = tree.order.size // _REPAIR_SHARE
+    for a in affected:  # the list grows while it is walked
+        for up_d, step in zip(flat, steps):
+            q = a - step  # q has a as its level-up neighbour in this direction
+            if 0 <= q < n and up_d[q]:
+                up_d[q] = False
+                count[q] -= 1
+                if count[q] == 0:
+                    affected.append(q)
+        if len(affected) > limit:
+            return None
+
+    right = np.zeros((h, w), dtype=bool)
+    right[:, :-1] = ok_right
+    right = right.ravel()
+    down = np.zeros((h, w), dtype=bool)
+    down[:-1, :] = ok_down
+    down = down.ravel()
+
+    def neighbours(p):
+        """Open neighbours of p in the priority left, above, right, below."""
+        if p >= 1 and right[p - 1]:
+            yield p - 1
+        if p >= w and down[p - w]:
+            yield p - w
+        if right[p]:
+            yield p + 1
+        if down[p]:
+            yield p + w
+
+    depth = tree.depth.ravel()
+    inside = set(affected)
+    levels = {}
+    for a in affected:
+        outer = [int(depth[q]) for q in neighbours(a) if q not in inside]
+        if outer:
+            levels.setdefault(min(outer) + 1, []).append(a)
+    new = {}  # affected pixel -> its new level, filled level by level
+    level = min(levels, default=0)
+    while levels:
+        for a in levels.pop(level, ()):
+            if a not in new:
+                new[a] = level
+                for q in neighbours(a):
+                    if q in inside and q not in new:
+                        levels.setdefault(level + 1, []).append(q)
+        level += 1
+
+    def level_of(q):
+        return new.get(q) if q in inside else depth[q]
+
+    parents = [next(q for q in neighbours(a) if level_of(q) == new[a] - 1) for a in new]
+    gone = [a for a in affected if a not in new]
+    return list(new), parents, gone
+
+
+def flood_unwrap(
+    frame: np.ndarray,
+    mask: np.ndarray | None = None,
+    cuts: BranchCutMap | None = None,
+    seed: tuple | None = None,
+) -> Surface:
+    """Flood-fill integration from a seed pixel, never crossing a cut edge.
+
+    The seed keeps its input value; every reached pixel gets its parent's
+    value plus wrap(pixel - parent).  The tree is the breadth-first tree of
+    the open edges (both ends valid, edge not cut): a pixel's parent is its
+    open neighbour one level up, taken in the priority left, above, right,
+    below, and k propagates down that tree one level at a time.  Pixels
+    that cannot be reached without crossing a cut are invalid in the
+    output mask.
+
+    The cut-free tree of each (mask, seed) is built once by a scipy
+    breadth-first search and cached (``_flood_tree``).  A frame's cuts only
+    remove edges, and removing edges never shortens a path, so while every
+    reached pixel other than the seed keeps an open neighbour one level up,
+    induction on level shows that no level changes: the parents are then
+    the cached level-up edges minus the cut ones, and k is integrated on
+    the cached levels.  Where some pixel loses all of them, ``_repair``
+    moves only the pixels whose level changed; where those are many, one
+    new search of the frame (``_bfs_tree``, the routine that built the
+    cache) replaces the cached tree.  The result is the same in all three
+    cases.
+    """
+    frame = np.asarray(frame, dtype=np.float64)
+    check_frame(frame, mask)
+    h, w = frame.shape
+    if mask is None:
+        mask = np.ones((h, w), dtype=bool)
+    else:
+        mask = np.asarray(mask, dtype=bool)
+    mask_bytes = mask.tobytes()
+    if not _mask_facts(mask.shape, mask_bytes)[0]:
+        raise ValueError("flood_unwrap: valid region is not 4-connected")
+    if seed is None:
+        seed = default_seed(mask)
+    sr, sc = seed
+    if not (0 <= sr < h and 0 <= sc < w) or not mask[sr, sc]:
+        raise ValueError("flood_unwrap: seed pixel is not valid")
+
+    tree = _flood_tree(mask.shape, mask_bytes, sr * w + sc)
+    up = tree.up
+    if cuts is not None:
+        up = up.copy()
+        # a & ~b is a > b on bools: the level-up edges that are not cut
+        np.greater(up[0, :, 1:], cuts.cut_right, out=up[0, :, 1:])
+        np.greater(up[1, 1:, :], cuts.cut_down, out=up[1, 1:, :])
+        np.greater(up[2, :, :-1], cuts.cut_right, out=up[2, :, :-1])
+        np.greater(up[3, :-1, :], cuts.cut_down, out=up[3, :-1, :])
+    to_parent = _parent_steps(up)[tree.order]
+    late, late_parents, gone = [], [], []
+    lost = tree.order[1:][to_parent[1:] == 0]
+    if lost.size:  # only cuts take parents away
+        ok_right = mask[:, :-1] & mask[:, 1:] & ~cuts.cut_right
+        ok_down = mask[:-1, :] & mask[1:, :] & ~cuts.cut_down
+        repaired = _repair(tree, up, ok_right, ok_down, lost.tolist())
+        if repaired is None:
+            tree = _bfs_tree(ok_right, ok_down, sr * w + sc)
+            up = tree.up
+        else:
+            late, late_parents, gone = repaired
+        to_parent = _parent_steps(up)[tree.order]
+
+    order, pos, bounds = tree.order, tree.pos, tree.bounds
+    parent = order + to_parent
+    late_at = pos[np.array(late, dtype=np.intp)]
+    parent[late_at] = late_parents
     psi = frame.ravel()[order]
     diff = psi - frame.ravel()[parent]
     inc = np.rint((wrap(diff) - diff) / TWO_PI).astype(np.int64)
-    up = pos[parent]
+    up_at = pos[parent]
     k = np.zeros(order.size, dtype=np.int64)
     for start, stop in zip(bounds[1:-1], bounds[2:]):
-        k[start:stop] = k[up[start:stop]] + inc[start:stop]
+        k[start:stop] = k[up_at[start:stop]] + inc[start:stop]
+    for i in late_at.tolist():  # in order of their new levels
+        k[i] = k[up_at[i]] + inc[i]
     values = np.zeros((h, w))
     values.ravel()[order] = psi + TWO_PI * k
+    reached = tree.depth >= 0
+    values.ravel()[gone] = 0.0
+    reached.ravel()[gone] = False
 
     n_valid = int(mask.sum())
-    n_reached = order.size
+    n_reached = order.size - len(gone)
     warning = None
     if n_valid - n_reached > 0.5 * n_valid:
         warning = (
             f"unwrap reached only {n_reached} of {n_valid} valid pixels; "
             "branch cuts isolated most of the aperture"
         )
-    return Surface(values=values, mask=d >= 0, warning=warning)
+    return Surface(values=values, mask=reached, warning=warning)
 
 
 def unwrap(frame: np.ndarray, mask: np.ndarray | None = None, seed: tuple | None = None) -> Surface:

@@ -150,28 +150,68 @@ def test_criterion_04_reduction_property():
 
 
 def test_criterion_05_unwrap_count_scaling():
+    """The clustered route unwraps once per cluster at every N, the baseline
+    once per frame, and the unwrap + fit stage's cost follows those counts.
+
+    Each time is the minimum over ``rounds`` runs of a route on one stack;
+    every round runs both routes at every N, so a slow spell of the machine
+    falls on all of them.  The stage's time is asserted, not the total's:
+    the total also holds the stages common to both routes and the
+    clustered route's classify, whose O(N^2) cost is not what the unwrap
+    count explains.
+    """
     truth = peaks_surface(128, 37.82)
     params = PipelineParams(cut=0.55, min_samples=None, min_fraction=0.04)
     frame_counts = (40, 80, 160)
-    cluster_counts, ratios = [], []
+    rounds = 5
+    stacks = [
+        make_trial(
+            truth,
+            TrialSpec(frame_count=n, grid=128, snr_db=20.0, perturbation_count=4,
+                      tilt_jitter=6.0, seed=0),
+        )[0]
+        for n in frame_counts
+    ]
+    reps = {(n, route): [] for n in frame_counts for route in ("c", "v")}
+    for _ in range(rounds):
+        for n, stack in zip(frame_counts, stacks):
+            reps[n, "c"].append(run_clustered(stack, params))
+            reps[n, "v"].append(run_conventional(stack, params))
+
+    def stage_ms(report):
+        return report.stage_times_ms["unwrap"] + report.stage_times_ms["fit"]
+
+    cluster_counts, ratios, stage_c, stage_v = [], [], [], []
     for n in frame_counts:
-        spec = TrialSpec(
-            frame_count=n, grid=128, snr_db=20.0, perturbation_count=4,
-            tilt_jitter=6.0, seed=0,
+        reps_c, reps_v = reps[n, "c"], reps[n, "v"]
+        for rep_v in reps_v:
+            assert rep_v.unwrap_call_count == n
+        for rep_c in reps_c:
+            assert rep_c.unwrap_call_count == len(rep_c.chosen_sizes) <= 5
+            assert rep_c.unwrap_call_count == reps_c[0].unwrap_call_count
+        cluster_counts.append(reps_c[0].unwrap_call_count)
+        ratios.append(
+            min(r.total_time_ms for r in reps_c) / min(r.total_time_ms for r in reps_v)
         )
-        stack, _ = make_trial(truth, spec)
-        rep_c = run_clustered(stack, params)
-        rep_v = run_conventional(stack, params)
-        assert rep_v.unwrap_call_count == n
-        assert rep_c.unwrap_call_count == len(rep_c.chosen_sizes) <= 5
-        cluster_counts.append(rep_c.unwrap_call_count)
-        ratios.append(rep_c.total_time_ms / rep_v.total_time_ms)
+        stage_c.append(min(stage_ms(r) for r in reps_c))
+        stage_v.append(min(stage_ms(r) for r in reps_v))
     assert len(set(cluster_counts)) == 1  # constant across N
-    assert ratios[0] > ratios[1] > ratios[2]  # sub-linear relative cost
+    # The stage's share falls with N: a constant count of unwraps against N.
+    stage_ratios = [c / v for c, v in zip(stage_c, stage_v)]
+    assert stage_ratios[0] > stage_ratios[1] > stage_ratios[2]
+    # Four times the frames: the baseline's stage grows at least twofold
+    # (fourfold if linear), the clustered stage less than twofold.
+    assert stage_v[2] > 2.0 * stage_v[0]
+    assert stage_c[2] < 2.0 * stage_c[0]
+    assert ratios[2] < 1.0  # the clustered route is the faster at N = 160
     print(
         f"\n[PASS] criterion 5: clustered unwrap count {cluster_counts[0]} at every "
-        f"N in {frame_counts} vs N for the baseline; time ratios "
-        + " > ".join(f"{r:.3f}" for r in ratios)
+        f"N in {frame_counts} vs N for the baseline; unwrap + fit ms "
+        + ", ".join(f"{c:.1f} vs {v:.1f}" for c, v in zip(stage_c, stage_v))
+        + "; stage ratios "
+        + " > ".join(f"{r:.3f}" for r in stage_ratios)
+        + "; total time ratios "
+        + ", ".join(f"{r:.3f}" for r in ratios)
     )
 
 

@@ -7,6 +7,7 @@ spanning tree, so these cases check that the kernel builds the loop's tree.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -152,3 +153,165 @@ def test_noisy_aperture_with_goldstein_cuts(seed):
     assert cuts.edge_count > 0
     for s in [None, (32, 0), (0, 32)]:
         assert_same(frame, mask, cuts, s)
+
+
+# The three ways flood_unwrap builds a frame's tree: the cached cut-free tree
+# as it is, the cached tree with the pixels whose level the cuts changed
+# repaired, or one new search of the whole frame.
+unwrap_module = sys.modules["phasestack.unwrap"]
+
+
+def path_of(frame, mask, cuts, seed):
+    """Which of the three paths flood_unwrap takes on these arguments."""
+    real = unwrap_module._repair
+    log = []
+
+    def spy(*args):
+        out = real(*args)
+        log.append("full" if out is None else "repaired")
+        return out
+
+    unwrap_module._repair = spy
+    try:
+        flood_unwrap(frame, mask, cuts, seed)
+    finally:
+        unwrap_module._repair = real
+    return log[0] if log else "cached"
+
+
+def no_cuts(h, w):
+    return BranchCutMap(np.zeros((h, w - 1), dtype=bool), np.zeros((h - 1, w), dtype=bool))
+
+
+def wall(cuts, r0, r1, c0, c1):
+    """Cut every edge that crosses the border of rows r0..r1, columns c0..c1."""
+    h, w = cuts.cut_right.shape[0], cuts.cut_down.shape[1]
+    if c0 > 0:
+        cuts.cut_right[r0 : r1 + 1, c0 - 1] = True
+    if c1 < w - 1:
+        cuts.cut_right[r0 : r1 + 1, c1] = True
+    if r0 > 0:
+        cuts.cut_down[r0 - 1, c0 : c1 + 1] = True
+    if r1 < h - 1:
+        cuts.cut_down[r1, c0 : c1 + 1] = True
+
+
+def rim_pixels(mask):
+    """Valid pixels with an invalid or missing 4-neighbour."""
+    padded = np.pad(mask, 1)
+    inner = padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
+    return np.argwhere(mask & ~inner)
+
+
+@st.composite
+def broken_levels(draw, max_side=24):
+    """Cut maps that take level-up edges away from pixels of the cached tree:
+    edges on the seed's row and column, at the aperture rim, and walls around
+    rectangles, some of which wall off most of the frame."""
+    h = draw(st.integers(3, max_side))
+    w = draw(st.integers(3, max_side))
+    frame = draw(arrays(np.float64, (h, w), elements=st.one_of(phase, quarter_turns)))
+    if draw(st.booleans()):
+        mask = circular_aperture((h, w))
+        frame[~mask] = 0.0
+    else:
+        mask = np.ones((h, w), dtype=bool)
+    valid = np.argwhere(mask)
+    sr, sc = (int(v) for v in valid[draw(st.integers(0, len(valid) - 1))])
+    cuts = no_cuts(h, w)
+    kinds = st.sampled_from(["row", "column", "rim", "wall", "random"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=4)):
+        if kind == "row":
+            for c in draw(st.lists(st.integers(0, w - 2), min_size=1, max_size=3)):
+                cuts.cut_right[sr, c] = True
+        elif kind == "column":
+            for r in draw(st.lists(st.integers(0, h - 2), min_size=1, max_size=3)):
+                cuts.cut_down[r, sc] = True
+        elif kind == "rim":
+            rim = rim_pixels(mask)
+            r, c = rim[draw(st.integers(0, len(rim) - 1))]
+            cut_all = draw(st.booleans())  # wall the pixel off, or cut one edge
+            for er, ec, arr in ((r, c - 1, cuts.cut_right), (r, c, cuts.cut_right),
+                                (r - 1, c, cuts.cut_down), (r, c, cuts.cut_down)):
+                if 0 <= er < arr.shape[0] and 0 <= ec < arr.shape[1]:
+                    arr[er, ec] = True
+                    if not cut_all:
+                        break
+        elif kind == "wall":
+            r0, r1 = sorted(draw(st.lists(st.integers(0, h - 1), min_size=2, max_size=2)))
+            c0, c1 = sorted(draw(st.lists(st.integers(0, w - 1), min_size=2, max_size=2)))
+            wall(cuts, r0, r1, c0, c1)
+        else:
+            cuts.cut_right |= draw(arrays(bool, (h, w - 1), elements=sparse_bool))
+            cuts.cut_down |= draw(arrays(bool, (h - 1, w), elements=sparse_bool))
+    return frame, mask, cuts, (sr, sc)
+
+
+@given(broken_levels())
+def test_broken_levels_match_reference(case):
+    assert_same(*case)
+
+
+@given(broken_levels(max_side=48))
+def test_broken_levels_match_reference_larger(case):
+    assert_same(*case)
+
+
+def test_each_path_is_taken_and_exact():
+    n = 64
+    frame = wrap(peaks_surface(n, 30.0) + np.random.default_rng(1).normal(0, 0.8, (n, n)))
+    mask = circular_aperture((n, n))
+    frame[~mask] = 0.0
+    seed = (32, 32)
+    assert path_of(frame, mask, None, seed) == "cached"
+    cuts = no_cuts(n, n)
+    cuts.cut_right[10, 15] = True  # off the seed's row and column: each end
+    cuts.cut_down[5, 40] = True  # keeps another neighbour one level up
+    assert path_of(frame, mask, cuts, seed) == "cached"
+    assert_same(frame, mask, cuts, seed)
+
+    cuts.cut_right[32, 50] = True  # on the seed's row: the rest of the row moves
+    assert path_of(frame, mask, cuts, seed) == "repaired"
+    assert_same(frame, mask, cuts, seed)
+    wall(cuts, 2, 3, 30, 32)  # a pocket at the rim is walled off
+    assert path_of(frame, mask, cuts, seed) == "repaired"
+    assert_same(frame, mask, cuts, seed)
+    assert not flood_unwrap(frame, mask, cuts, seed).mask[2, 31]
+
+    wall(cuts, 28, 36, 28, 36)  # the seed's box: most of the disk moves
+    assert path_of(frame, mask, cuts, seed) == "full"
+    assert_same(frame, mask, cuts, seed)
+    assert flood_unwrap(frame, mask, cuts, seed).warning is not None
+
+
+def test_cuts_none_matches_reference():
+    frame, mask = annulus_vortex()
+    for seed in [None, (0, 12), (23, 11)]:
+        assert path_of(frame, mask, None, seed) == "cached"
+        assert_same(frame, mask, None, seed)
+
+
+def test_two_seeds_alternating_on_one_mask():
+    rng = np.random.default_rng(4)
+    mask = circular_aperture((48, 48))
+    frames = [wrap(peaks_surface(48, 20.0) + rng.normal(0, 0.9, (48, 48))) for _ in range(3)]
+    seeds = [(24, 24), (10, 20), (24, 24), (10, 20), (40, 30), (24, 24)]
+    for i, seed in enumerate(seeds):
+        frame = frames[i % 3]
+        frame[~mask] = 0.0
+        cuts = place_branch_cuts(detect_residues(frame, mask), mask)
+        assert_same(frame, mask, cuts, seed)
+        assert_same(frame, mask, None, seed)
+
+
+def test_mask_edited_in_place_between_calls():
+    frame, mask = annulus_vortex(32)
+    mask = mask.copy()
+    cuts = place_branch_cuts(detect_residues(frame, mask), mask)
+    seed = (0, 16)
+    assert_same(frame, mask, cuts, seed)
+    mask[14:18, 0:8] = False  # cuts the ring on the left: the tree goes round the right
+    assert_same(frame, mask, cuts, seed)
+    assert not flood_unwrap(frame, mask, cuts, seed).mask[16, 5]
+    mask[14:18, 0:8] = True
+    assert_same(frame, mask, cuts, seed)

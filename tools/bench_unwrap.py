@@ -1,0 +1,251 @@
+"""Unwrap benchmark: per-frame ``flood_unwrap`` time, the path each frame
+takes, and the clustered/conventional time ratio, for this tree and for
+another one (such as the parent commit).
+
+The stacks are written once as WPHS files and read by both trees:
+
+- conventional-256: perfbench's recipe (60 frames of the 256x256 peaks
+  surface at 5 dB in a circular aperture, two tilt families with 30 rad
+  jitter, no contaminants), seeds 0-9
+- cluster: the cluster-n1000 recipe (128x128, 20 dB, 3% contaminants,
+  seed 0) at N = 250, 500, 1000 and 2000 frames
+
+Each (stack, tree) is measured in a fresh process whose ``PYTHONPATH`` is
+that tree's ``src``; the trees alternate which runs first.  BLAS runs with
+one thread, as perfbench sets it.  Two kinds of rows:
+
+- ``flood`` (conventional-256 seeds 0-9, and the cluster stack at N = 1000
+  on the conventional route, the target of ROADMAP item 3): every frame is
+  piston-shifted to the center pixel and its residues and cuts found, as
+  ``run_conventional`` does, outside the timing.  Then
+  - ``flood_ms_per_frame``: the mean over frames of each frame's median
+    ``flood_unwrap`` time over ``REPEATS`` passes
+  - ``paths``: frames integrated on the cached tree, repaired, or searched
+    in full; a tree without ``unwrap._repair`` searches every frame
+  - ``ms_per_frame_by_path``: the median frame time of each path
+  - ``surfaces_sha256``: of every frame's values and mask, in frame order
+- ``ratio`` (the cluster stack at every N): ``run_clustered`` and
+  ``run_conventional`` with ``PipelineParams(cut=0.5, min_samples=None,
+  min_fraction=0.04)``, each the minimum wall time of ``ROUTE_REPEATS``
+  calls after ``read_stack``, their unwrap stage times, the ratio
+  clustered / conventional beside the paper's 0.77 (about 23% less
+  time), and the hash of each route's surface.
+
+The summary says whether every hash is equal between the trees.
+
+Run from the repository root, with the ``src`` of the tree to compare with,
+labelled ``parent`` (for example a ``git archive`` of the parent commit):
+
+    PYTHONPATH=src python tools/bench_unwrap.py --other PATH/src [--out BENCH_unwrap.json]
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+CONVENTIONAL_SEEDS = range(10)
+CLUSTER_SIZES = (250, 500, 1000, 2000)
+FLOOD_CLUSTER_N = 1000
+REPEATS = 5
+ROUTE_REPEATS = 2
+PAPER_RATIO = 0.77
+HERE = Path(__file__).resolve()
+SRC = HERE.parent.parent / "src"
+
+
+def write_recipe(path: Path, frames: int, grid: int, snr_db: float, contaminants: float,
+                 aperture: bool, seed: int) -> None:
+    from phasestack.core import PhaseStack, circular_aperture
+    from phasestack.synth import TrialSpec, make_trial, peaks_surface
+    from phasestack.wphs import write_stack
+
+    spec = TrialSpec(
+        frame_count=frames, grid=grid, snr_db=snr_db, perturbation_count=2,
+        contaminant_fraction=contaminants, tilt_jitter=30.0, seed=seed,
+    )
+    stack, _ = make_trial(peaks_surface(grid, 37.82), spec)
+    if aperture:
+        mask = circular_aperture((grid, grid))
+        stack = PhaseStack(frames=np.where(mask, stack.frames, 0.0), mask=mask)
+    write_stack(stack, path)
+
+
+def surface_hash(surfaces) -> str:
+    digest = hashlib.sha256()
+    for s in surfaces:
+        digest.update(s.values.tobytes() + s.mask.tobytes())
+    return digest.hexdigest()
+
+
+def flood_worker(path: str, repeats: int) -> dict:
+    """Flood time and paths of every frame of one stack, on this tree."""
+    from phasestack.core import detect_residues
+    from phasestack.preprocess import center_pixel, piston_shift
+    from phasestack.unwrap import flood_unwrap, place_branch_cuts
+    from phasestack.wphs import read_stack
+
+    unwrap_module = sys.modules["phasestack.unwrap"]
+    stack = read_stack(path)
+    mask, anchor = stack.mask, center_pixel(stack.shape)
+    frames = [piston_shift(f, mask, anchor) for f in stack.frames]
+    cuts = [place_branch_cuts(detect_residues(f, mask), mask) for f in frames]
+
+    real = getattr(unwrap_module, "_repair", None)
+    paths = []
+    if real is not None:
+        def spy(*args):
+            out = real(*args)
+            paths[-1] = "full" if out is None else "repaired"
+            return out
+
+        unwrap_module._repair = spy
+    try:
+        surfaces = []
+        for f, c in zip(frames, cuts):
+            paths.append("cached" if real is not None else "full")
+            surfaces.append(flood_unwrap(f, mask, c, anchor))
+    finally:
+        if real is not None:
+            unwrap_module._repair = real
+
+    times = [[] for _ in frames]
+    for _ in range(repeats):
+        for i, (f, c) in enumerate(zip(frames, cuts)):
+            t0 = time.perf_counter()
+            flood_unwrap(f, mask, c, anchor)
+            times[i].append(time.perf_counter() - t0)
+    per_frame = [statistics.median(t) * 1e3 for t in times]
+    by_path = {}
+    for p, t in zip(paths, per_frame):
+        by_path.setdefault(p, []).append(t)
+    return {
+        "frames": len(frames),
+        "cut_edges": sum(c.edge_count for c in cuts),
+        "flood_ms_per_frame": statistics.mean(per_frame),
+        "paths": {p: paths.count(p) for p in ("cached", "repaired", "full")},
+        "ms_per_frame_by_path": {p: statistics.median(t) for p, t in sorted(by_path.items())},
+        "surfaces_sha256": surface_hash(surfaces),
+    }
+
+
+def ratio_worker(path: str, repeats: int) -> dict:
+    """Both routes on one stack, on this tree."""
+    from phasestack.pipeline import PipelineParams, run_clustered, run_conventional
+    from phasestack.wphs import read_stack
+
+    params = PipelineParams(cut=0.5, min_samples=None, min_fraction=0.04)
+    stack = read_stack(path)
+    out = {}
+    for name, route in (("clustered", run_clustered), ("conventional", run_conventional)):
+        best = None
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            report = route(stack, params)
+            seconds = time.perf_counter() - t0
+            if best is None or seconds < best[0]:
+                best = (seconds, report)
+        seconds, report = best
+        out[f"{name}_s"] = seconds
+        out[f"{name}_unwrap_s"] = report.stage_times_ms["unwrap"] / 1e3
+        out[f"{name}_unwraps"] = report.unwrap_call_count
+        out[f"{name}_sha256"] = surface_hash([report.surface])
+    out["clustered_over_conventional"] = out["clustered_s"] / out["conventional_s"]
+    out["paper_ratio"] = PAPER_RATIO
+    return out
+
+
+def run_tree(src: Path, kind: str, path: Path, repeats: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    done = subprocess.run(
+        [sys.executable, str(HERE), "--worker", kind, "--stack", str(path), "--repeats", str(repeats)],
+        env=env, stdout=subprocess.PIPE, text=True, check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--other", type=Path, help="src directory of the tree to compare with")
+    parser.add_argument("--out", default="BENCH_unwrap.json")
+    parser.add_argument("--worker", choices=("flood", "ratio"), help=argparse.SUPPRESS)
+    parser.add_argument("--stack", help=argparse.SUPPRESS)
+    parser.add_argument("--repeats", type=int, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        worker = flood_worker if args.worker == "flood" else ratio_worker
+        print(json.dumps(worker(args.stack, args.repeats)))
+        return
+    trees = [("change", SRC)] + ([("parent", args.other.resolve())] if args.other else [])
+    jobs = [("flood", "conventional-256", seed, (60, 256, 5.0, 0.0, True, seed), REPEATS)
+            for seed in CONVENTIONAL_SEEDS]
+    for n in CLUSTER_SIZES:
+        recipe = (n, 128, 20.0, 0.03, False, 0)
+        if n == FLOOD_CLUSTER_N:
+            jobs.append(("flood", f"cluster-n{n}", 0, recipe, 3))
+        jobs.append(("ratio", f"cluster-n{n}", 0, recipe, ROUTE_REPEATS))
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (kind, stack_name, seed, recipe, repeats) in enumerate(jobs):
+            path = Path(tmp) / "stack.wphs"
+            write_recipe(path, *recipe)
+            group = []
+            for name, src in trees if i % 2 == 0 else trees[::-1]:
+                row = {"kind": kind, "stack": stack_name, "seed": seed, "tree": name,
+                       **run_tree(src, kind, path, repeats)}
+                group.append(row)
+                print(json.dumps(row), flush=True)
+            hashes = {k for k in group[0] if k.endswith("sha256")}
+            equal = all(r[k] == group[0][k] for r in group for k in hashes)
+            for row in group:
+                row["outputs_equal_across_trees"] = equal
+            rows += group
+            path.unlink()
+    summary = {"every_output_equal_across_trees": all(r["outputs_equal_across_trees"] for r in rows)}
+    for name, _ in trees:
+        flood = [r for r in rows if r["tree"] == name and r["kind"] == "flood"]
+        summary[name] = {
+            "flood_ms_per_frame": {f"{r['stack']} seed {r['seed']}": r["flood_ms_per_frame"] for r in flood},
+            "paths": {f"{r['stack']} seed {r['seed']}": r["paths"] for r in flood},
+            "clustered_over_conventional": {
+                r["stack"]: r["clustered_over_conventional"]
+                for r in rows if r["tree"] == name and r["kind"] == "ratio"
+            },
+        }
+    doc = {
+        "benchmark": "unwrap: flood_unwrap per frame and by path; clustered / conventional time",
+        "recipes": {
+            "conventional-256": "60 x 256x256 circular aperture, 5 dB, 2 families, no contaminants, seeds 0-9",
+            "cluster": f"N = {CLUSTER_SIZES} x 128x128, 20 dB, 2 families, 3% contaminants, seed 0",
+        },
+        "repeats": {"flood": REPEATS, f"flood cluster-n{FLOOD_CLUSTER_N}": 3, "routes": ROUTE_REPEATS},
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+            "blas_threads": "1",
+        },
+        "summary": summary,
+        "runs": rows,
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()
