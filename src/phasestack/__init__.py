@@ -65,7 +65,6 @@ from .unwrap import (
 from .wphs import StackFormatError, read_stack, write_report, write_stack
 from .zernike import (
     DEFAULT_WAVELENGTH_NM,
-    ZernikeBasis,
     ZernikeFit,
     phase_to_height,
     rmse,
@@ -122,7 +121,6 @@ __all__ = [
     "write_report",
     "write_stack",
     "DEFAULT_WAVELENGTH_NM",
-    "ZernikeBasis",
     "ZernikeFit",
     "phase_to_height",
     "rmse",

@@ -120,13 +120,14 @@ def check_distance_matrix(d: np.ndarray) -> None:
     d = np.asarray(d)
     if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] < 2:
         raise ValueError("distance matrix must be square with n >= 2")
-    if not np.all(np.isfinite(d)):
+    lo, hi = d.min(), d.max()  # both propagate NaN, so they check finiteness too
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("distance matrix must be finite")
     if not np.array_equal(d, d.T):
         raise ValueError("distance matrix must be symmetric")
     if np.any(np.diag(d) != 0.0):
         raise ValueError("distance matrix must have a zero diagonal")
-    if np.any(d < 0.0):
+    if lo < 0.0:
         raise ValueError("distance matrix must be nonnegative")
 
 

@@ -14,8 +14,8 @@ frames.
 Every part has ``modes_removed`` fitted and removed before the parts
 enter a running weighted mean.  Piston must be among those modes: it
 aligns the arbitrary 2*pi*k offset that unwrapping leaves per part.  The
-fit's design is factored once per distinct part mask (``ZernikeBasis``);
-a part whose unwrap left pixels unreached is fitted by ``lstsq``.
+fit is made on the mask the unwrap reached, whose factored design
+``zernike_fit_remove`` caches.
 
 Failure policy: a part whose unwrap or fit raises ValueError is dropped
 with a warning naming its frames and the reason; the run raises
@@ -39,8 +39,7 @@ from .cluster import pairwise_distances, select_clusters
 from .core import PhaseStack
 from .preprocess import center_pixel, piston_shift, prepare_for_clustering
 from .unwrap import Surface, default_seed, unwrap
-from .zernike import DEFAULT_WAVELENGTH_NM, MODES, ZernikeBasis, phase_to_height, rmse
-from .zernike import zernike_fit_remove
+from .zernike import DEFAULT_WAVELENGTH_NM, MODES, phase_to_height, rmse, zernike_fit_remove
 
 WEIGHTINGS = ("by-size", "uniform")
 STAGES = ("preprocess", "classify", "denoise", "unwrap", "fit", "combine")
@@ -196,7 +195,6 @@ def _measure(stack: PhaseStack, params: PipelineParams, method: str) -> SurfaceR
     den = np.zeros(stack.shape)
     kept, fits = [], []
     unwraps = 0
-    basis = None  # the Zernike design of the latest part mask, factored
     for members in parts:
         try:
             if len(members) == 1:
@@ -213,9 +211,7 @@ def _measure(stack: PhaseStack, params: PipelineParams, method: str) -> SurfaceR
                 unwraps += 1
                 s = unwrap(frame, mask, seed=seed)
             with _timed(times, "fit"):
-                if basis is None or not np.array_equal(basis.mask, mask):
-                    basis = ZernikeBasis(mask, params.modes_removed)
-                residual, fit = zernike_fit_remove(s, modes=params.modes_removed, basis=basis)
+                residual, fit = zernike_fit_remove(s, modes=params.modes_removed)
         except ValueError as exc:
             warnings.append(f"frames {members} dropped: {exc}")
             continue

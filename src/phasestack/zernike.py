@@ -5,13 +5,14 @@ Z1 = rho*cos(theta), tilt-y Z2 = rho*sin(theta), and power (defocus)
 Z3 = 2*rho^2 - 1.  The unit disk is the mask's bounding circle centered
 at the mask centroid, so rho <= 1 on every valid pixel.
 
-``zernike_fit_remove`` fits by ``np.linalg.lstsq``, one SVD per call; that
-path is the reference.  ``ZernikeBasis`` factors one mask's design once, so
-fits of many surfaces on that mask cost two matrix-vector products each.
+``zernike_fit_remove`` factors the design of each fitted mask once and
+caches the factorization, so fits of many surfaces on one mask cost two
+matrix-vector products each.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,52 +94,39 @@ def _check_modes(modes) -> tuple:
 _RANK_DEFICIENT = "zernike_fit_remove: rank-deficient design (collinear valid pixels)"
 
 
-class ZernikeBasis:
-    """The design of one mask, factored once: ``zernike_fit_remove(...,
-    basis=)`` fits any surface on exactly this mask and these modes with two
-    matrix-vector products instead of an SVD.
+@functools.lru_cache(maxsize=2)
+def _basis(shape: tuple, mask_bytes: bytes, modes: tuple) -> tuple:
+    """(center, radius, design, pinv) of the bool mask with these C-order
+    bytes and these modes.  Keyed like ``unwrap._mask_facts``; two entries,
+    so an aperture and a part's reached mask alternate without a rebuild.
 
     The pseudo-inverse comes from one thin SVD of the design, ranked by
-    lstsq's ``rcond=None`` rule (a singular value counts when it exceeds
-    eps * max(M, N) times the largest); the checks and their ``ValueError``
-    messages are ``zernike_fit_remove``'s.  The mask is copied, so later
-    edits of the caller's array do not reach it.
+    numpy's default least-squares cutoff (a singular value counts when it
+    exceeds eps * max(M, N) times the largest).  Read-only because every
+    caller shares it.
     """
-
-    def __init__(self, mask, modes=MODES):
-        self.mask = np.array(mask, dtype=bool)
-        self.modes = _check_modes(modes)
-        self.center, self.radius, self.design = _design(self.mask, self.modes)
-        u, s, vt = np.linalg.svd(self.design, full_matrices=False)
-        if np.count_nonzero(s > np.finfo(float).eps * max(self.design.shape) * s[0]) < len(s):
-            raise ValueError(_RANK_DEFICIENT)
-        self.pinv = np.ascontiguousarray((vt.T / s) @ u.T)
+    center, radius, design = _design(np.frombuffer(mask_bytes, dtype=bool).reshape(shape), modes)
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    if np.count_nonzero(s > np.finfo(float).eps * max(design.shape) * s[0]) < len(s):
+        raise ValueError(_RANK_DEFICIENT)
+    pinv = np.ascontiguousarray((vt.T / s) @ u.T)
+    design.flags.writeable = pinv.flags.writeable = False
+    return center, radius, design, pinv
 
 
-def zernike_fit_remove(surface, mask=None, modes=MODES, *, basis: ZernikeBasis | None = None):
+def zernike_fit_remove(surface, mask=None, modes=MODES):
     """Fit the selected modes over valid pixels and subtract them.
 
     Returns (residual, fit); residual is a Surface when a Surface was
     passed in, otherwise a plain array.  Raises on a rank-deficient
-    design (e.g., all valid pixels collinear).
-
-    With a ``basis`` whose mask equals the surface's valid mask and whose
-    modes equal ``modes``, the coefficients are ``basis.pinv @ v`` and the
-    residual ``v - design @ coef``; otherwise ``basis`` is ignored and the
-    fit is ``np.linalg.lstsq``'s.  The two agree to within the bounds in
-    README "Conventions".
+    design (e.g., all valid pixels collinear).  The coefficients are
+    ``pinv @ v`` and the residual ``v - design @ coef``, within the bounds
+    in README "Conventions" of a least-squares solve.
     """
     values, m = _values_mask(surface, mask)
     modes = _check_modes(modes)
-    v = values[m]
-    if basis is not None and basis.modes == modes and np.array_equal(basis.mask, m):
-        center, radius, design = basis.center, basis.radius, basis.design
-        coef = basis.pinv @ v
-    else:
-        center, radius, design = _design(m, modes)
-        coef, _res, rank, _sv = np.linalg.lstsq(design, v, rcond=None)
-        if rank < len(modes):
-            raise ValueError(_RANK_DEFICIENT)
+    center, radius, design, pinv = _basis(m.shape, m.tobytes(), modes)
+    coef = pinv @ values[m]
     fit = ZernikeFit(modes=modes, coefficients=coef, center=center, radius=radius)
     residual = values.copy()
     residual[m] -= design @ coef

@@ -95,6 +95,14 @@ class TestCheckDistanceMatrix:
         with pytest.raises(ValueError, match="distance matrix must be finite"):
             agglomerate(d)
 
+    @pytest.mark.parametrize("bad", [-np.inf, np.nan])
+    def test_non_finite_reported_before_negative(self, bad):
+        """min() reaches -inf and propagates NaN, so the finiteness message
+        comes first even where a negative entry is also present."""
+        d = np.array([[0.0, bad, -1.0], [bad, 0.0, 1.0], [-1.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="distance matrix must be finite"):
+            check_distance_matrix(d)
+
 
 class TestAgglomerate:
     def test_two_leaves(self):

@@ -4,7 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from zernike_reference import FIT_TOL, zernike_fit_remove_reference
 
+from phasestack import pipeline
 from phasestack.cluster import NoClusterError
 from phasestack.core import PhaseStack, circular_aperture, detect_residues, wrap
 from phasestack.pipeline import (
@@ -20,7 +22,7 @@ from phasestack.preprocess import avg_pool2, center_pixel, piston_shift
 from phasestack.synth import CONTAMINANT, TrialSpec, make_trial, peaks_surface
 from phasestack.unwrap import flood_unwrap, unwrap
 from phasestack.wphs import read_stack, write_stack
-from phasestack.zernike import ZernikeBasis, zernike_fit_remove
+from phasestack.zernike import _basis, zernike_fit_remove
 
 
 def family_trial(seed=0, n=16, grid=32, q=2, snr=20.0, jitter=3.0, frac=0.0):
@@ -207,15 +209,54 @@ class TestOnePipeline:
         params = PipelineParams(classify=False)
         shifted = piston_shift(stack.frames, stack.mask)
         surface = unwrap(shifted[0], stack.mask, seed=center_pixel(stack.shape))
-        basis = ZernikeBasis(stack.mask, params.modes_removed)
-        expected, _ = zernike_fit_remove(surface, modes=params.modes_removed, basis=basis)
+        expected, _ = zernike_fit_remove(surface, modes=params.modes_removed)
         rep = run_clustered(stack, params)
         assert np.array_equal(rep.surface.mask, expected.mask)
         assert np.array_equal(rep.surface.values, expected.values)
-        # and within the basis fit's stated bound of the lstsq oracle
-        oracle, _ = zernike_fit_remove(surface, modes=params.modes_removed)
-        bound = 1e-12 * (1.0 + np.abs(surface.values[surface.mask]).max())
+        # and within the fit's stated bound of the lstsq oracle
+        oracle, _ = zernike_fit_remove_reference(surface, modes=params.modes_removed)
+        bound = FIT_TOL * (1.0 + np.abs(surface.values[surface.mask]).max())
         assert np.abs(rep.surface.values - oracle.values).max() <= bound
+
+    @pytest.mark.parametrize("route, classify", [(run_conventional, True), (run_clustered, False)])
+    def test_walled_off_parts_fit_on_their_reached_mask(self, monkeypatch, route, classify):
+        """A part whose flood walls off pixels is fitted on the mask it
+        reached, through the cached factorization: no lstsq is called, each
+        part stays within FIT_TOL of the oracle, and each distinct fitted
+        mask is factored once.  Here no two walled-off parts are adjacent;
+        two in a row would evict the aperture from the two-entry cache."""
+        mask = circular_aperture((48, 48))
+        stack, _ = family_trial(seed=8, n=8, grid=48, snr=5.0, jitter=30.0)
+        stack = PhaseStack(frames=np.where(mask, stack.frames, 0.0), mask=mask)
+        parts = []  # (mask given to unwrap, the surface it returned)
+        fitted = []  # (surface given to the fit, its residual)
+
+        def recorded_unwrap(frame, m, **kwargs):
+            parts.append((m, unwrap(frame, m, **kwargs)))
+            return parts[-1][1]
+
+        def recorded_fit(s, **kwargs):
+            residual, fit = zernike_fit_remove(s, **kwargs)
+            fitted.append((s, residual))
+            return residual, fit
+
+        def no_lstsq(*args, **kwargs):
+            raise AssertionError("np.linalg.lstsq called")
+
+        _basis.cache_clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(np.linalg, "lstsq", no_lstsq)
+            mp.setattr(pipeline, "unwrap", recorded_unwrap)
+            mp.setattr(pipeline, "zernike_fit_remove", recorded_fit)
+            rep = route(stack, PipelineParams(classify=classify))
+        assert not rep.warnings
+        assert any(not np.array_equal(m, s.mask) for m, s in parts)
+        for s, residual in fitted:
+            want, _ = zernike_fit_remove_reference(s)
+            bound = FIT_TOL * (1.0 + np.abs(s.values[s.mask]).max())
+            assert np.array_equal(residual.mask, s.mask)
+            assert np.abs(residual.values - want.values).max() <= bound
+        assert _basis.cache_info().misses == len({s.mask.tobytes() for s, _ in fitted})
 
 
 class TestStackHeldOnce:

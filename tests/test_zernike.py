@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zernike_reference import FIT_TOL, zernike_fit_remove_reference
+
 from phasestack.core import circular_aperture
 from phasestack.unwrap import Surface
 from phasestack.zernike import (
     DEFAULT_WAVELENGTH_NM,
     MODES,
-    ZernikeBasis,
     ZernikeFit,
+    _basis,
     _mode_values,
     phase_to_height,
     rmse,
@@ -24,8 +26,8 @@ def disk_mask(n):
 
 
 def fit_remove_fancy_index(values, m, modes=MODES):
-    """zernike_fit_remove with rows, cols fancy indexing: the oracle for
-    the boolean-mask gather and scatter."""
+    """The lstsq fit with rows, cols fancy indexing: the oracle for the
+    reference's boolean-mask gather and scatter."""
     rows, cols = np.nonzero(m)
     cy, cx = rows.mean(), cols.mean()
     radius = float(np.sqrt(((rows - cy) ** 2 + (cols - cx) ** 2).max()))
@@ -47,7 +49,7 @@ class TestFitRemove:
         values = rng.normal(0.0, 3.0, size=shape)
         mask = rng.random(shape) > rng.uniform(0.1, 0.7)
         modes = MODES[: 1 + seed % len(MODES)]
-        residual, fit = zernike_fit_remove(values, mask, modes)
+        residual, fit = zernike_fit_remove_reference(values, mask, modes)
         want_residual, want_coef = fit_remove_fancy_index(values, mask, modes)
         assert fit.coefficients.tobytes() == want_coef.tobytes()
         assert residual.tobytes() == want_residual.tobytes()
@@ -155,13 +157,6 @@ class TestFitRemove:
         assert np.abs(recon - values)[mask].max() < 1e-9
 
 
-# ZernikeBasis against the lstsq oracle: coefficients within FIT_TOL of
-# max(max|coef|, max|v|), residuals within FIT_TOL * (1 + max|v|) rad.  The
-# largest seen over these suites and the 256x256 disk of BENCH_fit.json is
-# under 2e-13 and 1e-14 of those scales.
-FIT_TOL = 1e-12
-
-
 @st.composite
 def fit_masks(draw):
     """Masks of every shape the fit must handle or reject: disks, disks
@@ -195,28 +190,27 @@ def fit_masks(draw):
     return mask
 
 
-def fit_or_error(values, mask, modes, basis=None):
+def fit_or_error(fit_remove, values, mask, modes):
     try:
-        return zernike_fit_remove(values, mask, modes, basis=basis)
+        return fit_remove(values, mask, modes)
     except ValueError as exc:
         return str(exc)
 
 
-class TestZernikeBasis:
+class TestCachedFactorization:
+    """zernike_fit_remove against the lstsq oracle of zernike_reference."""
+
     @given(fit_masks(), st.integers(1, len(MODES)), st.integers(0, 2**32 - 1),
            st.floats(-3.0, 3.0))
     def test_within_bound_of_lstsq(self, mask, n_modes, seed, log_scale):
         modes = MODES[:n_modes]
         values = np.random.default_rng(seed).normal(0.0, 10.0**log_scale, size=mask.shape)
-        want = fit_or_error(values, mask, modes)
-        try:
-            basis = ZernikeBasis(mask, modes)
-        except ValueError as exc:
-            assert str(exc) == want  # the same check fails, with the same message
+        want = fit_or_error(zernike_fit_remove_reference, values, mask, modes)
+        got = fit_or_error(zernike_fit_remove, values, mask, modes)
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want  # the same check fails, with the same message
             return
-        residual, fit = zernike_fit_remove(values, mask, modes, basis=basis)
-        assert not isinstance(want, str), want
-        want_residual, want_fit = want
+        (residual, fit), (want_residual, want_fit) = got, want
         v_max = np.abs(values[mask]).max()
         c_max = np.abs(want_fit.coefficients).max()
         assert np.abs(fit.coefficients - want_fit.coefficients).max() <= FIT_TOL * max(c_max, v_max)
@@ -237,52 +231,49 @@ class TestZernikeBasis:
         else:
             mask[:, 4] = True
         for modes in (MODES, ("tilt_x",)):
-            want = fit_or_error(np.zeros((12, 12)), mask, modes)
+            want = fit_or_error(zernike_fit_remove_reference, np.zeros((12, 12)), mask, modes)
             if isinstance(want, str):
                 with pytest.raises(ValueError) as info:
-                    ZernikeBasis(mask, modes)
+                    zernike_fit_remove(np.zeros((12, 12)), mask, modes)
                 assert str(info.value) == want
         with pytest.raises(ValueError, match="nonempty subset"):
-            ZernikeBasis(disk_mask(16), ("piston", "coma"))
+            zernike_fit_remove(np.zeros((16, 16)), disk_mask(16), ("piston", "coma"))
 
-    @given(fit_masks(), st.integers(0, 2**32 - 1))
-    def test_other_mask_or_modes_gets_the_lstsq_bits(self, mask, seed):
-        rng = np.random.default_rng(seed)
-        values = rng.normal(size=mask.shape)
-        other = mask.copy()
-        other.flat[rng.integers(0, mask.size)] ^= True
-        try:
-            basis = ZernikeBasis(mask, MODES)
-        except ValueError:
-            return
-        for m, modes in ((other, MODES), (mask, MODES[:3]), (mask, MODES[::-1])):
-            got = fit_or_error(values, m, modes, basis=basis)
-            want = fit_or_error(values, m, modes)
-            if isinstance(want, str):
-                assert got == want
-                continue
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1].coefficients.tobytes() == want[1].coefficients.tobytes()
-
-    def test_mask_is_copied(self):
+    def test_mask_edited_in_place_gets_a_fresh_factorization(self):
+        _basis.cache_clear()
         mask = disk_mask(21)
-        basis = ZernikeBasis(mask)
-        mask[10, 10] = False
         values = np.random.default_rng(1).normal(size=(21, 21))
-        got, _ = zernike_fit_remove(values, mask, basis=basis)
-        want, _ = zernike_fit_remove(values, mask)
-        assert got.tobytes() == want.tobytes()
-        assert basis.mask[10, 10]
+        zernike_fit_remove(values, mask)
+        mask[10, 10] = False
+        got, fit = zernike_fit_remove(values, mask)
+        want, want_fit = zernike_fit_remove_reference(values, mask)
+        assert _basis.cache_info().misses == 2
+        assert got[10, 10] == 0.0
+        v_max = np.abs(values[mask]).max()
+        assert np.abs(got - want).max() <= FIT_TOL * (1.0 + v_max)
+        assert fit.center == want_fit.center
+
+    def test_one_factorization_per_mask_and_modes(self):
+        _basis.cache_clear()
+        values = np.random.default_rng(3).normal(size=(16, 16))
+        for _ in range(3):
+            zernike_fit_remove(values, disk_mask(16))
+        zernike_fit_remove(values, disk_mask(16), MODES[:3])
+        info = _basis.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
 
     def test_surface_in_surface_out(self):
         mask = disk_mask(16)
         values = np.random.default_rng(2).normal(size=(16, 16))
         surf = Surface(values=values, mask=mask, warning="w")
-        residual, fit = zernike_fit_remove(surf, basis=ZernikeBasis(mask))
-        want, _ = zernike_fit_remove(values, mask, basis=ZernikeBasis(mask))
+        residual, _ = zernike_fit_remove(surf)
+        want, _ = zernike_fit_remove_reference(surf)
         assert isinstance(residual, Surface)
         assert residual.warning == "w"
-        assert residual.values.tobytes() == want.tobytes()
+        assert np.array_equal(residual.mask, want.mask)
+        assert residual.values.tobytes() == zernike_fit_remove(values, mask)[0].tobytes()
+        v_max = np.abs(values[mask]).max()
+        assert np.abs(residual.values - want.values).max() <= FIT_TOL * (1.0 + v_max)
 
 
 class TestRmse:

@@ -1,27 +1,37 @@
-"""Fit-layer benchmark: ``ZernikeBasis`` fits against the ``lstsq`` oracle,
-and the unwrap's per-mask facts cold and warm.
+"""Fit-layer benchmark: ``zernike_fit_remove`` cold and warm against the
+``lstsq`` oracle, the parts the flood did not fully reach, and the unwrap's
+per-mask caches cold and warm.
 
 Builds perfbench's conventional-256 recipe (60 frames of the 256x256 peaks
 surface at 5 dB in a circular aperture, two tilt families with 30 rad
-jitter, no contaminants, seed 0), piston-shifts it as ``run_conventional``
-does and unwraps every frame from the center pixel.  Then it records:
+jitter, no contaminants), piston-shifts it as ``run_conventional`` does and
+unwraps every frame from the center pixel.  On seed 0 it records:
 
-- ``oracle_fit_s``: per-fit time of ``zernike_fit_remove(surface, modes=MODES)``,
-  the ``lstsq`` path; median of 7 passes over the 60 surfaces
-- ``basis_fit_s``: per-fit time of the same call with ``basis=`` a
-  ``ZernikeBasis`` of the aperture (the passes alternate with the oracle's)
-- ``basis_build_s``: median of 7 ``ZernikeBasis(mask, MODES)`` builds
+- ``cold_fit_s``: per-fit time of ``zernike_fit_remove(surface, modes=MODES)``
+  with its factorization cache cleared before each fit (build + fit)
+- ``warm_fit_s``: per-fit time of the same call with the cache as the
+  pipeline leaves it: the aperture stays factored, and a surface the flood
+  did not fully reach is fitted on its own reached mask
+- ``oracle_fit_s``: per-fit time of ``tests/zernike_reference.py``'s
+  ``zernike_fit_remove_reference``, one ``lstsq`` per call
+- ``build_s``: one factorization of the aperture, build + fit minus a warm
+  fit of the same fully reached surface
 - ``max_abs_dresidual_rad`` and ``max_rel_dcoef``: the largest |residual
-  difference| over every reached pixel, and the largest |coefficient
-  difference| over the largest |coefficient| of the same fit
+  difference| from the oracle over every reached pixel, and the largest
+  |coefficient difference| over the largest |coefficient| of the same fit
 - ``cuts_flood_cold_s`` and ``cuts_flood_warm_s``: per-frame time of
   ``place_branch_cuts`` plus ``flood_unwrap``, with the unwrap's caches
   (mask facts and flood tree) cleared before each frame and with them
-  holding the aperture; medians of 7 passes over the 60 frames (residues
-  are detected outside the timing)
+  holding the aperture (residues are detected outside the timing)
 
-and writes them to ``BENCH_fit.json``.  Fits of surfaces the flood did not
-fully reach take the ``lstsq`` path in both timings, as in the pipeline.
+Each time is the median of ``REPEATS`` passes over the 60 surfaces, the
+fit passes alternating.  Over seeds 0-9 (``UNREACHED_SEEDS``) it counts the
+surfaces the flood did not fully reach and their lost pixels, and times
+their fits both ways: ``parent_s``, the oracle's ``lstsq`` (the fit such
+parts took before every fit went through a cached factorization), and
+``change_s``, a cold ``zernike_fit_remove`` (a reached mask is new, so its
+fit includes the build); medians over the parts of the per-part medians of
+``REPEATS`` calls.  It writes everything to ``BENCH_fit.json``.
 
 Run from the repository root:
 
@@ -35,31 +45,45 @@ import json
 import os
 import platform
 import statistics
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from phasestack.core import PhaseStack, circular_aperture, detect_residues
-from phasestack.preprocess import center_pixel, piston_shift
-from phasestack.synth import TrialSpec, make_trial, peaks_surface
-from phasestack.unwrap import _flood_tree, _mask_facts, flood_unwrap, place_branch_cuts
-from phasestack.zernike import MODES, ZernikeBasis, zernike_fit_remove
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from zernike_reference import zernike_fit_remove_reference  # noqa: E402
+
+from phasestack.core import PhaseStack, circular_aperture, detect_residues  # noqa: E402
+from phasestack.preprocess import center_pixel, piston_shift  # noqa: E402
+from phasestack.synth import TrialSpec, make_trial, peaks_surface  # noqa: E402
+from phasestack.unwrap import _flood_tree, _mask_facts, flood_unwrap, place_branch_cuts  # noqa: E402
+from phasestack.zernike import MODES, _basis, zernike_fit_remove  # noqa: E402
 
 GRID = 256
 REPEATS = 7
+UNREACHED_SEEDS = range(10)
 
 
-def frames():
+def frames(seed: int):
     """Piston-shifted frames, mask and seed pixel of the recipe."""
     spec = TrialSpec(
         frame_count=60, grid=GRID, snr_db=5.0, perturbation_count=2,
-        contaminant_fraction=0.0, tilt_jitter=30.0, seed=0,
+        contaminant_fraction=0.0, tilt_jitter=30.0, seed=seed,
     )
     stack, _ = make_trial(peaks_surface(GRID, 37.82), spec)
     mask = circular_aperture((GRID, GRID))
     stack = PhaseStack(frames=np.where(mask, stack.frames, 0.0), mask=mask)
-    seed = center_pixel(stack.shape)  # valid on the disk: the pipeline's anchor
-    return piston_shift(stack.frames, mask, seed), mask, seed
+    pixel = center_pixel(stack.shape)  # valid on the disk: the pipeline's anchor
+    return piston_shift(stack.frames, mask, pixel), mask, pixel
+
+
+def unwrapped(shifted, mask, pixel):
+    charges = [detect_residues(f, mask) for f in shifted]
+    surfaces = [
+        flood_unwrap(f, mask, place_branch_cuts(c, mask), pixel) for f, c in zip(shifted, charges)
+    ]
+    return charges, surfaces
 
 
 def per_call(fn, items) -> float:
@@ -69,34 +93,37 @@ def per_call(fn, items) -> float:
     return (time.perf_counter() - t0) / len(items)
 
 
+def oracle_fit(s):
+    return zernike_fit_remove_reference(s, modes=MODES)
+
+
+def fit(s):
+    return zernike_fit_remove(s, modes=MODES)
+
+
+def cold_fit(s):
+    _basis.cache_clear()
+    return zernike_fit_remove(s, modes=MODES)
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_fit.json")
     args = parser.parse_args(argv)
-    shifted, mask, seed = frames()
-    charges = [detect_residues(f, mask) for f in shifted]
-    surfaces = [
-        flood_unwrap(f, mask, place_branch_cuts(c, mask), seed) for f, c in zip(shifted, charges)
-    ]
-    basis = ZernikeBasis(mask, MODES)
+    shifted, mask, pixel = frames(0)
+    charges, surfaces = unwrapped(shifted, mask, pixel)
+    full = next(s for s in surfaces if np.array_equal(s.mask, mask))
 
-    def oracle_fit(s):
-        return zernike_fit_remove(s, modes=MODES)
-
-    def basis_fit(s):
-        return zernike_fit_remove(s, modes=MODES, basis=basis)
-
-    build_t, oracle_t, basis_t = [], [], []
+    cold_t, warm_t, oracle_t, build_t = [], [], [], []
     for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        ZernikeBasis(mask, MODES)
-        build_t.append(time.perf_counter() - t0)
+        cold_t.append(per_call(cold_fit, surfaces))
         oracle_t.append(per_call(oracle_fit, surfaces))
-        basis_t.append(per_call(basis_fit, surfaces))
+        warm_t.append(per_call(fit, surfaces))
+        build_t.append(per_call(cold_fit, [full]) - per_call(fit, [full]))
 
     d_residual = d_coef = 0.0
     for s in surfaces:
-        (want, want_fit), (got, got_fit) = oracle_fit(s), basis_fit(s)
+        (want, want_fit), (got, got_fit) = oracle_fit(s), fit(s)
         d_residual = max(d_residual, float(np.abs(got.values - want.values).max()))
         dc = np.abs(got_fit.coefficients - want_fit.coefficients).max()
         d_coef = max(d_coef, float(dc / np.abs(want_fit.coefficients).max()))
@@ -106,20 +133,29 @@ def main(argv=None) -> None:
             if cold:
                 _mask_facts.cache_clear()
                 _flood_tree.cache_clear()
-            flood_unwrap(shifted[i], mask, place_branch_cuts(charges[i], mask), seed)
+            flood_unwrap(shifted[i], mask, place_branch_cuts(charges[i], mask), pixel)
 
         return one
 
-    cold_t, warm_t = [], []
+    flood_cold_t, flood_warm_t = [], []
     for _ in range(REPEATS):
-        cold_t.append(per_call(cuts_flood(True), range(len(shifted))))
-        warm_t.append(per_call(cuts_flood(False), range(len(shifted))))
+        flood_cold_t.append(per_call(cuts_flood(True), range(len(shifted))))
+        flood_warm_t.append(per_call(cuts_flood(False), range(len(shifted))))
 
-    oracle_s, basis_s = statistics.median(oracle_t), statistics.median(basis_t)
-    cold_s, warm_s = statistics.median(cold_t), statistics.median(warm_t)
+    by_seed, parent_t, change_t = {}, [], []
+    for seed in UNREACHED_SEEDS:
+        seed_surfaces = unwrapped(*frames(seed))[1] if seed else surfaces
+        parts = [s for s in seed_surfaces if not np.array_equal(s.mask, mask)]
+        by_seed[seed] = [int(mask.sum() - s.mask.sum()) for s in parts]
+        for s in parts:
+            parent_t.append(statistics.median(per_call(oracle_fit, [s]) for _ in range(REPEATS)))
+            change_t.append(statistics.median(per_call(cold_fit, [s]) for _ in range(REPEATS)))
+
+    flood_cold_s, flood_warm_s = statistics.median(flood_cold_t), statistics.median(flood_warm_t)
     doc = {
-        "benchmark": "fit: zernike_fit_remove with a ZernikeBasis vs the lstsq path; "
-        "place_branch_cuts + flood_unwrap with the unwrap caches cold and warm",
+        "benchmark": "fit: zernike_fit_remove cold and warm vs the lstsq oracle; parts the "
+        "flood did not fully reach; place_branch_cuts + flood_unwrap with the unwrap caches "
+        "cold and warm",
         "recipe": "conventional-256 (60 x 256x256 circular aperture, 5 dB, 2 families, seed 0)",
         "repeats": REPEATS,
         "environment": {
@@ -127,18 +163,28 @@ def main(argv=None) -> None:
             "numpy": np.__version__,
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
+            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default"),
         },
         "valid_px": int(mask.sum()),
         "fully_reached_frames": sum(bool(np.array_equal(s.mask, mask)) for s in surfaces),
-        "oracle_fit_s": oracle_s,
-        "basis_fit_s": basis_s,
-        "fit_speedup": oracle_s / basis_s,
-        "basis_build_s": statistics.median(build_t),
+        "cold_fit_s": statistics.median(cold_t),
+        "warm_fit_s": statistics.median(warm_t),
+        "oracle_fit_s": statistics.median(oracle_t),
+        "build_s": statistics.median(build_t),
         "max_abs_dresidual_rad": d_residual,
         "max_rel_dcoef": d_coef,
-        "cuts_flood_cold_s": cold_s,
-        "cuts_flood_warm_s": warm_s,
-        "unwrap_caches_saving_s": cold_s - warm_s,
+        "unreached_parts": {
+            "seeds": list(UNREACHED_SEEDS),
+            "px_lost_by_seed": by_seed,
+            "count": len(parent_t),
+            "parent_s": statistics.median(parent_t),
+            "change_s": statistics.median(change_t),
+            "parent_range_s": [min(parent_t), max(parent_t)],
+            "change_range_s": [min(change_t), max(change_t)],
+        },
+        "cuts_flood_cold_s": flood_cold_s,
+        "cuts_flood_warm_s": flood_warm_s,
+        "unwrap_caches_saving_s": flood_cold_s - flood_warm_s,
     }
     print(json.dumps(doc, indent=2))
     with open(args.out, "w", encoding="utf-8") as fh:
