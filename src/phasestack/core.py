@@ -185,6 +185,18 @@ def wrapped_diff(a, b):
     return wrap(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))
 
 
+def turns(d: np.ndarray) -> np.ndarray:
+    """The int8 count n with wrap(d) == d - 2*pi*n, for float64 differences
+    ``d`` of two phases in (-pi, pi].
+
+    Such a ``d`` lies in (-2pi, 2pi), where wrap's quotient rounds to
+    [d > pi] - [d <= -pi] and its subtraction is exact, so the identity
+    holds exactly (wrap gives +0.0 for -0.0): the kernels take their 2pi
+    counts from these two comparisons, with no float wrap.
+    """
+    return (d > _PI).view(np.int8) - (d <= -_PI).view(np.int8)
+
+
 def as_frames(values) -> np.ndarray:
     """``values`` as an array of phase frames: float32 and float64 as given,
     any other dtype converted to float64."""
@@ -208,7 +220,11 @@ def check_frame(values: np.ndarray, mask: np.ndarray | None = None) -> None:
     if values.size == 0:
         return
     # min and max propagate NaN and reach +-inf, so they check finiteness
-    # too; a stack is first reduced over its frames, pixel by pixel.
+    # too.  One pass over the whole array settles the common case, where
+    # the invalid pixels hold values in range too; otherwise a stack is
+    # reduced over its frames, pixel by pixel, and the valid pixels gathered.
+    if -_PI < values.min() and values.max() <= _PI:
+        return
     lo, hi = (values.min(axis=0), values.max(axis=0)) if values.ndim == 3 else (values, values)
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
@@ -293,8 +309,9 @@ def detect_residues(frame: np.ndarray, mask: np.ndarray | None = None) -> np.nda
     """Detect phase residues on every 2x2 pixel loop.
 
     The circulation of wrapped differences around the loop with corner
-    (r, c) is summed in the fixed order right, down, left, up; a nonzero
-    circulation of +-2pi marks a residue of charge +-1.
+    (r, c), taken right, down, left, up, is -2pi times the sum of the turns
+    of its edges (see ``turns``); a nonzero circulation of +-2pi marks a
+    residue of charge +-1.
 
     Parameters
     ----------
@@ -309,13 +326,11 @@ def detect_residues(frame: np.ndarray, mask: np.ndarray | None = None) -> np.nda
     frame = np.asarray(frame, dtype=np.float64)
     check_frame(frame, mask)
     frame = frame if mask is None else np.where(mask, frame, 0.0)  # invalid may hold NaN
-    d_right = wrapped_diff(frame[:, 1:], frame[:, :-1])
-    d_down = wrapped_diff(frame[1:, :], frame[:-1, :])
-    circ = d_right[:-1, :] + d_down[:, 1:] - d_right[1:, :] - d_down[:, :-1]
-    charges = np.rint(circ / TWO_PI)
-    # Alternating antipodal corner values can sum to +-4pi; clamp so the
-    # charge alphabet stays {-1, 0, +1}.
-    charges = np.clip(charges, -1, 1).astype(np.int8)
+    n_right = turns(frame[:, 1:] - frame[:, :-1])
+    n_down = turns(frame[1:, :] - frame[:-1, :])
+    # Each edge's wrapped difference lies in (-pi, pi], so the circulation
+    # lies strictly inside (-4pi, 4pi): the charge is -1, 0 or +1 unclamped.
+    charges = n_right[1:, :] - n_right[:-1, :] + n_down[:, :-1] - n_down[:, 1:]
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         loop_valid = mask[:-1, :-1] & mask[:-1, 1:] & mask[1:, :-1] & mask[1:, 1:]

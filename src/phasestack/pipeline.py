@@ -218,9 +218,10 @@ def _measure(stack: PhaseStack, params: PipelineParams, method: str) -> SurfaceR
         if s.warning:
             warnings.append(f"frames {members}: {s.warning}")
         with _timed(times, "combine"):
+            # the residual is 0.0 off its mask, so it adds nothing there
             w = len(members) if params.cluster_weighting == "by-size" else 1
-            num += np.where(residual.mask, w * residual.values, 0.0)
-            den += np.where(residual.mask, float(w), 0.0)
+            num += w * residual.values
+            den += w * residual.mask
         kept.append(members)
         fits.append(fit)
     if not kept:

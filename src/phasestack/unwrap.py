@@ -9,14 +9,16 @@ unbalanced residue.
 Unwrapped values are computed as psi + 2*pi*k with integer k propagated
 from the seed down a breadth-first spanning tree, which makes path
 independence and the output-minus-input multiple-of-2*pi property exact
-rather than accumulation-limited.
+rather than accumulation-limited.  Each step's change of k comes from two
+comparisons of its difference with +-pi (``core.turns``), not a float wrap.
 
 The facts that depend on the mask alone (4-connectivity, border sinks) are
 derived once per distinct mask and reused while consecutive calls share it.
 So is the cut-free breadth-first tree of each (mask, seed), keyed on the
 mask's bytes and the seed (``_flood_tree``, two entries): a frame's cuts
 only remove edges, so where every pixel keeps an open neighbour one level
-up the frame's tree is the cached one with the cut edges taken out; where
+up the frame's tree is the cached one with the cut edges taken out, and
+only the pixels at the ends of cut edges re-choose their parent; where
 some lose it, ``_repair`` moves only the pixels whose level changed
 (decremental breadth-first search, after Ramalingam & Reps, J. Algorithms
 21, 1996), and where those are many the frame gets a search of its own.
@@ -32,7 +34,7 @@ from scipy import ndimage
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 
-from .core import TWO_PI, check_frame, detect_residues, mask_is_connected, wrap
+from .core import TWO_PI, check_frame, detect_residues, mask_is_connected, turns
 
 
 @dataclass
@@ -237,7 +239,9 @@ class _Tree:
     (undefined where p is not reached) and depth[r, c] its level (-1 where
     not reached).  up[d, r, c] is set where the edge from (r, c) to its
     neighbour in direction d (left, above, right, below) is open and that
-    neighbour is one level up.
+    neighbour is one level up.  up_at[i] is the position in order of the
+    parent of order[i]: its first level-up neighbour in that priority (the
+    seed's is 0, itself).
     """
 
     order: np.ndarray
@@ -245,6 +249,7 @@ class _Tree:
     bounds: tuple
     depth: np.ndarray
     up: np.ndarray
+    up_at: np.ndarray
 
 
 def _bfs_tree(ok_right: np.ndarray, ok_down: np.ndarray, seed: int) -> _Tree:
@@ -283,7 +288,8 @@ def _bfs_tree(ok_right: np.ndarray, ok_down: np.ndarray, seed: int) -> _Tree:
     np.logical_and(ok_down, d[:-1, :] == d[1:, :] - 1, out=up[1, 1:, :])
     np.logical_and(ok_right, d[:, 1:] == d[:, :-1] - 1, out=up[2, :, :-1])
     np.logical_and(ok_down, d[1:, :] == d[:-1, :] - 1, out=up[3, :-1, :])
-    return _Tree(order, pos, tuple(bounds), d, up)
+    up_at = pos[order + _parent_steps(up, w)[order]]
+    return _Tree(order, pos, tuple(bounds), d, up, up_at)
 
 
 @functools.lru_cache(maxsize=2)
@@ -294,19 +300,50 @@ def _flood_tree(shape: tuple, mask_bytes: bytes, seed: int) -> _Tree:
     rebuild.  Read-only because every caller shares it."""
     mask = np.frombuffer(mask_bytes, dtype=bool).reshape(shape)
     tree = _bfs_tree(mask[:, :-1] & mask[:, 1:], mask[:-1, :] & mask[1:, :], seed)
-    for a in (tree.order, tree.pos, tree.depth, tree.up):
+    for a in (tree.order, tree.pos, tree.depth, tree.up, tree.up_at):
         a.flags.writeable = False
     return tree
 
 
-def _parent_steps(up: np.ndarray) -> np.ndarray:
-    """Flat offset from each pixel to its parent: the first direction set in
-    ``up`` in the priority left, above, right, below; 0 where none is."""
-    _, h, w = up.shape
-    steps = np.zeros((h, w), dtype=np.intp)
+def _parent_steps(up: np.ndarray, w: int) -> np.ndarray:
+    """Flat offset from each pixel to its parent in a frame ``w`` pixels
+    wide: the first direction set in ``up`` (4 by the pixels' shape) in the
+    priority left, above, right, below; 0 where none is."""
+    steps = np.zeros(up.shape[1:], dtype=np.intp)
     for d, step in ((3, w), (2, 1), (1, -w), (0, -1)):  # the first direction is written last
         np.copyto(steps, step, where=up[d])
     return steps.ravel()
+
+
+def _cut_ends(tree: _Tree, cuts: BranchCutMap):
+    """(ends, steps): the reached pixels other than the seed that end a cut
+    edge, in raster order, and the flat offset from each to its first
+    level-up neighbour across an uncut edge, in the priority left, above,
+    right, below (0 where every such edge is cut).
+
+    Only these pixels can lose their cached parent, since a cut edge
+    touches only its two ends; each keeps its level-up bits but for the
+    cut ones, so this is ``_parent_steps`` of the cut tree's bits at the
+    ends.
+    """
+    cut_right, cut_down = cuts.cut_right, cuts.cut_down
+    h, w = tree.depth.shape
+    is_end = np.zeros((h, w), dtype=bool)
+    is_end[:, :-1] |= cut_right
+    is_end[:, 1:] |= cut_right
+    is_end[:-1, :] |= cut_down
+    is_end[1:, :] |= cut_down
+    ends = np.flatnonzero(is_end)
+    ends = ends[tree.depth.ravel()[ends] > 0]
+    r, c = np.divmod(ends, w)
+    bits = tree.up.reshape(4, -1)[:, ends]
+    # The clamped indices only fall where the bit is False already: a pixel
+    # in the first column has no level-up neighbour on its left, and so on.
+    bits[0] &= ~cut_right[r, np.maximum(c - 1, 0)]
+    bits[1] &= ~cut_down[np.maximum(r - 1, 0), c]
+    bits[2] &= ~cut_right[r, np.minimum(c, w - 2)]
+    bits[3] &= ~cut_down[np.minimum(r, h - 2), c]
+    return ends, _parent_steps(bits, w)
 
 
 def _repair(tree: _Tree, up: np.ndarray, ok_right: np.ndarray, ok_down: np.ndarray, lost: list):
@@ -400,7 +437,9 @@ def flood_unwrap(
     """Flood-fill integration from a seed pixel, never crossing a cut edge.
 
     The seed keeps its input value; every reached pixel gets its parent's
-    value plus wrap(pixel - parent).  The tree is the breadth-first tree of
+    value plus wrap(pixel - parent), that is, the pixel's own value plus
+    2pi times k, where k is the parent's k minus ``turns(pixel - parent)``:
+    an integer count, exact because every valid value is in (-pi, pi].  The tree is the breadth-first tree of
     the open edges (both ends valid, edge not cut): a pixel's parent is its
     open neighbour one level up, taken in the priority left, above, right,
     below, and k propagates down that tree one level at a time.  Pixels
@@ -408,12 +447,13 @@ def flood_unwrap(
     output mask.
 
     The cut-free tree of each (mask, seed) is built once by a scipy
-    breadth-first search and cached (``_flood_tree``).  A frame's cuts only
-    remove edges, and removing edges never shortens a path, so while every
-    reached pixel other than the seed keeps an open neighbour one level up,
-    induction on level shows that no level changes: the parents are then
-    the cached level-up edges minus the cut ones, and k is integrated on
-    the cached levels.  Where some pixel loses all of them, ``_repair``
+    breadth-first search and cached (``_flood_tree``), with each pixel's
+    parent.  A frame's cuts only remove edges, and removing edges never
+    shortens a path, so while every reached pixel other than the seed keeps
+    an open neighbour one level up, induction on level shows that no level
+    changes: k is then integrated on the cached levels, and only the pixels
+    at the ends of cut edges re-choose their parent among their uncut
+    level-up edges (``_cut_ends``).  Where some pixel loses all of them, ``_repair``
     moves only the pixels whose level changed; where those are many, one
     new search of the frame (``_bfs_tree``, the routine that built the
     cache) replaces the cached tree.  The result is the same in all three
@@ -436,41 +476,43 @@ def flood_unwrap(
         raise ValueError("flood_unwrap: seed pixel is not valid")
 
     tree = _flood_tree(mask.shape, mask_bytes, sr * w + sc)
-    up = tree.up
+    up_at = tree.up_at
+    late_at, gone = [], []
     if cuts is not None:
-        up = up.copy()
-        # a & ~b is a > b on bools: the level-up edges that are not cut
-        np.greater(up[0, :, 1:], cuts.cut_right, out=up[0, :, 1:])
-        np.greater(up[1, 1:, :], cuts.cut_down, out=up[1, 1:, :])
-        np.greater(up[2, :, :-1], cuts.cut_right, out=up[2, :, :-1])
-        np.greater(up[3, :-1, :], cuts.cut_down, out=up[3, :-1, :])
-    to_parent = _parent_steps(up)[tree.order]
-    late, late_parents, gone = [], [], []
-    lost = tree.order[1:][to_parent[1:] == 0]
-    if lost.size:  # only cuts take parents away
-        ok_right = mask[:, :-1] & mask[:, 1:] & ~cuts.cut_right
-        ok_down = mask[:-1, :] & mask[1:, :] & ~cuts.cut_down
-        repaired = _repair(tree, up, ok_right, ok_down, lost.tolist())
-        if repaired is None:
-            tree = _bfs_tree(ok_right, ok_down, sr * w + sc)
-            up = tree.up
-        else:
-            late, late_parents, gone = repaired
-        to_parent = _parent_steps(up)[tree.order]
+        ends, steps = _cut_ends(tree, cuts)
+        lost = ends[steps == 0]
+        if not lost.size:
+            up_at = up_at.copy()
+            up_at[tree.pos[ends]] = tree.pos[ends + steps]
+        else:  # some pixel lost every level-up neighbour
+            up = tree.up.copy()
+            # a & ~b is a > b on bools: the level-up edges that are not cut
+            np.greater(up[0, :, 1:], cuts.cut_right, out=up[0, :, 1:])
+            np.greater(up[1, 1:, :], cuts.cut_down, out=up[1, 1:, :])
+            np.greater(up[2, :, :-1], cuts.cut_right, out=up[2, :, :-1])
+            np.greater(up[3, :-1, :], cuts.cut_down, out=up[3, :-1, :])
+            ok_right = mask[:, :-1] & mask[:, 1:] & ~cuts.cut_right
+            ok_down = mask[:-1, :] & mask[1:, :] & ~cuts.cut_down
+            repaired = _repair(tree, up, ok_right, ok_down, lost.tolist())
+            if repaired is None:
+                tree = _bfs_tree(ok_right, ok_down, sr * w + sc)
+                up_at = tree.up_at
+            else:
+                late, late_parents, gone = repaired
+                late_at = tree.pos[late].tolist()
+                parent = tree.order + _parent_steps(up, w)[tree.order]
+                parent[late_at] = late_parents
+                up_at = tree.pos[parent]
 
-    order, pos, bounds = tree.order, tree.pos, tree.bounds
-    parent = order + to_parent
-    late_at = pos[np.array(late, dtype=np.intp)]
-    parent[late_at] = late_parents
+    order, bounds = tree.order, tree.bounds
     psi = frame.ravel()[order]
-    diff = psi - frame.ravel()[parent]
-    inc = np.rint((wrap(diff) - diff) / TWO_PI).astype(np.int64)
-    up_at = pos[parent]
+    # the step from the parent adds wrap(diff) = diff - 2pi * turns(diff)
+    n = turns(psi - psi[up_at])
     k = np.zeros(order.size, dtype=np.int64)
     for start, stop in zip(bounds[1:-1], bounds[2:]):
-        k[start:stop] = k[up_at[start:stop]] + inc[start:stop]
-    for i in late_at.tolist():  # in order of their new levels
-        k[i] = k[up_at[i]] + inc[i]
+        k[start:stop] = k[up_at[start:stop]] - n[start:stop]
+    for i in late_at:  # in order of their new levels
+        k[i] = k[up_at[i]] - n[i]
     values = np.zeros((h, w))
     values.ravel()[order] = psi + TWO_PI * k
     reached = tree.depth >= 0

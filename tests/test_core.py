@@ -349,6 +349,51 @@ class TestCheckFrame:
         for m in (mask, None):
             assert _outcome(check_frame, values, m) == _outcome(check_frame_gathered, values, m)
 
+    NON_FINITE = "phase frame has non-finite valid pixels"
+    OUTSIDE = "phase frame has valid pixels outside (-pi, pi]"
+
+    @pytest.mark.parametrize("stack", [False, True])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.nan, NON_FINITE),
+            (np.inf, NON_FINITE),
+            (-np.inf, NON_FINITE),
+            (-np.pi, OUTSIDE),
+            (np.nextafter(np.pi, 4.0), OUTSIDE),
+            (1e300, OUTSIDE),
+        ],
+    )
+    def test_whole_array_pass_keeps_every_error(self, stack, bad, message):
+        """A value that fails the one-pass min/max test is still reported
+        with its message at a valid pixel, and still accepted at an invalid
+        one, for a frame and a stack, with and without garbage elsewhere."""
+        mask = np.ones((5, 6), dtype=bool)
+        mask[0, :] = False
+        mask[2, 3] = False  # a hole
+        for fill in (0.0, np.nan, 7.0):
+            f = np.where(mask, 0.5, fill)
+            f = np.stack([f, f]) if stack else f
+            at_valid, at_hole = f.copy(), f.copy()
+            at_valid[..., 3, 4] = bad
+            at_hole[..., 2, 3] = bad
+            assert _outcome(check_frame, at_valid, mask) == message
+            assert _outcome(check_frame, at_hole, mask) is None
+            if fill == 0.0:  # without a mask every pixel is valid
+                assert _outcome(check_frame, at_valid, None) == message
+                assert _outcome(check_frame, at_hole, None) == message
+
+    @pytest.mark.parametrize("stack", [False, True])
+    def test_garbage_at_invalid_pixels_accepted(self, stack):
+        mask = circular_aperture((8, 8))
+        f = np.where(mask, 3.0, np.nan)
+        f[~mask] = np.resize([np.nan, np.inf, -np.inf, -np.pi, 1e300], (~mask).sum())
+        f = np.stack([f, f, f]) if stack else f
+        assert _outcome(check_frame, f, mask) is None
+        with np.errstate(over="ignore"):  # 1e300 becomes inf
+            f = f.astype(np.float32)
+        assert _outcome(check_frame, f, mask) is None
+
     def test_rejects_out_of_range(self):
         f = np.zeros((4, 4))
         f[1, 1] = 4.0

@@ -258,6 +258,49 @@ class TestOnePipeline:
             assert np.abs(residual.values - want.values).max() <= bound
         assert _basis.cache_info().misses == len({s.mask.tobytes() for s, _ in fitted})
 
+    @pytest.mark.parametrize("route, params, trial", [
+        (run_conventional, PipelineParams(), dict(n=8, snr=5.0, jitter=30.0)),
+        (run_clustered, PipelineParams(classify=False), dict(n=8, snr=5.0, jitter=30.0)),
+        (run_clustered, PipelineParams(), dict(n=16, snr=10.0, jitter=3.0)),
+        (run_clustered, PipelineParams(cluster_weighting="uniform"), dict(n=16, snr=10.0, jitter=3.0)),
+    ])
+    def test_combine_matches_the_masked_formula(self, monkeypatch, route, params, trial):
+        """The running mean adds each residual and its mask unmasked, which
+        gives the bits of adding them through np.where on the residual's
+        mask, because the fit leaves the residual at 0.0 off that mask.  On
+        the conventional route some parts reach less than the aperture; the
+        clustered route's parts have 8, 2 and 2 frames."""
+        mask = circular_aperture((48, 48))
+        stack, _ = family_trial(seed=8, grid=48, **trial)
+        stack = PhaseStack(frames=np.where(mask, stack.frames, 0.0), mask=mask)
+        residuals = []
+
+        def recorded_fit(s, **kwargs):
+            residual, fit = zernike_fit_remove(s, **kwargs)
+            residuals.append(residual)
+            return residual, fit
+
+        monkeypatch.setattr(pipeline, "zernike_fit_remove", recorded_fit)
+        rep = route(stack, params)
+        assert not rep.warnings
+        if rep.method == "conventional":
+            assert any(not np.array_equal(r.mask, mask) for r in residuals)
+            sizes = [1] * len(residuals)
+        else:
+            assert rep.method == "no-classify" or rep.chosen_sizes == [8, 2, 2]
+            assert len(rep.chosen_sizes) == len(residuals)
+            sizes = rep.chosen_sizes if params.cluster_weighting == "by-size" else [1] * len(residuals)
+        num = np.zeros(mask.shape)
+        den = np.zeros(mask.shape)
+        for r, w in zip(residuals, sizes):
+            assert not r.values[~r.mask].any()
+            num += np.where(r.mask, w * r.values, 0.0)
+            den += np.where(r.mask, float(w), 0.0)
+        want = den > 0
+        values = np.where(want, num / np.where(want, den, 1.0), 0.0)
+        assert np.array_equal(rep.surface.mask, want)
+        assert np.array_equal(rep.surface.values.view(np.int64), values.view(np.int64))
+
 
 class TestStackHeldOnce:
     """A stack read from WPHS keeps its float32 frames; every route shifts

@@ -18,7 +18,14 @@ from unwrap_reference import flood_unwrap_reference
 
 from phasestack.core import TWO_PI, circular_aperture, detect_residues, wrap
 from phasestack.synth import peaks_surface
-from phasestack.unwrap import BranchCutMap, flood_unwrap, place_branch_cuts
+from phasestack.unwrap import (
+    BranchCutMap,
+    _cut_ends,
+    _flood_tree,
+    _parent_steps,
+    flood_unwrap,
+    place_branch_cuts,
+)
 
 
 def outcome(fn, *args):
@@ -314,4 +321,149 @@ def test_mask_edited_in_place_between_calls():
     assert_same(frame, mask, cuts, seed)
     assert not flood_unwrap(frame, mask, cuts, seed).mask[16, 5]
     mask[14:18, 0:8] = True
+    assert_same(frame, mask, cuts, seed)
+
+
+# Parent patches: with cuts, only the pixels at the ends of cut edges
+# re-choose their parent from the cached tree's level-up edges.
+dense_bool = st.sampled_from([False, True])
+
+
+def cut_tree_steps(tree, cuts):
+    """_parent_steps of the cached tree's level-up edges minus the cut ones:
+    every pixel's parent offset, derived over the whole frame."""
+    up = tree.up.copy()
+    up[0, :, 1:] &= ~cuts.cut_right
+    up[1, 1:, :] &= ~cuts.cut_down
+    up[2, :, :-1] &= ~cuts.cut_right
+    up[3, :-1, :] &= ~cuts.cut_down
+    return _parent_steps(up, up.shape[2])
+
+
+@st.composite
+def cut_maps(draw, max_side=24):
+    """A frame on a full or disk mask, a seed, and a cut map: sparse or
+    dense random edges, plus edges at the seed and on the border."""
+    h = draw(st.integers(3, max_side))
+    w = draw(st.integers(3, max_side))
+    frame = draw(arrays(np.float64, (h, w), elements=st.one_of(phase, quarter_turns)))
+    mask = circular_aperture((h, w)) if draw(st.booleans()) else np.ones((h, w), dtype=bool)
+    frame[~mask] = 0.0
+    valid = np.argwhere(mask)
+    sr, sc = (int(v) for v in valid[draw(st.integers(0, len(valid) - 1))])
+    density = draw(st.sampled_from([sparse_bool, dense_bool]))
+    cuts = BranchCutMap(
+        draw(arrays(bool, (h, w - 1), elements=density)),
+        draw(arrays(bool, (h - 1, w), elements=density)),
+    )
+    if draw(st.booleans()):  # some of the seed's own edges
+        for er, ec, arr in ((sr, sc - 1, cuts.cut_right), (sr, sc, cuts.cut_right),
+                            (sr - 1, sc, cuts.cut_down), (sr, sc, cuts.cut_down)):
+            if 0 <= er < arr.shape[0] and 0 <= ec < arr.shape[1]:
+                arr[er, ec] = draw(st.booleans())
+    if draw(st.booleans()):  # along the border
+        cuts.cut_right[[0, -1], :] |= draw(arrays(bool, (2, w - 1), elements=dense_bool))
+        cuts.cut_down[:, [0, -1]] |= draw(arrays(bool, (h - 1, 2), elements=dense_bool))
+    return frame, mask, cuts, (sr, sc)
+
+
+@given(cut_maps())
+def test_cut_maps_match_reference(case):
+    assert_same(*case)
+
+
+@given(cut_maps(max_side=48))
+def test_cut_maps_match_reference_larger(case):
+    assert_same(*case)
+
+
+@given(cut_maps())
+def test_cut_ends_are_the_cut_tree_parents(case):
+    """At the ends of cut edges the re-chosen parent is the one the cut
+    tree's level-up edges give; everywhere else the cut tree gives the
+    cached parent."""
+    frame, mask, cuts, (sr, sc) = case
+    w = mask.shape[1]
+    tree = _flood_tree(mask.shape, mask.tobytes(), sr * w + sc)
+    ends, steps = _cut_ends(tree, cuts)
+    full = cut_tree_steps(tree, cuts)
+    assert np.array_equal(steps, full[ends])
+    cached = _parent_steps(tree.up, w)
+    others = np.setdiff1d(tree.order[1:], ends)
+    assert np.array_equal(full[others], cached[others])
+    assert np.array_equal(tree.up_at, tree.pos[tree.order + cached[tree.order]])
+
+
+def test_cached_up_at_is_read_only_and_kept():
+    n = 32
+    frame = wrap(peaks_surface(n, 20.0) + np.random.default_rng(2).normal(0, 0.9, (n, n)))
+    mask = circular_aperture((n, n))
+    frame[~mask] = 0.0
+    seed = (16, 16)
+    tree = _flood_tree(mask.shape, mask.tobytes(), 16 * n + 16)
+    before = tree.up_at.copy()
+    assert not tree.up_at.flags.writeable
+    with pytest.raises(ValueError):
+        tree.up_at[1] = 0
+    cuts = place_branch_cuts(detect_residues(frame, mask), mask)
+    assert cuts.edge_count > 0
+    assert_same(frame, mask, cuts, seed)
+    assert np.array_equal(tree.up_at, before)
+
+
+def test_one_cut_edge_whose_ends_both_lose_their_parent():
+    """Below and right of the seed a pixel's parent is on its left.  Cut
+    the edge between two such pixels and the edge from the left one to its
+    parent, and both ends of the first edge re-choose: above, where they
+    have a level-up neighbour there (the cached path), or, on the seed's
+    row, where they have none, through a repair."""
+    n = 32
+    frame = wrap(peaks_surface(n, 30.0) + np.random.default_rng(3).normal(0, 0.8, (n, n)))
+    mask = np.ones((n, n), dtype=bool)
+    seed = (5, 24)
+    tree = _flood_tree(mask.shape, mask.tobytes(), 5 * n + 24)
+    for row, path in ((9, "cached"), (5, "repaired")):
+        cuts = no_cuts(n, n)
+        cuts.cut_right[row, 27] = True  # (row, 27) - (row, 28)
+        cuts.cut_right[row, 26] = True  # (row, 26) - (row, 27), the parent edge of (row, 27)
+        ends, steps = _cut_ends(tree, cuts)
+        p, q = row * n + 27, row * n + 28
+        assert _parent_steps(tree.up, n)[[p, q]].tolist() == [-1, -1]
+        chosen = dict(zip(ends.tolist(), steps.tolist()))
+        want = -n if path == "cached" else 0
+        assert chosen[p] == want and chosen[q] == want
+        assert path_of(frame, mask, cuts, seed) == path
+        assert_same(frame, mask, cuts, seed)
+
+
+def test_cut_end_keeps_a_parent_across_another_edge():
+    """A cut end whose cached parent lies across a different, uncut edge
+    keeps that parent: cutting the edge below a pixel right of and below
+    the seed leaves both ends' parents (each on its left) in place."""
+    n = 16
+    frame = wrap(peaks_surface(n, 30.0) + np.random.default_rng(5).normal(0, 0.8, (n, n)))
+    mask = np.ones((n, n), dtype=bool)
+    seed = (4, 4)
+    tree = _flood_tree(mask.shape, mask.tobytes(), 4 * n + 4)
+    cuts = no_cuts(n, n)
+    cuts.cut_down[8, 9] = True  # (8, 9) - (9, 9)
+    ends, steps = _cut_ends(tree, cuts)
+    assert ends.tolist() == [8 * n + 9, 9 * n + 9]
+    assert steps.tolist() == [-1, -1]
+    assert path_of(frame, mask, cuts, seed) == "cached"
+    assert_same(frame, mask, cuts, seed)
+
+
+def test_cut_at_the_seed_moves_only_the_far_side():
+    """The seed ends a cut edge but has no parent to lose: only the pixels
+    that reached the seed through that edge alone move, so the frame is
+    repaired, not searched in full."""
+    n = 64
+    frame = wrap(peaks_surface(n, 30.0) + np.random.default_rng(6).normal(0, 0.8, (n, n)))
+    mask = circular_aperture((n, n))
+    frame[~mask] = 0.0
+    seed = (32, 32)
+    cuts = no_cuts(n, n)
+    cuts.cut_right[32, 32] = True  # (32, 32) - (32, 33)
+    assert path_of(frame, mask, cuts, seed) == "repaired"
     assert_same(frame, mask, cuts, seed)

@@ -1,6 +1,7 @@
-"""Unwrap benchmark: per-frame ``flood_unwrap`` time, the path each frame
-takes, and the clustered/conventional time ratio, for this tree and for
-another one (such as the parent commit).
+"""Unwrap benchmark: per-frame ``check_frame``, ``detect_residues`` and
+``flood_unwrap`` time, the path each frame takes, and the
+clustered/conventional time ratio, for this tree and for another one (such
+as the parent commit).
 
 The stacks are written once as WPHS files and read by both trees:
 
@@ -18,12 +19,15 @@ one thread, as perfbench sets it.  Two kinds of rows:
   on the conventional route, the target of ROADMAP item 3): every frame is
   piston-shifted to the center pixel and its residues and cuts found, as
   ``run_conventional`` does, outside the timing.  Then
-  - ``flood_ms_per_frame``: the mean over frames of each frame's median
-    ``flood_unwrap`` time over ``REPEATS`` passes
+  - ``check_ms_per_frame``, ``residues_ms_per_frame`` and
+    ``flood_ms_per_frame``: the mean over frames of each frame's median
+    ``check_frame``, ``detect_residues`` and ``flood_unwrap`` time over
+    ``REPEATS`` passes
   - ``paths``: frames integrated on the cached tree, repaired, or searched
     in full; a tree without ``unwrap._repair`` searches every frame
   - ``ms_per_frame_by_path``: the median frame time of each path
-  - ``surfaces_sha256``: of every frame's values and mask, in frame order
+  - ``charges_sha256``, ``cuts_sha256`` and ``surfaces_sha256``: of every
+    frame's charges, cut maps, and surface values and mask, in frame order
 - ``ratio`` (the cluster stack at every N): ``run_clustered`` and
   ``run_conventional`` with ``PipelineParams(cut=0.5, min_samples=None,
   min_fraction=0.04)``, each the minimum wall time of ``ROUTE_REPEATS``
@@ -82,16 +86,33 @@ def write_recipe(path: Path, frames: int, grid: int, snr_db: float, contaminants
     write_stack(stack, path)
 
 
-def surface_hash(surfaces) -> str:
+def sha256_of(arrays) -> str:
     digest = hashlib.sha256()
-    for s in surfaces:
-        digest.update(s.values.tobytes() + s.mask.tobytes())
+    for a in arrays:
+        digest.update(a.tobytes())
     return digest.hexdigest()
 
 
+def surface_hash(surfaces) -> str:
+    return sha256_of(a for s in surfaces for a in (s.values, s.mask))
+
+
+def median_ms(fn, items, repeats: int) -> float:
+    """Mean over ``items`` of the median time of ``fn(*item)``, in ms, over
+    ``repeats`` passes through all of them."""
+    times = [[] for _ in items]
+    for _ in range(repeats):
+        for i, item in enumerate(items):
+            t0 = time.perf_counter()
+            fn(*item)
+            times[i].append(time.perf_counter() - t0)
+    return statistics.mean(statistics.median(t) * 1e3 for t in times)
+
+
 def flood_worker(path: str, repeats: int) -> dict:
-    """Flood time and paths of every frame of one stack, on this tree."""
-    from phasestack.core import detect_residues
+    """Check, residue and flood time and flood paths of every frame of one
+    stack, on this tree."""
+    from phasestack.core import check_frame, detect_residues
     from phasestack.preprocess import center_pixel, piston_shift
     from phasestack.unwrap import flood_unwrap, place_branch_cuts
     from phasestack.wphs import read_stack
@@ -100,7 +121,8 @@ def flood_worker(path: str, repeats: int) -> dict:
     stack = read_stack(path)
     mask, anchor = stack.mask, center_pixel(stack.shape)
     frames = [piston_shift(f, mask, anchor) for f in stack.frames]
-    cuts = [place_branch_cuts(detect_residues(f, mask), mask) for f in frames]
+    charges = [detect_residues(f, mask) for f in frames]
+    cuts = [place_branch_cuts(c, mask) for c in charges]
 
     real = getattr(unwrap_module, "_repair", None)
     paths = []
@@ -132,10 +154,15 @@ def flood_worker(path: str, repeats: int) -> dict:
         by_path.setdefault(p, []).append(t)
     return {
         "frames": len(frames),
+        "residues": sum(int(np.count_nonzero(c)) for c in charges),
         "cut_edges": sum(c.edge_count for c in cuts),
+        "check_ms_per_frame": median_ms(check_frame, [(f, mask) for f in frames], repeats),
+        "residues_ms_per_frame": median_ms(detect_residues, [(f, mask) for f in frames], repeats),
         "flood_ms_per_frame": statistics.mean(per_frame),
         "paths": {p: paths.count(p) for p in ("cached", "repaired", "full")},
         "ms_per_frame_by_path": {p: statistics.median(t) for p, t in sorted(by_path.items())},
+        "charges_sha256": sha256_of(charges),
+        "cuts_sha256": sha256_of(a for c in cuts for a in (c.cut_right, c.cut_down)),
         "surfaces_sha256": surface_hash(surfaces),
     }
 
@@ -218,7 +245,10 @@ def main(argv=None) -> None:
     for name, _ in trees:
         flood = [r for r in rows if r["tree"] == name and r["kind"] == "flood"]
         summary[name] = {
-            "flood_ms_per_frame": {f"{r['stack']} seed {r['seed']}": r["flood_ms_per_frame"] for r in flood},
+            **{
+                key: {f"{r['stack']} seed {r['seed']}": r[key] for r in flood}
+                for key in ("check_ms_per_frame", "residues_ms_per_frame", "flood_ms_per_frame")
+            },
             "paths": {f"{r['stack']} seed {r['seed']}": r["paths"] for r in flood},
             "clustered_over_conventional": {
                 r["stack"]: r["clustered_over_conventional"]
@@ -226,7 +256,8 @@ def main(argv=None) -> None:
             },
         }
     doc = {
-        "benchmark": "unwrap: flood_unwrap per frame and by path; clustered / conventional time",
+        "benchmark": "unwrap: check_frame, detect_residues and flood_unwrap per frame, flood by path; "
+                     "clustered / conventional time",
         "recipes": {
             "conventional-256": "60 x 256x256 circular aperture, 5 dB, 2 families, no contaminants, seeds 0-9",
             "cluster": f"N = {CLUSTER_SIZES} x 128x128, 20 dB, 2 families, 3% contaminants, seed 0",
