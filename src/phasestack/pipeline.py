@@ -14,8 +14,10 @@ frames.
 Every part has ``modes_removed`` fitted and removed before the parts
 enter a running weighted mean.  Piston must be among those modes: it
 aligns the arbitrary 2*pi*k offset that unwrapping leaves per part.  The
-fit is made on the mask the unwrap reached, whose factored design
-``zernike_fit_remove`` caches.
+fit is made on the mask the unwrap reached.  What depends on a part's
+mask alone is derived once in an ``unwrap.Aperture``: the stack's, shared
+by every part whose mask equals it, or one of the part's own.  Each is
+dropped when the run returns, so none outlives a measurement.
 
 Failure policy: a part whose unwrap or fit raises ValueError is dropped
 with a warning naming its frames and the reason; the run raises
@@ -38,7 +40,7 @@ from .cluster import NoClusterError, agglomerate, min_samples_from_fraction
 from .cluster import pairwise_distances, select_clusters
 from .core import PhaseStack
 from .preprocess import center_pixel, piston_shift, prepare_for_clustering
-from .unwrap import Surface, default_seed, unwrap
+from .unwrap import Aperture, Surface, default_seed, unwrap
 from .zernike import DEFAULT_WAVELENGTH_NM, MODES, phase_to_height, rmse, zernike_fit_remove
 
 WEIGHTINGS = ("by-size", "uniform")
@@ -169,6 +171,7 @@ def _measure(stack: PhaseStack, params: PipelineParams, method: str) -> SurfaceR
     n = len(stack)
     classify = method == "clustered"
     anchor = _anchor_for(stack.mask)
+    aperture = Aperture(stack.mask)
 
     with _timed(times, "preprocess"):
         if classify:
@@ -200,18 +203,19 @@ def _measure(stack: PhaseStack, params: PipelineParams, method: str) -> SurfaceR
             if len(members) == 1:
                 with _timed(times, "preprocess"):
                     frame = piston_shift(stack.frames[members[0]], stack.mask, anchor)
-                mask = stack.mask
+                part = aperture
             else:
                 with _timed(times, "denoise"):
                     frame, _resultant, mask = circular_mean_rows(
                         stack.frames, members, stack.mask, anchor
                     )
+                part = aperture if np.array_equal(mask, aperture.mask) else Aperture(mask)
             with _timed(times, "unwrap"):
-                seed = _anchor_for(mask)
+                seed = _anchor_for(part.mask)
                 unwraps += 1
-                s = unwrap(frame, mask, seed=seed)
+                s = unwrap(frame, part.mask, seed=seed, aperture=part)
             with _timed(times, "fit"):
-                residual, fit = zernike_fit_remove(s, modes=params.modes_removed)
+                residual, fit = zernike_fit_remove(s, modes=params.modes_removed, aperture=part)
         except ValueError as exc:
             warnings.append(f"frames {members} dropped: {exc}")
             continue

@@ -12,29 +12,21 @@ independence and the output-minus-input multiple-of-2*pi property exact
 rather than accumulation-limited.  Each step's change of k comes from two
 comparisons of its difference with +-pi (``core.turns``), not a float wrap.
 
-The facts that depend on the mask alone (4-connectivity, border sinks) are
-derived once per distinct mask and reused while consecutive calls share it.
-So is the cut-free breadth-first tree of each (mask, seed), keyed on the
-mask's bytes and the seed (``_flood_tree``, two entries): a frame's cuts
-only remove edges, so where every pixel keeps an open neighbour one level
-up the frame's tree is the cached one with the cut edges taken out, and
-only the pixels at the ends of cut edges re-choose their parent; where
-some lose it, ``_repair`` moves only the pixels whose level changed
-(decremental breadth-first search, after Ramalingam & Reps, J. Algorithms
-21, 1996), and where those are many the frame gets a search of its own.
+What depends on the mask alone is kept by an ``Aperture``; each frame's
+tree is the aperture's cut-free one with the frame's cuts taken out, and
+repaired where they break a level (``flood_unwrap``).
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 
-from .core import TWO_PI, check_frame, detect_residues, mask_is_connected, turns
+from .core import TWO_PI, check_frame, check_mask, detect_residues, mask_is_connected, turns
 
 
 @dataclass
@@ -115,33 +107,21 @@ def _border_sinks(mask: np.ndarray) -> np.ndarray:
     Interior invalid holes are not sinks: a cut ending at one would not
     stop integration paths from circling around it.
     """
-    h, w = mask.shape
-    invalid = ~mask
-    if not invalid.any():
-        return np.zeros((h - 1, w - 1), dtype=bool)
-    labels, _ = ndimage.label(invalid, structure=np.ones((3, 3), dtype=bool))
-    edge_labels = np.unique(
-        np.concatenate([labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]])
-    )
-    grounded = np.isin(labels, edge_labels[edge_labels > 0])
-    g = grounded
-    touches = g[:-1, :-1] | g[:-1, 1:] | g[1:, :-1] | g[1:, 1:]
-    return touches
+    g = ~mask
+    if g.any():  # keep the invalid regions that reach the border
+        labels, _ = ndimage.label(g, structure=np.ones((3, 3), dtype=bool))
+        edge_labels = np.unique(
+            np.concatenate([labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]])
+        )
+        g = np.isin(labels, edge_labels[edge_labels > 0])
+    sinks = g[:-1, :-1] | g[:-1, 1:] | g[1:, :-1] | g[1:, 1:]
+    sinks.flags.writeable = False  # an aperture shares it between calls
+    return sinks
 
 
-@functools.lru_cache(maxsize=1)
-def _mask_facts(shape: tuple, mask_bytes: bytes) -> tuple:
-    """(mask_is_connected(mask), _border_sinks(mask)) of the bool mask with
-    these C-order bytes.  Keyed on the bytes, so a run of frames on one mask
-    derives them once and a mask edited in place cannot hit a stale entry;
-    the sinks are read-only because every caller shares them."""
-    mask = np.frombuffer(mask_bytes, dtype=bool).reshape(shape)
-    sinks = _border_sinks(mask)
-    sinks.flags.writeable = False
-    return mask_is_connected(mask), sinks
-
-
-def place_branch_cuts(charges: np.ndarray, mask: np.ndarray | None = None) -> BranchCutMap:
+def place_branch_cuts(
+    charges: np.ndarray, mask: np.ndarray | None = None, *, aperture: Aperture | None = None
+) -> BranchCutMap:
     """Goldstein branch-cut placement.
 
     Residues are visited in raster order.  Around each unbalanced residue
@@ -150,7 +130,8 @@ def place_branch_cuts(charges: np.ndarray, mask: np.ndarray | None = None) -> Br
     opposite-charge unbalanced residue is paired with a cut chain, while a
     cell beyond the lattice or on a border-connected invalid region
     grounds the residue with a cut to the border.  Every residue ends
-    balanced because the border is always reachable.
+    balanced because the border is always reachable.  ``aperture`` (see
+    ``flood_unwrap``) keeps the sinks.
     """
     charges = np.asarray(charges)
     if charges.ndim != 2:
@@ -161,13 +142,10 @@ def place_branch_cuts(charges: np.ndarray, mask: np.ndarray | None = None) -> Br
         cut_right=np.zeros((h, w - 1), dtype=bool),
         cut_down=np.zeros((h - 1, w), dtype=bool),
     )
-    if mask is None:
-        sinks = np.zeros((hh, ww), dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (h, w):
-            raise ValueError("place_branch_cuts: mask shape mismatch")
-        sinks = _mask_facts(mask.shape, mask.tobytes())[1]
+    mask = np.ones((h, w), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if mask.shape != (h, w):
+        raise ValueError("place_branch_cuts: mask shape mismatch")
+    sinks = _aperture_of(mask, aperture).derived(_border_sinks)
     positions = np.argwhere(charges != 0)
     if positions.size == 0:
         return cuts
@@ -241,7 +219,7 @@ class _Tree:
     neighbour in direction d (left, above, right, below) is open and that
     neighbour is one level up.  up_at[i] is the position in order of the
     parent of order[i]: its first level-up neighbour in that priority (the
-    seed's is 0, itself).
+    seed's is 0, itself).  The arrays are read-only.
     """
 
     order: np.ndarray
@@ -289,20 +267,49 @@ def _bfs_tree(ok_right: np.ndarray, ok_down: np.ndarray, seed: int) -> _Tree:
     np.logical_and(ok_right, d[:, 1:] == d[:, :-1] - 1, out=up[2, :, :-1])
     np.logical_and(ok_down, d[1:, :] == d[:-1, :] - 1, out=up[3, :-1, :])
     up_at = pos[order + _parent_steps(up, w)[order]]
+    for a in (order, pos, d, up, up_at):
+        a.flags.writeable = False
     return _Tree(order, pos, tuple(bounds), d, up, up_at)
 
 
-@functools.lru_cache(maxsize=2)
-def _flood_tree(shape: tuple, mask_bytes: bytes, seed: int) -> _Tree:
-    """The cut-free ``_bfs_tree`` of the bool mask with these C-order bytes
-    from the flat pixel index ``seed``.  Keyed like ``_mask_facts``; two
-    entries, so two seeds on one mask, or two masks, alternate without a
-    rebuild.  Read-only because every caller shares it."""
-    mask = np.frombuffer(mask_bytes, dtype=bool).reshape(shape)
-    tree = _bfs_tree(mask[:, :-1] & mask[:, 1:], mask[:-1, :] & mask[1:, :], seed)
-    for a in (tree.order, tree.pos, tree.depth, tree.up, tree.up_at):
-        a.flags.writeable = False
-    return tree
+def _cut_free_tree(mask: np.ndarray, seed: int) -> _Tree:
+    """``_bfs_tree`` of every edge between two valid pixels, from ``seed``."""
+    return _bfs_tree(mask[:, :-1] & mask[:, 1:], mask[:-1, :] & mask[1:, :], seed)
+
+
+@dataclass(frozen=True, eq=False)
+class Aperture:
+    """A read-only copy of a mask, validated once (2-D bool, at least one
+    valid pixel), and what is derived from it alone, each built on first
+    use and kept, read-only, as long as the aperture is: connectivity,
+    border sinks, the cut-free tree of each seed and (``zernike``'s) the
+    factored fit design of each set of modes.  It changes no output.
+    """
+
+    mask: np.ndarray
+    _kept: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        check_mask(self.mask)
+        mask = np.array(self.mask)  # a copy
+        mask.flags.writeable = False
+        object.__setattr__(self, "mask", mask)
+
+    def derived(self, build, *args):
+        """``build(self.mask, *args)``, built on the first call with these arguments."""
+        key = (build, *args)
+        if key not in self._kept:
+            self._kept[key] = build(self.mask, *args)
+        return self._kept[key]
+
+
+def _aperture_of(mask: np.ndarray, aperture: Aperture | None) -> Aperture:
+    """``aperture``, checked to hold ``mask``, or a new one when it is None."""
+    if aperture is None:
+        return Aperture(mask)
+    if aperture.mask is not mask and not np.array_equal(aperture.mask, mask):
+        raise ValueError("aperture does not match the mask")
+    return aperture
 
 
 def _parent_steps(up: np.ndarray, w: int) -> np.ndarray:
@@ -321,7 +328,7 @@ def _cut_ends(tree: _Tree, cuts: BranchCutMap):
     level-up neighbour across an uncut edge, in the priority left, above,
     right, below (0 where every such edge is cut).
 
-    Only these pixels can lose their cached parent, since a cut edge
+    Only these pixels can lose their kept parent, since a cut edge
     touches only its two ends; each keeps its level-up bits but for the
     cut ones, so this is ``_parent_steps`` of the cut tree's bits at the
     ends.
@@ -349,7 +356,7 @@ def _cut_ends(tree: _Tree, cuts: BranchCutMap):
 def _repair(tree: _Tree, up: np.ndarray, ok_right: np.ndarray, ok_down: np.ndarray, lost: list):
     """New levels and parents of the pixels whose level the cuts changed.
 
-    ``up`` is the cached tree's level-up edges minus the cut ones and
+    ``up`` is the kept tree's level-up edges minus the cut ones and
     ``lost`` the reached pixels (other than the seed) left with none.  A
     pixel is affected when every one of its remaining level-up neighbours
     is affected; the lost ones are, and the rest follow from a count of
@@ -433,41 +440,45 @@ def flood_unwrap(
     mask: np.ndarray | None = None,
     cuts: BranchCutMap | None = None,
     seed: tuple | None = None,
+    *,
+    aperture: Aperture | None = None,
 ) -> Surface:
     """Flood-fill integration from a seed pixel, never crossing a cut edge.
 
     The seed keeps its input value; every reached pixel gets its parent's
     value plus wrap(pixel - parent), that is, the pixel's own value plus
     2pi times k, where k is the parent's k minus ``turns(pixel - parent)``:
-    an integer count, exact because every valid value is in (-pi, pi].  The tree is the breadth-first tree of
-    the open edges (both ends valid, edge not cut): a pixel's parent is its
-    open neighbour one level up, taken in the priority left, above, right,
-    below, and k propagates down that tree one level at a time.  Pixels
-    that cannot be reached without crossing a cut are invalid in the
-    output mask.
+    an integer count, exact because every valid value is in (-pi, pi].  The
+    tree is the breadth-first tree of the open edges (both ends valid, edge
+    not cut): a pixel's parent is its open neighbour one level up, taken in
+    the priority left, above, right, below, and k propagates down that tree
+    one level at a time.  Pixels that cannot be reached without crossing a
+    cut are invalid in the output mask.
 
-    The cut-free tree of each (mask, seed) is built once by a scipy
-    breadth-first search and cached (``_flood_tree``), with each pixel's
-    parent.  A frame's cuts only remove edges, and removing edges never
-    shortens a path, so while every reached pixel other than the seed keeps
-    an open neighbour one level up, induction on level shows that no level
-    changes: k is then integrated on the cached levels, and only the pixels
-    at the ends of cut edges re-choose their parent among their uncut
-    level-up edges (``_cut_ends``).  Where some pixel loses all of them, ``_repair``
-    moves only the pixels whose level changed; where those are many, one
-    new search of the frame (``_bfs_tree``, the routine that built the
-    cache) replaces the cached tree.  The result is the same in all three
-    cases.
+    The cut-free tree of each seed is built by a scipy breadth-first search
+    and kept, with each pixel's parent, by ``aperture``, which must hold
+    ``mask`` (all valid when None); a call without one builds its own.  A
+    frame's cuts only remove edges, and removing edges never shortens a
+    path, so while every reached pixel other than the seed keeps an open
+    neighbour one level up, no level changes (by induction on level): only
+    the pixels at the ends of cut edges re-choose their parent among their
+    uncut level-up edges (``_cut_ends``).  Where some pixel loses all of
+    them, ``_repair`` moves only the pixels whose level changed
+    (decremental breadth-first search, after Ramalingam & Reps, J.
+    Algorithms 21, 1996); where those are many, the frame gets a search of
+    its own (``_bfs_tree``).  The result is the same in all three cases.
     """
     frame = np.asarray(frame, dtype=np.float64)
     check_frame(frame, mask)
     h, w = frame.shape
-    if mask is None:
-        mask = np.ones((h, w), dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-    mask_bytes = mask.tobytes()
-    if not _mask_facts(mask.shape, mask_bytes)[0]:
+    if cuts is not None and (cuts.cut_right.shape, cuts.cut_down.shape) != ((h, w - 1), (h - 1, w)):
+        raise ValueError(
+            f"flood_unwrap: cut map shapes {cuts.cut_right.shape} and {cuts.cut_down.shape} do not "
+            f"fit a {h}x{w} frame, which needs {(h, w - 1)} and {(h - 1, w)}"
+        )
+    mask = np.ones((h, w), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    aperture = _aperture_of(mask, aperture)
+    if not aperture.derived(mask_is_connected):
         raise ValueError("flood_unwrap: valid region is not 4-connected")
     if seed is None:
         seed = default_seed(mask)
@@ -475,7 +486,7 @@ def flood_unwrap(
     if not (0 <= sr < h and 0 <= sc < w) or not mask[sr, sc]:
         raise ValueError("flood_unwrap: seed pixel is not valid")
 
-    tree = _flood_tree(mask.shape, mask_bytes, sr * w + sc)
+    tree = aperture.derived(_cut_free_tree, sr * w + sc)
     up_at = tree.up_at
     late_at, gone = [], []
     if cuts is not None:
@@ -530,9 +541,15 @@ def flood_unwrap(
     return Surface(values=values, mask=reached, warning=warning)
 
 
-def unwrap(frame: np.ndarray, mask: np.ndarray | None = None, seed: tuple | None = None) -> Surface:
+def unwrap(
+    frame: np.ndarray,
+    mask: np.ndarray | None = None,
+    seed: tuple | None = None,
+    *,
+    aperture: Aperture | None = None,
+) -> Surface:
     """Goldstein unwrap of one frame: residue detection, branch-cut
-    placement, then flood integration from ``seed``."""
+    placement, then flood integration from ``seed`` (``aperture`` to both)."""
     charges = detect_residues(frame, mask)
-    cuts = place_branch_cuts(charges, mask)
-    return flood_unwrap(frame, mask, cuts, seed=seed)
+    cuts = place_branch_cuts(charges, mask, aperture=aperture)
+    return flood_unwrap(frame, mask, cuts, seed=seed, aperture=aperture)

@@ -5,19 +5,18 @@ Z1 = rho*cos(theta), tilt-y Z2 = rho*sin(theta), and power (defocus)
 Z3 = 2*rho^2 - 1.  The unit disk is the mask's bounding circle centered
 at the mask centroid, so rho <= 1 on every valid pixel.
 
-``zernike_fit_remove`` factors the design of each fitted mask once and
-caches the factorization, so fits of many surfaces on one mask cost two
-matrix-vector products each.
+``zernike_fit_remove`` factors the design of the fitted mask by one thin
+SVD, kept by an ``unwrap.Aperture`` that holds that mask, so fits of many
+surfaces on one aperture cost two matrix-vector products each.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .unwrap import Surface
+from .unwrap import Aperture, Surface
 
 DEFAULT_WAVELENGTH_NM = 632.8  # HeNe, double-pass
 
@@ -94,18 +93,15 @@ def _check_modes(modes) -> tuple:
 _RANK_DEFICIENT = "zernike_fit_remove: rank-deficient design (collinear valid pixels)"
 
 
-@functools.lru_cache(maxsize=2)
-def _basis(shape: tuple, mask_bytes: bytes, modes: tuple) -> tuple:
-    """(center, radius, design, pinv) of the bool mask with these C-order
-    bytes and these modes.  Keyed like ``unwrap._mask_facts``; two entries,
-    so an aperture and a part's reached mask alternate without a rebuild.
+def _factor(m: np.ndarray, modes: tuple) -> tuple:
+    """(center, radius, design, pinv) of the bool mask ``m`` and these modes.
 
     The pseudo-inverse comes from one thin SVD of the design, ranked by
     numpy's default least-squares cutoff (a singular value counts when it
-    exceeds eps * max(M, N) times the largest).  Read-only because every
-    caller shares it.
+    exceeds eps * max(M, N) times the largest).  Read-only, because an
+    aperture shares it between fits.
     """
-    center, radius, design = _design(np.frombuffer(mask_bytes, dtype=bool).reshape(shape), modes)
+    center, radius, design = _design(m, modes)
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     if np.count_nonzero(s > np.finfo(float).eps * max(design.shape) * s[0]) < len(s):
         raise ValueError(_RANK_DEFICIENT)
@@ -114,18 +110,20 @@ def _basis(shape: tuple, mask_bytes: bytes, modes: tuple) -> tuple:
     return center, radius, design, pinv
 
 
-def zernike_fit_remove(surface, mask=None, modes=MODES):
+def zernike_fit_remove(surface, mask=None, modes=MODES, *, aperture: Aperture | None = None):
     """Fit the selected modes over valid pixels and subtract them.
 
     Returns (residual, fit); residual is a Surface when a Surface was
     passed in, otherwise a plain array.  Raises on a rank-deficient
     design (e.g., all valid pixels collinear).  The coefficients are
     ``pinv @ v`` and the residual ``v - design @ coef``, within the bounds
-    in README "Conventions" of a least-squares solve.
+    in README "Conventions" of a least-squares solve.  The factorization
+    is kept by ``aperture`` when it holds the fitted mask.
     """
     values, m = _values_mask(surface, mask)
     modes = _check_modes(modes)
-    center, radius, design, pinv = _basis(m.shape, m.tobytes(), modes)
+    kept = aperture is not None and np.array_equal(aperture.mask, m)
+    center, radius, design, pinv = aperture.derived(_factor, modes) if kept else _factor(m, modes)
     coef = pinv @ values[m]
     fit = ZernikeFit(modes=modes, coefficients=coef, center=center, radius=radius)
     residual = values.copy()

@@ -28,3 +28,18 @@ def block_pool(request, monkeypatch):
         monkeypatch.setattr(core, "BLOCK_BYTES", frames_per_block * 8 * int(np.prod(frame_shape)))
 
     return use_blocks
+
+
+@pytest.fixture
+def svd_calls(monkeypatch) -> list:
+    """The shape of every ``np.linalg.svd`` call the test makes: one per
+    Zernike factorization."""
+    calls = []
+    real = np.linalg.svd
+
+    def svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    return calls

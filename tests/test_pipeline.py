@@ -1,6 +1,8 @@
+import gc
 import math
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -20,9 +22,22 @@ from phasestack.pipeline import (
 )
 from phasestack.preprocess import avg_pool2, center_pixel, piston_shift
 from phasestack.synth import CONTAMINANT, TrialSpec, make_trial, peaks_surface
-from phasestack.unwrap import flood_unwrap, unwrap
+from phasestack.unwrap import Aperture, flood_unwrap, unwrap
 from phasestack.wphs import read_stack, write_stack
-from phasestack.zernike import _basis, zernike_fit_remove
+from phasestack.zernike import zernike_fit_remove
+
+
+def record_apertures(monkeypatch) -> list:
+    """A weak reference to every ``Aperture`` the pipeline builds."""
+    made = []
+
+    def recorded(mask):
+        aperture = Aperture(mask)
+        made.append(weakref.ref(aperture))
+        return aperture
+
+    monkeypatch.setattr(pipeline, "Aperture", recorded)
+    return made
 
 
 def family_trial(seed=0, n=16, grid=32, q=2, snr=20.0, jitter=3.0, frac=0.0):
@@ -219,12 +234,12 @@ class TestOnePipeline:
         assert np.abs(rep.surface.values - oracle.values).max() <= bound
 
     @pytest.mark.parametrize("route, classify", [(run_conventional, True), (run_clustered, False)])
-    def test_walled_off_parts_fit_on_their_reached_mask(self, monkeypatch, route, classify):
+    def test_walled_off_parts_fit_on_their_reached_mask(self, monkeypatch, svd_calls, route, classify):
         """A part whose flood walls off pixels is fitted on the mask it
-        reached, through the cached factorization: no lstsq is called, each
-        part stays within FIT_TOL of the oracle, and each distinct fitted
-        mask is factored once.  Here no two walled-off parts are adjacent;
-        two in a row would evict the aperture from the two-entry cache."""
+        reached, through a factorization of that mask: no lstsq is called,
+        each part stays within FIT_TOL of the oracle, the part's aperture is
+        factored once however many parts reach all of it, and each walled-off
+        part's reached mask once."""
         mask = circular_aperture((48, 48))
         stack, _ = family_trial(seed=8, n=8, grid=48, snr=5.0, jitter=30.0)
         stack = PhaseStack(frames=np.where(mask, stack.frames, 0.0), mask=mask)
@@ -243,20 +258,61 @@ class TestOnePipeline:
         def no_lstsq(*args, **kwargs):
             raise AssertionError("np.linalg.lstsq called")
 
-        _basis.cache_clear()
         with monkeypatch.context() as mp:
             mp.setattr(np.linalg, "lstsq", no_lstsq)
             mp.setattr(pipeline, "unwrap", recorded_unwrap)
             mp.setattr(pipeline, "zernike_fit_remove", recorded_fit)
             rep = route(stack, PipelineParams(classify=classify))
         assert not rep.warnings
-        assert any(not np.array_equal(m, s.mask) for m, s in parts)
+        walled = [not np.array_equal(m, s.mask) for m, s in parts]
+        assert any(walled)
         for s, residual in fitted:
             want, _ = zernike_fit_remove_reference(s)
             bound = FIT_TOL * (1.0 + np.abs(s.values[s.mask]).max())
             assert np.array_equal(residual.mask, s.mask)
             assert np.abs(residual.values - want.values).max() <= bound
-        assert _basis.cache_info().misses == len({s.mask.tobytes() for s, _ in fitted})
+        assert len(svd_calls) == (not all(walled)) + sum(walled)
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_walled_off_parts_in_a_row_keep_the_aperture_factored(self, monkeypatch, svd_calls, seed):
+        """Two walled-off parts in a row do not make the aperture factored
+        again: one factorization of the aperture per run, plus one per
+        walled-off part.  (These stacks made 6 and 8 factorizations for 5
+        and 7 distinct masks when the factorizations were kept in a
+        two-entry cache keyed on the mask.)"""
+        mask = circular_aperture((32, 32))
+        stack, _ = family_trial(seed, n=8, grid=32, snr=5.0, jitter=30.0)
+        stack = PhaseStack(frames=np.where(mask, stack.frames, 0.0), mask=mask)
+        reached = []
+
+        def recorded_fit(s, **kwargs):
+            reached.append(s.mask)
+            return zernike_fit_remove(s, **kwargs)
+
+        monkeypatch.setattr(pipeline, "zernike_fit_remove", recorded_fit)
+        rep = run_conventional(stack, PipelineParams())
+        assert len(reached) == len(rep.fits) == 8
+        walled = sum(not np.array_equal(m, mask) for m in reached)
+        assert walled >= 2
+        assert len(svd_calls) == 1 + walled
+
+    @pytest.mark.parametrize("route, params, trial", [
+        (run_conventional, PipelineParams(), dict(n=8, snr=5.0, jitter=30.0)),
+        (run_clustered, PipelineParams(), dict(n=16, snr=10.0, jitter=3.0)),
+        (run_clustered, PipelineParams(classify=False), dict(n=8, snr=5.0, jitter=30.0)),
+    ])
+    def test_no_aperture_outlives_the_run(self, monkeypatch, route, params, trial):
+        """Every aperture a run builds is gone once it returns: nothing
+        derived from a mask is kept between measurements."""
+        made = record_apertures(monkeypatch)
+        mask = circular_aperture((32, 32))
+        stack, _ = family_trial(seed=0, grid=32, **trial)
+        stack = PhaseStack(frames=np.where(mask, stack.frames, 0.0), mask=mask)
+        rep = route(stack, params)
+        assert rep.fits
+        gc.collect()
+        assert made
+        assert all(ref() is None for ref in made)
 
     @pytest.mark.parametrize("route, params, trial", [
         (run_conventional, PipelineParams(), dict(n=8, snr=5.0, jitter=30.0)),
@@ -341,7 +397,7 @@ class TestStackHeldOnce:
 
 
 class TestFailurePolicy:
-    def test_cancelled_column_drops_only_that_cluster(self):
+    def test_cancelled_column_drops_only_that_cluster(self, monkeypatch):
         # frames 0 and 1 differ by pi along column 5, so their circular mean
         # is undefined there and the denoised mask splits in two
         a = wrap(peaks_surface(32, 6.0))
@@ -350,7 +406,11 @@ class TestFailurePolicy:
         b = wrap(a + 2.0 * np.arange(32)[None, :])
         frames = np.stack([a, a2, b, b, b])
         stack = PhaseStack(frames=frames, mask=np.ones((32, 32), dtype=bool))
+        made = record_apertures(monkeypatch)
         rep = run_clustered(stack, PipelineParams(cut=0.5, min_samples=2))
+        gc.collect()
+        assert len(made) == 2  # the stack's, and the split part's own
+        assert all(ref() is None for ref in made)
         assert rep.chosen_sizes == [3]
         assert rep.unwrap_call_count == 2
         assert len(rep.fits) == 1

@@ -1,3 +1,6 @@
+import re
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,9 +9,10 @@ from hypothesis import strategies as st
 from phasestack.core import TWO_PI, circular_aperture, detect_residues, mask_is_connected, wrap
 from phasestack.synth import peaks_surface
 from phasestack.unwrap import (
+    Aperture,
     BranchCutMap,
     _border_sinks,
-    _mask_facts,
+    _cut_free_tree,
     default_seed,
     flood_unwrap,
     place_branch_cuts,
@@ -183,40 +187,107 @@ class TestFloodUnwrap:
         assert np.abs(diff - diff[0]).max() < 1e-9
 
 
-def facts_of(mask):
-    return _mask_facts(mask.shape, mask.tobytes())
+def assert_facts_are_fresh(aperture, mask):
+    assert aperture.derived(mask_is_connected) == mask_is_connected(mask)
+    assert np.array_equal(aperture.derived(_border_sinks), _border_sinks(mask))
 
 
-def assert_facts_are_fresh(mask):
-    connected, sinks = facts_of(mask)
-    assert connected == mask_is_connected(mask)
-    assert np.array_equal(sinks, _border_sinks(mask))
-
-
-class TestMaskFacts:
+class TestAperture:
     @given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
            st.integers(2, 12), st.integers(2, 12))
-    def test_alternating_masks_match_uncached(self, seeds, h, w):
+    def test_facts_match_the_mask(self, seeds, h, w):
         masks = [np.random.default_rng(seed).random((h, w)) > 0.3 for seed in seeds]
+        masks = [m for m in masks if m.any()]
         for mask in masks + masks[::-1] + masks:  # A, B, ..., B, A, A, B, ...
-            assert_facts_are_fresh(mask)
+            assert_facts_are_fresh(Aperture(mask), mask)
 
-    def test_mask_edited_in_place_is_not_stale(self):
+    def test_mask_edited_in_place_gets_fresh_facts(self):
         mask = circular_aperture((16, 16))
-        assert_facts_are_fresh(mask)
+        before = Aperture(mask)
+        assert before.derived(mask_is_connected)
         mask[8, :] = False  # cut the disk in two
-        assert_facts_are_fresh(mask)
-        assert not facts_of(mask)[0]
         with pytest.raises(ValueError, match="4-connected"):
             flood_unwrap(np.zeros((16, 16)), mask)
+        with pytest.raises(ValueError, match="does not match"):
+            flood_unwrap(np.zeros((16, 16)), mask, aperture=before)
+        with pytest.raises(ValueError, match="does not match"):
+            place_branch_cuts(np.zeros((15, 15), dtype=np.int8), mask, aperture=before)
+        after = Aperture(mask)
+        assert_facts_are_fresh(after, mask)
+        assert not after.derived(mask_is_connected)
         mask[8, :] = circular_aperture((16, 16))[8, :]
-        assert_facts_are_fresh(mask)
         assert flood_unwrap(np.zeros((16, 16)), mask).mask.sum() == mask.sum()
+        assert flood_unwrap(np.zeros((16, 16)), mask, aperture=before).mask.sum() == mask.sum()
 
-    def test_shared_sinks_are_read_only(self):
-        _, sinks = facts_of(circular_aperture((10, 10)))
-        with pytest.raises(ValueError):
-            sinks[0, 0] = not sinks[0, 0]
+    def test_editing_the_callers_array_leaves_the_aperture(self):
+        mask = circular_aperture((16, 16))
+        aperture = Aperture(mask)
+        tree = aperture.derived(_cut_free_tree, 8 * 16 + 8)
+        mask[8, :] = False
+        assert np.array_equal(aperture.mask, circular_aperture((16, 16)))
+        assert_facts_are_fresh(aperture, circular_aperture((16, 16)))
+        assert aperture.derived(_cut_free_tree, 8 * 16 + 8) is tree
+        assert np.array_equal(tree.depth >= 0, circular_aperture((16, 16)))
+
+    def test_one_tree_per_seed(self, monkeypatch):
+        built = []
+        unwrap_module = sys.modules["phasestack.unwrap"]  # the package attribute is the function
+        real = unwrap_module._bfs_tree
+
+        def counted(ok_right, ok_down, seed):
+            built.append(seed)
+            return real(ok_right, ok_down, seed)
+
+        monkeypatch.setattr(unwrap_module, "_bfs_tree", counted)
+        mask = circular_aperture((16, 16))
+        aperture = Aperture(mask)
+        frame = wrap(peaks_surface(16, 8.0))
+        for seed in [(8, 8), (3, 8), (8, 8), (3, 8), (8, 8)]:
+            surf = flood_unwrap(frame, mask, seed=seed, aperture=aperture)
+            assert np.array_equal(surf.values, flood_unwrap(frame, mask, seed=seed).values)
+        assert built.count(8 * 16 + 8) == 1 + 3  # once kept, once per call without the aperture
+        assert built.count(3 * 16 + 8) == 1 + 2
+        kept = aperture.derived(_cut_free_tree, 8 * 16 + 8)
+        assert aperture.derived(_cut_free_tree, 8 * 16 + 8) is kept
+        assert built.count(8 * 16 + 8) == 1 + 3
+
+    def test_kept_arrays_are_read_only(self):
+        mask = circular_aperture((10, 10))
+        aperture = Aperture(mask)
+        tree = aperture.derived(_cut_free_tree, 5 * 10 + 5)
+        sinks = aperture.derived(_border_sinks)
+        for a in (aperture.mask, sinks, tree.order, tree.pos, tree.depth, tree.up, tree.up_at):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.flat[0] = a.flat[0]
+        assert mask.flags.writeable  # the caller's array is left as it was
+
+    @pytest.mark.parametrize("mask, message", [
+        (np.ones((4, 4), dtype=np.uint8), "2-D bool"),
+        (np.ones((2, 4, 4), dtype=bool), "2-D bool"),
+        (np.zeros((4, 4), dtype=bool), "no valid pixels"),
+    ])
+    def test_mask_is_validated_once_at_construction(self, mask, message):
+        with pytest.raises(ValueError, match=message):
+            Aperture(mask)
+
+
+class TestCutMapShape:
+    @pytest.mark.parametrize("right, down", [
+        ((1, 7), (7, 8)),  # too few rows: an IndexError without the check
+        ((8, 6), (7, 8)),  # too few columns: a broadcast error without the check
+        ((8, 7), (1, 8)),  # no cut set: accepted silently without the check
+        ((7, 8), (8, 7)),  # the two arrays swapped
+    ])
+    def test_flood_rejects_a_cut_map_of_another_frame(self, right, down):
+        cuts = BranchCutMap(np.zeros(right, dtype=bool), np.zeros(down, dtype=bool))
+        if right == (1, 7):
+            cuts.cut_right[0, 3] = True
+        if right == (8, 6):
+            cuts.cut_right[4, 5] = True
+        shapes = f"{right} and {down}"
+        with pytest.raises(ValueError, match=rf"cut map shapes {re.escape(shapes)} do not fit a 8x8 frame"):
+            flood_unwrap(np.zeros((8, 8)), cuts=cuts)
 
 
 class TestGoldsteinEndToEnd:

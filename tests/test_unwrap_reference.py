@@ -19,13 +19,17 @@ from unwrap_reference import flood_unwrap_reference
 from phasestack.core import TWO_PI, circular_aperture, detect_residues, wrap
 from phasestack.synth import peaks_surface
 from phasestack.unwrap import (
+    Aperture,
     BranchCutMap,
+    Surface,
     _cut_ends,
-    _flood_tree,
+    _cut_free_tree,
     _parent_steps,
     flood_unwrap,
     place_branch_cuts,
+    unwrap,
 )
+from phasestack.zernike import zernike_fit_remove
 
 
 def outcome(fn, *args):
@@ -367,9 +371,42 @@ def cut_maps(draw, max_side=24):
     return frame, mask, cuts, (sr, sc)
 
 
+def same_bits(a, b):
+    """Equal results of two calls: the same exception type, or every array
+    in them equal bit for bit."""
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(same_bits(x, y) for x, y in zip(a, b))
+    if hasattr(a, "__dict__"):
+        return type(a) is type(b) and same_bits(list(vars(a).values()), list(vars(b).values()))
+    return a == b
+
+
+def assert_aperture_changes_no_output(frame, mask, cuts, seed):
+    """Each kernel gives the same bits with ``aperture=`` as without, on its
+    first call (which derives what it needs) and on a second (which reuses
+    it)."""
+    aperture = Aperture(mask)
+    charges = detect_residues(frame, mask)
+    surface = unwrap(frame, mask, seed)
+    for _ in range(2):
+        assert same_bits(outcome(lambda: place_branch_cuts(charges, mask, aperture=aperture)),
+                         outcome(place_branch_cuts, charges, mask))
+        assert same_bits(outcome(lambda: flood_unwrap(frame, mask, cuts, seed, aperture=aperture)),
+                         outcome(flood_unwrap, frame, mask, cuts, seed))
+        assert same_bits(outcome(lambda: unwrap(frame, mask, seed, aperture=aperture)), surface)
+        for fitted in (surface, Surface(surface.values, mask)):
+            assert same_bits(outcome(lambda: zernike_fit_remove(fitted, aperture=aperture)),
+                             outcome(zernike_fit_remove, fitted))
+
+
 @given(cut_maps())
 def test_cut_maps_match_reference(case):
     assert_same(*case)
+    assert_aperture_changes_no_output(*case)
 
 
 @given(cut_maps(max_side=48))
@@ -384,7 +421,7 @@ def test_cut_ends_are_the_cut_tree_parents(case):
     cached parent."""
     frame, mask, cuts, (sr, sc) = case
     w = mask.shape[1]
-    tree = _flood_tree(mask.shape, mask.tobytes(), sr * w + sc)
+    tree = Aperture(mask).derived(_cut_free_tree, sr * w + sc)
     ends, steps = _cut_ends(tree, cuts)
     full = cut_tree_steps(tree, cuts)
     assert np.array_equal(steps, full[ends])
@@ -400,7 +437,8 @@ def test_cached_up_at_is_read_only_and_kept():
     mask = circular_aperture((n, n))
     frame[~mask] = 0.0
     seed = (16, 16)
-    tree = _flood_tree(mask.shape, mask.tobytes(), 16 * n + 16)
+    aperture = Aperture(mask)
+    tree = aperture.derived(_cut_free_tree, 16 * n + 16)
     before = tree.up_at.copy()
     assert not tree.up_at.flags.writeable
     with pytest.raises(ValueError):
@@ -408,6 +446,8 @@ def test_cached_up_at_is_read_only_and_kept():
     cuts = place_branch_cuts(detect_residues(frame, mask), mask)
     assert cuts.edge_count > 0
     assert_same(frame, mask, cuts, seed)
+    flood_unwrap(frame, mask, cuts, seed, aperture=aperture)
+    assert aperture.derived(_cut_free_tree, 16 * n + 16) is tree
     assert np.array_equal(tree.up_at, before)
 
 
@@ -421,7 +461,7 @@ def test_one_cut_edge_whose_ends_both_lose_their_parent():
     frame = wrap(peaks_surface(n, 30.0) + np.random.default_rng(3).normal(0, 0.8, (n, n)))
     mask = np.ones((n, n), dtype=bool)
     seed = (5, 24)
-    tree = _flood_tree(mask.shape, mask.tobytes(), 5 * n + 24)
+    tree = Aperture(mask).derived(_cut_free_tree, 5 * n + 24)
     for row, path in ((9, "cached"), (5, "repaired")):
         cuts = no_cuts(n, n)
         cuts.cut_right[row, 27] = True  # (row, 27) - (row, 28)
@@ -444,7 +484,7 @@ def test_cut_end_keeps_a_parent_across_another_edge():
     frame = wrap(peaks_surface(n, 30.0) + np.random.default_rng(5).normal(0, 0.8, (n, n)))
     mask = np.ones((n, n), dtype=bool)
     seed = (4, 4)
-    tree = _flood_tree(mask.shape, mask.tobytes(), 4 * n + 4)
+    tree = Aperture(mask).derived(_cut_free_tree, 4 * n + 4)
     cuts = no_cuts(n, n)
     cuts.cut_down[8, 9] = True  # (8, 9) - (9, 9)
     ends, steps = _cut_ends(tree, cuts)

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from zernike_reference import FIT_TOL, zernike_fit_remove_reference
 
 from phasestack.core import circular_aperture
-from phasestack.unwrap import Surface
+from phasestack.unwrap import Aperture, Surface
 from phasestack.zernike import (
     DEFAULT_WAVELENGTH_NM,
     MODES,
     ZernikeFit,
-    _basis,
+    _factor,
     _mode_values,
     phase_to_height,
     rmse,
@@ -239,28 +239,43 @@ class TestCachedFactorization:
         with pytest.raises(ValueError, match="nonempty subset"):
             zernike_fit_remove(np.zeros((16, 16)), disk_mask(16), ("piston", "coma"))
 
-    def test_mask_edited_in_place_gets_a_fresh_factorization(self):
-        _basis.cache_clear()
+    def test_mask_edited_in_place_gets_a_fresh_factorization(self, svd_calls):
         mask = disk_mask(21)
+        aperture = Aperture(mask)
         values = np.random.default_rng(1).normal(size=(21, 21))
-        zernike_fit_remove(values, mask)
+        zernike_fit_remove(values, mask, aperture=aperture)
         mask[10, 10] = False
-        got, fit = zernike_fit_remove(values, mask)
-        want, want_fit = zernike_fit_remove_reference(values, mask)
-        assert _basis.cache_info().misses == 2
-        assert got[10, 10] == 0.0
-        v_max = np.abs(values[mask]).max()
-        assert np.abs(got - want).max() <= FIT_TOL * (1.0 + v_max)
-        assert fit.center == want_fit.center
+        for kwargs in ({}, {"aperture": aperture}):
+            got, fit = zernike_fit_remove(values, mask, **kwargs)
+            want, want_fit = zernike_fit_remove_reference(values, mask)
+            assert got[10, 10] == 0.0
+            v_max = np.abs(values[mask]).max()
+            assert np.abs(got - want).max() <= FIT_TOL * (1.0 + v_max)
+            assert fit.center == want_fit.center
+        assert len(svd_calls) == 3  # the aperture once, the edited mask once per call
+        assert aperture.mask[10, 10]
 
-    def test_one_factorization_per_mask_and_modes(self):
-        _basis.cache_clear()
+    def test_one_factorization_per_aperture_and_modes(self, svd_calls):
         values = np.random.default_rng(3).normal(size=(16, 16))
+        aperture = Aperture(disk_mask(16))
+        want = zernike_fit_remove(values, disk_mask(16))
+        assert len(svd_calls) == 1
         for _ in range(3):
-            zernike_fit_remove(values, disk_mask(16))
+            got = zernike_fit_remove(values, disk_mask(16), aperture=aperture)
+            assert got[0].tobytes() == want[0].tobytes()
+        zernike_fit_remove(values, disk_mask(16), MODES[:3], aperture=aperture)
+        zernike_fit_remove(values, disk_mask(16), MODES[:3], aperture=aperture)
+        assert len(svd_calls) == 1 + 2
         zernike_fit_remove(values, disk_mask(16), MODES[:3])
-        info = _basis.cache_info()
-        assert (info.misses, info.hits) == (2, 2)
+        assert len(svd_calls) == 1 + 2 + 1  # a call without the aperture factors its mask
+
+    def test_kept_factorization_is_read_only(self):
+        aperture = Aperture(disk_mask(16))
+        zernike_fit_remove(np.zeros((16, 16)), disk_mask(16), aperture=aperture)
+        _, _, design, pinv = aperture.derived(_factor, MODES)
+        for a in (design, pinv):
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
 
     def test_surface_in_surface_out(self):
         mask = disk_mask(16)

@@ -1,17 +1,18 @@
 """Fit-layer benchmark: ``zernike_fit_remove`` cold and warm against the
-``lstsq`` oracle, the parts the flood did not fully reach, and the unwrap's
-per-mask caches cold and warm.
+``lstsq`` oracle, the parts the flood did not fully reach, and the unwrap
+with a new ``Aperture`` per frame and with one reused.
 
 Builds perfbench's conventional-256 recipe (60 frames of the 256x256 peaks
 surface at 5 dB in a circular aperture, two tilt families with 30 rad
 jitter, no contaminants), piston-shifts it as ``run_conventional`` does and
 unwraps every frame from the center pixel.  On seed 0 it records:
 
-- ``cold_fit_s``: per-fit time of ``zernike_fit_remove(surface, modes=MODES)``
-  with its factorization cache cleared before each fit (build + fit)
-- ``warm_fit_s``: per-fit time of the same call with the cache as the
-  pipeline leaves it: the aperture stays factored, and a surface the flood
-  did not fully reach is fitted on its own reached mask
+- ``cold_fit_s``: per-fit time of ``zernike_fit_remove(surface, modes=MODES,
+  aperture=Aperture(mask))`` with a new aperture for each fit (build + fit)
+- ``warm_fit_s``: per-fit time of the same call with one aperture reused,
+  as the pipeline does within a run: the aperture stays factored, and a
+  surface the flood did not fully reach is fitted on its own reached mask,
+  factored for that fit
 - ``oracle_fit_s``: per-fit time of ``tests/zernike_reference.py``'s
   ``zernike_fit_remove_reference``, one ``lstsq`` per call
 - ``build_s``: one factorization of the aperture, build + fit minus a warm
@@ -20,15 +21,15 @@ unwraps every frame from the center pixel.  On seed 0 it records:
   difference| from the oracle over every reached pixel, and the largest
   |coefficient difference| over the largest |coefficient| of the same fit
 - ``cuts_flood_cold_s`` and ``cuts_flood_warm_s``: per-frame time of
-  ``place_branch_cuts`` plus ``flood_unwrap``, with the unwrap's caches
-  (mask facts and flood tree) cleared before each frame and with them
-  holding the aperture (residues are detected outside the timing)
+  ``place_branch_cuts`` plus ``flood_unwrap``, with a new ``Aperture`` for
+  each frame and with one reused (mask facts and flood tree derived once;
+  residues are detected outside the timing)
 
 Each time is the median of ``REPEATS`` passes over the 60 surfaces, the
 fit passes alternating.  Over seeds 0-9 (``UNREACHED_SEEDS``) it counts the
 surfaces the flood did not fully reach and their lost pixels, and times
 their fits both ways: ``parent_s``, the oracle's ``lstsq`` (the fit such
-parts took before every fit went through a cached factorization), and
+parts took before every fit went through a factorization), and
 ``change_s``, a cold ``zernike_fit_remove`` (a reached mask is new, so its
 fit includes the build); medians over the parts of the per-part medians of
 ``REPEATS`` calls.  It writes everything to ``BENCH_fit.json``.
@@ -57,8 +58,8 @@ from zernike_reference import zernike_fit_remove_reference  # noqa: E402
 from phasestack.core import PhaseStack, circular_aperture, detect_residues  # noqa: E402
 from phasestack.preprocess import center_pixel, piston_shift  # noqa: E402
 from phasestack.synth import TrialSpec, make_trial, peaks_surface  # noqa: E402
-from phasestack.unwrap import _flood_tree, _mask_facts, flood_unwrap, place_branch_cuts  # noqa: E402
-from phasestack.zernike import MODES, _basis, zernike_fit_remove  # noqa: E402
+from phasestack.unwrap import Aperture, flood_unwrap, place_branch_cuts  # noqa: E402
+from phasestack.zernike import MODES, zernike_fit_remove  # noqa: E402
 
 GRID = 256
 REPEATS = 7
@@ -97,13 +98,9 @@ def oracle_fit(s):
     return zernike_fit_remove_reference(s, modes=MODES)
 
 
-def fit(s):
-    return zernike_fit_remove(s, modes=MODES)
-
-
-def cold_fit(s):
-    _basis.cache_clear()
-    return zernike_fit_remove(s, modes=MODES)
+def fit_through(aperture_of):
+    """``zernike_fit_remove`` through the aperture ``aperture_of()`` gives."""
+    return lambda s: zernike_fit_remove(s, modes=MODES, aperture=aperture_of())
 
 
 def main(argv=None) -> None:
@@ -112,6 +109,8 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     shifted, mask, pixel = frames(0)
     charges, surfaces = unwrapped(shifted, mask, pixel)
+    kept = Aperture(mask)
+    fit, cold_fit = fit_through(lambda: kept), fit_through(lambda: Aperture(mask))
     full = next(s for s in surfaces if np.array_equal(s.mask, mask))
 
     cold_t, warm_t, oracle_t, build_t = [], [], [], []
@@ -128,19 +127,18 @@ def main(argv=None) -> None:
         dc = np.abs(got_fit.coefficients - want_fit.coefficients).max()
         d_coef = max(d_coef, float(dc / np.abs(want_fit.coefficients).max()))
 
-    def cuts_flood(cold):
+    def cuts_flood(aperture_of):
         def one(i):
-            if cold:
-                _mask_facts.cache_clear()
-                _flood_tree.cache_clear()
-            flood_unwrap(shifted[i], mask, place_branch_cuts(charges[i], mask), pixel)
+            aperture = aperture_of()
+            cuts = place_branch_cuts(charges[i], mask, aperture=aperture)
+            flood_unwrap(shifted[i], mask, cuts, pixel, aperture=aperture)
 
         return one
 
     flood_cold_t, flood_warm_t = [], []
     for _ in range(REPEATS):
-        flood_cold_t.append(per_call(cuts_flood(True), range(len(shifted))))
-        flood_warm_t.append(per_call(cuts_flood(False), range(len(shifted))))
+        flood_cold_t.append(per_call(cuts_flood(lambda: Aperture(mask)), range(len(shifted))))
+        flood_warm_t.append(per_call(cuts_flood(lambda: kept), range(len(shifted))))
 
     by_seed, parent_t, change_t = {}, [], []
     for seed in UNREACHED_SEEDS:
@@ -154,8 +152,8 @@ def main(argv=None) -> None:
     flood_cold_s, flood_warm_s = statistics.median(flood_cold_t), statistics.median(flood_warm_t)
     doc = {
         "benchmark": "fit: zernike_fit_remove cold and warm vs the lstsq oracle; parts the "
-        "flood did not fully reach; place_branch_cuts + flood_unwrap with the unwrap caches "
-        "cold and warm",
+        "flood did not fully reach; place_branch_cuts + flood_unwrap with a new Aperture per "
+        "frame and with one reused",
         "recipe": "conventional-256 (60 x 256x256 circular aperture, 5 dB, 2 families, seed 0)",
         "repeats": REPEATS,
         "environment": {
@@ -184,7 +182,7 @@ def main(argv=None) -> None:
         },
         "cuts_flood_cold_s": flood_cold_s,
         "cuts_flood_warm_s": flood_warm_s,
-        "unwrap_caches_saving_s": flood_cold_s - flood_warm_s,
+        "aperture_saving_s": flood_cold_s - flood_warm_s,
     }
     print(json.dumps(doc, indent=2))
     with open(args.out, "w", encoding="utf-8") as fh:

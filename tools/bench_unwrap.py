@@ -23,8 +23,10 @@ one thread, as perfbench sets it.  Two kinds of rows:
     ``flood_ms_per_frame``: the mean over frames of each frame's median
     ``check_frame``, ``detect_residues`` and ``flood_unwrap`` time over
     ``REPEATS`` passes
-  - ``paths``: frames integrated on the cached tree, repaired, or searched
+  - ``paths``: frames integrated on the cached (kept) tree, repaired, or searched
     in full; a tree without ``unwrap._repair`` searches every frame
+  - a tree with ``unwrap.Aperture`` gets one of the stack's mask, built
+    outside the timing and passed to every call, as the pipeline does
   - ``ms_per_frame_by_path``: the median frame time of each path
   - ``charges_sha256``, ``cuts_sha256`` and ``surfaces_sha256``: of every
     frame's charges, cut maps, and surface values and mask, in frame order
@@ -122,7 +124,11 @@ def flood_worker(path: str, repeats: int) -> dict:
     mask, anchor = stack.mask, center_pixel(stack.shape)
     frames = [piston_shift(f, mask, anchor) for f in stack.frames]
     charges = [detect_residues(f, mask) for f in frames]
-    cuts = [place_branch_cuts(c, mask) for c in charges]
+    # a tree with unwrap.Aperture keeps the mask's facts and tree in one
+    # built here; a tree without it keeps them in module caches
+    aperture = getattr(unwrap_module, "Aperture", None)
+    kept = {} if aperture is None else {"aperture": aperture(mask)}
+    cuts = [place_branch_cuts(c, mask, **kept) for c in charges]
 
     real = getattr(unwrap_module, "_repair", None)
     paths = []
@@ -137,7 +143,7 @@ def flood_worker(path: str, repeats: int) -> dict:
         surfaces = []
         for f, c in zip(frames, cuts):
             paths.append("cached" if real is not None else "full")
-            surfaces.append(flood_unwrap(f, mask, c, anchor))
+            surfaces.append(flood_unwrap(f, mask, c, anchor, **kept))
     finally:
         if real is not None:
             unwrap_module._repair = real
@@ -146,7 +152,7 @@ def flood_worker(path: str, repeats: int) -> dict:
     for _ in range(repeats):
         for i, (f, c) in enumerate(zip(frames, cuts)):
             t0 = time.perf_counter()
-            flood_unwrap(f, mask, c, anchor)
+            flood_unwrap(f, mask, c, anchor, **kept)
             times[i].append(time.perf_counter() - t0)
     per_frame = [statistics.median(t) * 1e3 for t in times]
     by_path = {}
