@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, as_frames, map_blocks, wrap
+from .core import TWO_PI, as_frames, map_blocks, turns, wrap
 from .preprocess import center_pixel, piston_shift
 
 #: Resultant lengths at or below this are treated as an undefined mean.  It
@@ -108,7 +108,7 @@ def circular_mean_rows(frames: np.ndarray, rows, mask: np.ndarray, anchor=None):
     Each member is shifted as ``piston_shift`` shifts it, in float64:
     ``s = wrap(f - f[anchor])``, with the invalid pixels zeroed before the
     ``wrap``.  Its deviation from the first shifted member, ``d = s - ref``,
-    is folded into (-pi, pi] by one masked 2*pi step; cos and sin of
+    is folded into (-pi, pi] as ``d - 2*pi*turns(d)``; cos and sin of
     ``float32(d)`` are computed in float32 and summed in float64, frame by
     frame from zero; the mean is ``wrap(atan2(S, C) + ref)``.
 
@@ -161,8 +161,9 @@ def circular_mean_rows(frames: np.ndarray, rows, mask: np.ndarray, anchor=None):
 
     def cos_sin(block, buf):
         # Two halves of the block's scratch: `raw` holds f - f[anchor], then
-        # the float32 cos and sin of d; `d` the shifted members, then d.  They
-        # do not overlap, so wrap needs no temporary.
+        # 2*pi times d's turns, then the float32 cos and sin of d; `d` the
+        # shifted members, then d.  They do not overlap, so wrap needs no
+        # temporary.
         n = len(buf)
         d, raw = buf.reshape(2, n, *mask.shape)
         for k, r in enumerate(rows[block]):
@@ -170,8 +171,7 @@ def circular_mean_rows(frames: np.ndarray, rows, mask: np.ndarray, anchor=None):
         np.copyto(raw, 0.0, where=invalid)
         wrap(raw, out=d)
         np.subtract(d, ref, out=d)
-        np.subtract(d, TWO_PI, out=d, where=d > np.pi)
-        np.add(d, TWO_PI, out=d, where=d <= -np.pi)
+        np.subtract(d, np.multiply(turns(d), TWO_PI, out=raw), out=d)
         cs = raw.reshape(n, -1).view(np.float32).reshape(n, 2, *mask.shape)
         c, s = cs[:, 0], cs[:, 1]
         c[...] = d

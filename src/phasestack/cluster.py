@@ -68,6 +68,10 @@ def pairwise_distances(frames: np.ndarray, mask: np.ndarray) -> np.ndarray:
     into its part of the result, works on it in place with panel-sized
     temporaries, and mirrors it below the diagonal, so no N x N temporary
     exists; the bits do not depend on the worker count.
+
+    With every pixel valid the panels read ``frames`` in place, as the
+    C-contiguous (N, P) matrix ``frames.reshape(N, -1)``, with the bits of
+    a copy; other masks cost an (N, P) copy of the valid columns.
     """
     frames = np.asarray(frames, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
@@ -78,10 +82,11 @@ def pairwise_distances(frames: np.ndarray, mask: np.ndarray) -> np.ndarray:
     n_valid = int(mask.sum())
     if n_valid == 0:
         raise ValueError("pairwise_distances: no valid pixels")
-    # compress is a plain copy of the valid columns, several times faster
-    # than the same gather by boolean indexing
-    x = frames.reshape(len(frames), -1).compress(mask.ravel(), axis=1)
-    n = len(x)
+    n = len(frames)
+    x = frames.reshape(n, -1)
+    # compress copies the valid columns, several times faster than the same
+    # gather by boolean indexing; with every pixel valid x is the frames
+    x = np.ascontiguousarray(x) if n_valid == mask.size else x.compress(mask.ravel(), axis=1)
     sq = np.einsum("ij,ij->i", x, x)
     d = np.empty((n, n))
 

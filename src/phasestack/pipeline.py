@@ -185,7 +185,11 @@ def _measure(stack: PhaseStack, params: PipelineParams, method: str) -> SurfaceR
             if n < 2:
                 raise ValueError("run_clustered: need at least 2 frames to classify")
             d = pairwise_distances(pooled, pooled_mask)
+            # each dropped once read: agglomerate's N x N copy never sits
+            # beside the pooled stack, nor d beside the denoise
+            del pooled
             dendrogram = agglomerate(d)
+            del d
             clusters = select_clusters(dendrogram, params.cut, params.resolve_min_samples(n))
             parts, abandoned = clusters.chosen, clusters.abandoned
         elif method == "no-classify":

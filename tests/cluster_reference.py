@@ -5,16 +5,22 @@ in ``phasestack.cluster`` must reproduce.
 ``agglomerate_reference`` rescans the whole masked matrix at every merge,
 O(N^3).  Both take the same arguments as the kernels they check, so tests
 can monkeypatch them into ``phasestack.pipeline``.
+
+``pairwise_distances_compressed`` is the panel kernel as it was before it
+read an all-valid stack in place: it always gathers the valid columns into
+an (N, P) copy.  Its bits are the ones the in-place read must keep.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from phasestack.cluster import Dendrogram, check_distance_matrix
+from phasestack import core
+from phasestack.cluster import _LOWER, _NEAR_REL, _PANEL_ROWS, Dendrogram, check_distance_matrix
 
 
 def pairwise_distances_reference(frames: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -24,6 +30,44 @@ def pairwise_distances_reference(frames: np.ndarray, mask: np.ndarray) -> np.nda
     n_valid = int(mask.sum())
     x = frames[:, mask]
     return squareform(pdist(x, metric="euclidean") / math.sqrt(n_valid))
+
+
+def pairwise_distances_compressed(frames: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``pairwise_distances`` on an (N, P) copy of the valid columns, for
+    every mask."""
+    frames = np.asarray(frames, dtype=np.float64)
+    mask = np.asarray(mask, dtype=bool)
+    n_valid = int(mask.sum())
+    x = frames.reshape(len(frames), -1).compress(mask.ravel(), axis=1)
+    n = len(x)
+    sq = np.einsum("ij,ij->i", x, x)
+    d = np.empty((n, n))
+
+    def panel(lo: int) -> None:
+        hi = min(lo + _PANEL_ROWS, n)
+        h = hi - lo
+        below = _LOWER[:h, :h]
+        d2 = d[lo:hi, lo:]
+        np.matmul(x[lo:hi], x[lo:].T, out=d2)
+        norms = sq[lo:hi, None] + sq[None, lo:]
+        np.maximum(norms - 2.0 * d2, 0.0, out=d2)
+        d2[:, :h][below] = 0.0
+        near = d2 <= _NEAR_REL * norms
+        near[:, :h][below] = False
+        for r in np.flatnonzero(near.any(axis=1)):
+            js = np.flatnonzero(near[r])
+            diff = x[lo + js] - x[lo + r]
+            d2[r, js] = np.einsum("ij,ij->i", diff, diff)
+        np.sqrt(d2, out=d2)
+        np.divide(d2, math.sqrt(n_valid), out=d2)
+        block = d2[:, :h]
+        block += block.T
+        d[hi:, lo:hi] = d2[:, h:].T
+
+    starts = range(0, n, _PANEL_ROWS)
+    with ThreadPoolExecutor(min(core.WORKERS, len(starts))) as pool:
+        list(pool.map(panel, starts))
+    return d
 
 
 def agglomerate_reference(d: np.ndarray) -> Dendrogram:

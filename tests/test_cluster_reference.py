@@ -8,6 +8,7 @@ surface whichever pair of kernels it runs.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import squareform
 
-from cluster_reference import agglomerate_reference, pairwise_distances_reference
+from cluster_reference import (
+    agglomerate_reference,
+    pairwise_distances_compressed,
+    pairwise_distances_reference,
+)
 from phasestack import PipelineParams, TrialSpec, make_trial, peaks_surface, pipeline, run_clustered
 from phasestack import core
 from phasestack.cluster import agglomerate, pairwise_distances
@@ -171,6 +176,65 @@ class TestPairwiseDistancesPanels:
         assert np.array_equal(d == 0.0, same)
         if near and n > 2:
             assert 0.0 < d[1, 2] < 1e-11
+
+
+@st.composite
+def all_valid_stacks(draw):
+    """(frames, layout): N in {2, 7, 8, 129, 300} small frames, on a coarse
+    grid of values (ties, exact duplicates) or uniform in [-pi, pi], with
+    some frames copied over others, given as C-contiguous float64, as
+    float32, or as a strided view."""
+    n = draw(st.sampled_from([2, 7, 8, 129, 300]))
+    h, w = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        frames = rng.integers(-4, 5, (n, h, w)) * (math.pi / 4)
+    else:
+        frames = rng.uniform(-math.pi, math.pi, (n, h, w))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8)):
+        frames[j] = frames[i]
+    return frames, draw(st.sampled_from(["float64", "float32", "strided"]))
+
+
+class TestPairwiseDistancesInPlace:
+    """With every pixel valid the kernel reads the stack in place; its bits
+    are those of the kernel that always gathered an (N, P) copy."""
+
+    @settings(max_examples=60)
+    @given(all_valid_stacks())
+    def test_same_bits_as_the_compressed_copy(self, stack):
+        frames, layout = stack
+        if layout == "float32":
+            frames = frames.astype(np.float32)
+        given_frames = frames
+        if layout == "strided":
+            wide = np.zeros((*frames.shape[:2], 2 * frames.shape[2]))
+            wide[..., ::2] = frames
+            given_frames = wide[..., ::2]
+        mask = np.ones(frames.shape[1:], dtype=bool)
+        d = pairwise_distances(given_frames, mask)
+        assert d.tobytes() == pairwise_distances_compressed(frames, mask).tobytes()
+
+    def test_the_stack_is_not_copied(self, monkeypatch):
+        """Beyond d, one call allocates less than a quarter of the stack:
+        its panel's temporaries (under 1 MB here, on one thread)."""
+        monkeypatch.setattr(core, "WORKERS", 1)
+        rng = np.random.default_rng(0)
+        frames = rng.uniform(-math.pi, math.pi, (300, 64, 64))
+        mask = np.ones((64, 64), dtype=bool)
+        d_bytes = 8 * len(frames) ** 2
+
+        def traced_peak():
+            tracemalloc.start()
+            try:
+                pairwise_distances(frames, mask)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak() < d_bytes + frames.nbytes / 4
+        mask[0, 0] = False  # a mask with an invalid pixel still copies
+        assert traced_peak() > d_bytes + frames.nbytes * 0.9
 
 
 def _run(stack, params, monkeypatch, reference: bool):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from zernike_reference import FIT_TOL, zernike_fit_remove_reference
 
-from phasestack import pipeline
+from phasestack import core, pipeline
 from phasestack.cluster import NoClusterError
 from phasestack.core import PhaseStack, circular_aperture, detect_residues, wrap
 from phasestack.pipeline import (
@@ -394,6 +394,66 @@ class TestStackHeldOnce:
             tracemalloc.stop()
         assert report.unwrap_call_count == len(report.chosen_sizes) >= 1
         assert peak < 8 * stack.frames.size
+
+
+class TestClassifyMemory:
+    """The clustered route holds the pooled stack only until the distances
+    exist, and the distance matrix only until the dendrogram exists."""
+
+    def test_clustered_peak_below_pooled_stack_and_two_distance_matrices(self, monkeypatch):
+        """N = 400 full 128x128 frames: the pooled stack is 13.1 MB, each
+        N x N float64 matrix 1.3 MB.  Slack: 4 MiB, for a block in flight
+        (1 MiB of frames, two halves in the denoise) and the distance
+        panels' temporaries; one worker thread makes the peak the same on
+        every run.  A copy of the pooled stack beside it would add 13.1 MB."""
+        monkeypatch.setattr(core, "WORKERS", 1)
+        spec = TrialSpec(frame_count=400, grid=128, snr_db=20.0, perturbation_count=2,
+                         contaminant_fraction=0.03, tilt_jitter=30.0, seed=0)
+        stack, _ = make_trial(peaks_surface(128, 37.82), spec)
+        params = PipelineParams(cut=0.5, min_samples=None, min_fraction=0.04)
+        pooled_bytes = 8 * len(stack) * 64 * 64
+        tracemalloc.start()
+        try:
+            report = run_clustered(stack, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.unwrap_call_count == 2
+        assert peak < pooled_bytes + 2 * 8 * len(stack) ** 2 + 4 * 2**20
+
+    def test_pooled_stack_and_distances_dropped_in_turn(self, monkeypatch):
+        """Weak references to the pooled stack and to d: the first is dead
+        when agglomerate is called, the second when the denoise starts."""
+        held, at_linkage, at_denoise = {}, [], []
+        prepare, distances = pipeline.prepare_for_clustering, pipeline.pairwise_distances
+        agglomerate, mean_rows = pipeline.agglomerate, pipeline.circular_mean_rows
+
+        def prepare_spy(*args):
+            pooled, pooled_mask = prepare(*args)
+            held["pooled"] = weakref.ref(pooled)
+            return pooled, pooled_mask
+
+        def distances_spy(*args):
+            d = distances(*args)
+            held["d"] = weakref.ref(d)
+            return d
+
+        def agglomerate_spy(d):
+            at_linkage.append(held["pooled"]() is not None)
+            return agglomerate(d)
+
+        def mean_rows_spy(*args):
+            at_denoise.append((held["pooled"]() is not None, held["d"]() is not None))
+            return mean_rows(*args)
+
+        monkeypatch.setattr(pipeline, "prepare_for_clustering", prepare_spy)
+        monkeypatch.setattr(pipeline, "pairwise_distances", distances_spy)
+        monkeypatch.setattr(pipeline, "agglomerate", agglomerate_spy)
+        monkeypatch.setattr(pipeline, "circular_mean_rows", mean_rows_spy)
+        stack, _ = family_trial(seed=0, n=16)
+        run_clustered(stack, PipelineParams())
+        assert at_linkage == [False]
+        assert at_denoise and set(at_denoise) == {(False, False)}
 
 
 class TestFailurePolicy:

@@ -12,13 +12,19 @@ tree) is measured in a fresh process whose ``PYTHONPATH`` is that tree's
 default (one thread per CPU).  Per run it records:
 
 - ``pairwise_s`` and ``agglomerate_s``: the tree's own functions
+- ``pairwise_peak_mb``: the tracemalloc peak of one ``pairwise_distances``
+  call, and ``copies_stack``: whether that peak exceeds d plus half the
+  pooled stack, as it does in a tree that gathers the valid pixels into an
+  (N, P) copy even when every pixel is valid
 - the steps of ``pairwise_distances``, re-enacted here in the tree's
   layout (one whole matrix, or the 128-row panels of a tree whose
   ``cluster`` has ``_PANEL_ROWS``, each step on ``core.WORKERS`` threads
   and finished before the next starts): ``compress_s`` (gather of the
-  valid pixels), ``gram_s`` (the Gram products), ``elementwise_s`` (norms,
-  clamp, triangle, near-duplicate test and recompute, sqrt, scale) and
-  ``mirror_s`` (``d + d.T``, or each panel's transposed copy)
+  valid pixels; only where the tree copies, else the panels read the
+  pooled stack in place), ``gram_s`` (the Gram products),
+  ``elementwise_s`` (norms, clamp, triangle, near-duplicate test and
+  recompute, sqrt, scale) and ``mirror_s`` (``d + d.T``, or each panel's
+  transposed copy)
 - ``minflt``: minor page faults of each ``pairwise_distances`` call made
   right after a ``prepare_for_clustering`` (whose worker threads leave
   their arenas behind), as the pipeline calls it
@@ -49,6 +55,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -84,12 +91,15 @@ def median_s(fn) -> float:
     return statistics.median(times)
 
 
-def step_times(pooled, mask, cluster, core) -> dict:
+def step_times(pooled, mask, cluster, core, copies: bool) -> dict:
     """Median time of each step of pairwise_distances in the tree's layout."""
-    x = pooled.reshape(len(pooled), -1).compress(mask.ravel(), axis=1)
-    n, scale, rel = len(x), math.sqrt(int(mask.sum())), cluster._NEAR_REL
+    n, scale, rel = len(pooled), math.sqrt(int(mask.sum())), cluster._NEAR_REL
+    x = pooled.reshape(n, -1)
+    out = {}
+    if copies:
+        x = x.compress(mask.ravel(), axis=1)
+        out["compress_s"] = median_s(lambda: pooled.reshape(n, -1).compress(mask.ravel(), axis=1))
     sq = np.einsum("ij,ij->i", x, x)
-    out = {"compress_s": median_s(lambda: pooled.reshape(n, -1).compress(mask.ravel(), axis=1))}
 
     def near_recompute(d2, near, lo):
         for r in np.flatnonzero(near.any(axis=1)):
@@ -177,7 +187,13 @@ def worker(path: str, save: str) -> dict:
         return prepare_for_clustering(stack.frames, stack.mask, 1, anchor)[-2:]
 
     pooled, mask = prepare()
-    d = cluster.pairwise_distances(pooled, mask)
+    tracemalloc.start()
+    try:
+        d = cluster.pairwise_distances(pooled, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    copies = peak > d.nbytes + pooled.nbytes / 2
     merges = cluster.agglomerate(d).merges
     np.save(save + ".npy", d)
     with open(save + ".json", "w", encoding="utf-8") as fh:
@@ -187,9 +203,11 @@ def worker(path: str, save: str) -> dict:
         "merges_sha256": hashlib.sha256(repr(merges).encode()).hexdigest(),
         "workers": core.WORKERS,
         "panel_rows": getattr(cluster, "_PANEL_ROWS", None),
+        "pairwise_peak_mb": peak / 2**20,
+        "copies_stack": copies,
         "pairwise_s": median_s(lambda: cluster.pairwise_distances(pooled, mask)),
         "agglomerate_s": median_s(lambda: cluster.agglomerate(d)),
-        **step_times(pooled, mask, cluster, core),
+        **step_times(pooled, mask, cluster, core, copies),
     }
     faults = []
     for _ in range(REPEATS):

@@ -1,5 +1,6 @@
-"""Stack-holding benchmark: time and traced peak memory of read, preprocess
-and denoise, for this tree and for another one (such as the parent commit).
+"""Stack-holding benchmark: time and traced peak memory of read, preprocess,
+classify and denoise, for this tree and for another one (such as the parent
+commit).
 
 Builds perfbench's cluster-n1000 recipe (the 128x128 peaks surface, two tilt
 families with 30 rad jitter, 3% contaminants, 20 dB, seed 0) at N = 1000 and
@@ -9,6 +10,8 @@ tree's ``src``; the trees alternate.  Per layer it records:
 
 - ``read``: ``read_stack(path)``
 - ``preprocess``: ``prepare_for_clustering(frames, mask, 1, anchor)``
+- ``classify``: ``agglomerate(pairwise_distances(pooled, pooled_mask))`` on
+  the pooled stack, which the harness holds
 - ``denoise``: ``circular_mean_rows`` over every chosen cluster, called as
   that tree's ``run_clustered`` calls it
 - ``clustered``: ``read_stack`` then ``run_clustered``, the chain perfbench
@@ -18,8 +21,10 @@ Each ``*_s`` is the median of ``REPEATS`` calls.  Each ``*_peak_mb`` is the
 tracemalloc peak of one more call, traced on its own because tracing slows
 numpy's allocations; it counts what the call allocates, not the stack it
 is given.  ``ru_maxrss_mb`` is the process's peak RSS after all of them.
-``pooled_sha256`` and ``denoised_sha256`` hash the pooled stack and the
-denoised frames, so the two trees' outputs can be compared bit for bit.
+``pooled_sha256``, ``d_sha256``, ``merges_sha256`` and ``denoised_sha256``
+hash the pooled stack, the distance matrix, the merge list and the denoised
+frames; ``outputs_equal_across_trees`` says whether every hash of one N is
+the same in both trees.
 
 A tree whose ``prepare_for_clustering`` returns (shifted, pooled,
 pooled_mask) held a float64 piston-shifted stack; it is denoised with
@@ -106,9 +111,18 @@ def worker(path: str) -> dict:
     prepared = prepare()
     pooled, pooled_mask = prepared[-2:]
     out["pooled_sha256"] = hashlib.sha256(pooled.tobytes()).hexdigest()
-    dendrogram = agglomerate(pairwise_distances(pooled, pooled_mask))
+
+    def classify():
+        return agglomerate(pairwise_distances(pooled, pooled_mask))
+
+    out["classify_s"] = median_s(classify)
+    out["classify_peak_mb"] = peak_mb(classify)
+    d = pairwise_distances(pooled, pooled_mask)
+    dendrogram = agglomerate(d)
+    out["d_sha256"] = hashlib.sha256(d.tobytes()).hexdigest()
+    out["merges_sha256"] = hashlib.sha256(repr(dendrogram.merges).encode()).hexdigest()
     chosen = select_clusters(dendrogram, params.cut, params.resolve_min_samples(len(stack))).chosen
-    del pooled, dendrogram
+    del pooled, d, dendrogram
     if len(prepared) == 3:  # (shifted, pooled, pooled_mask): the shifted stack is held
 
         def denoise():
@@ -156,13 +170,19 @@ def main(argv=None) -> None:
         for i, n in enumerate(SIZES):
             path = Path(tmp) / f"n{n}.wphs"
             write_recipe(n, path)
+            group = []
             for name, src in trees if i % 2 == 0 else trees[::-1]:
                 row = {"tree": name, "n": n, **run_tree(src, path)}
-                runs.append(row)
-                print(json.dumps(row))
+                group.append(row)
+                print(json.dumps(row), flush=True)
+            hashes = [k for k in group[0] if k.endswith("sha256")]
+            equal = all(r[k] == group[0][k] for r in group for k in hashes)
+            for row in group:
+                row["outputs_equal_across_trees"] = equal
+            runs += group
             path.unlink()
     doc = {
-        "benchmark": "stack holding: read, preprocess and denoise, time and traced peak",
+        "benchmark": "stack holding: read, preprocess, classify and denoise, time and traced peak",
         "recipe": f"cluster-n1000 at N = {SIZES} ({GRID}x{GRID}, 2 families, 3% contaminants, 20 dB, seed 0)",
         "repeats": REPEATS,
         "environment": {

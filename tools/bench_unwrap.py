@@ -11,25 +11,28 @@ The stacks are written once as WPHS files and read by both trees:
 - cluster: the cluster-n1000 recipe (128x128, 20 dB, 3% contaminants,
   seed 0) at N = 250, 500, 1000 and 2000 frames
 
-Each (stack, tree) is measured in a fresh process whose ``PYTHONPATH`` is
+Each (stack, tree) is measured in fresh processes whose ``PYTHONPATH`` is
 that tree's ``src``; the trees alternate which runs first.  BLAS runs with
 one thread, as perfbench sets it.  Two kinds of rows:
 
 - ``flood`` (conventional-256 seeds 0-9, and the cluster stack at N = 1000
-  on the conventional route, the target of ROADMAP item 3): every frame is
+  on the conventional route, the target of ROADMAP item 3): ``ROUNDS``
+  processes per tree, the trees alternating within the seed, so that a
+  slow spell of the machine falls on both.  In each, every frame is
   piston-shifted to the center pixel and its residues and cuts found, as
   ``run_conventional`` does, outside the timing.  Then
   - ``check_ms_per_frame``, ``residues_ms_per_frame`` and
-    ``flood_ms_per_frame``: the mean over frames of each frame's median
-    ``check_frame``, ``detect_residues`` and ``flood_unwrap`` time over
-    ``REPEATS`` passes
+    ``flood_ms_per_frame``: the quartiles (q1, median, q3), over the
+    ``REPEATS`` passes of every round, of a pass's ``check_frame``,
+    ``detect_residues`` and ``flood_unwrap`` time per frame
   - ``paths``: frames integrated on the cached (kept) tree, repaired, or searched
     in full; a tree without ``unwrap._repair`` searches every frame
   - a tree with ``unwrap.Aperture`` gets one of the stack's mask, built
     outside the timing and passed to every call, as the pipeline does
   - ``ms_per_frame_by_path``: the median frame time of each path
   - ``charges_sha256``, ``cuts_sha256`` and ``surfaces_sha256``: of every
-    frame's charges, cut maps, and surface values and mask, in frame order
+    frame's charges, cut maps, and surface values and mask, in frame order,
+    the same in every round
 - ``ratio`` (the cluster stack at every N): ``run_clustered`` and
   ``run_conventional`` with ``PipelineParams(cut=0.5, min_samples=None,
   min_fraction=0.04)``, each the minimum wall time of ``ROUTE_REPEATS``
@@ -37,7 +40,8 @@ one thread, as perfbench sets it.  Two kinds of rows:
   clustered / conventional beside the paper's 0.77 (about 23% less
   time), and the hash of each route's surface.
 
-The summary says whether every hash is equal between the trees.
+The summary says whether every hash is equal between the trees and gives
+each flood row's quartiles per tree.
 
 Run from the repository root, with the ``src`` of the tree to compare with,
 labelled ``parent`` (for example a ``git archive`` of the parent commit):
@@ -65,8 +69,10 @@ CONVENTIONAL_SEEDS = range(10)
 CLUSTER_SIZES = (250, 500, 1000, 2000)
 FLOOD_CLUSTER_N = 1000
 REPEATS = 5
+ROUNDS = 3
 ROUTE_REPEATS = 2
 PAPER_RATIO = 0.77
+TIMES = ("check_ms_per_frame", "residues_ms_per_frame", "flood_ms_per_frame")
 HERE = Path(__file__).resolve()
 SRC = HERE.parent.parent / "src"
 
@@ -99,16 +105,21 @@ def surface_hash(surfaces) -> str:
     return sha256_of(a for s in surfaces for a in (s.values, s.mask))
 
 
-def median_ms(fn, items, repeats: int) -> float:
-    """Mean over ``items`` of the median time of ``fn(*item)``, in ms, over
-    ``repeats`` passes through all of them."""
-    times = [[] for _ in items]
+def pass_ms(fn, items, repeats: int) -> list:
+    """Time of ``fn(*item)`` per item, in ms, in each of ``repeats`` passes
+    through all of ``items``."""
+    times = []
     for _ in range(repeats):
-        for i, item in enumerate(items):
-            t0 = time.perf_counter()
+        t0 = time.perf_counter()
+        for item in items:
             fn(*item)
-            times[i].append(time.perf_counter() - t0)
-    return statistics.mean(statistics.median(t) * 1e3 for t in times)
+        times.append((time.perf_counter() - t0) * 1e3 / len(items))
+    return times
+
+
+def quartiles(values) -> list:
+    """[q1, median, q3] of ``values``."""
+    return [float(q) for q in np.percentile(values, (25, 50, 75))]
 
 
 def flood_worker(path: str, repeats: int) -> dict:
@@ -154,17 +165,16 @@ def flood_worker(path: str, repeats: int) -> dict:
             t0 = time.perf_counter()
             flood_unwrap(f, mask, c, anchor, **kept)
             times[i].append(time.perf_counter() - t0)
-    per_frame = [statistics.median(t) * 1e3 for t in times]
     by_path = {}
-    for p, t in zip(paths, per_frame):
-        by_path.setdefault(p, []).append(t)
+    for p, t in zip(paths, times):
+        by_path.setdefault(p, []).append(statistics.median(t) * 1e3)
     return {
         "frames": len(frames),
         "residues": sum(int(np.count_nonzero(c)) for c in charges),
         "cut_edges": sum(c.edge_count for c in cuts),
-        "check_ms_per_frame": median_ms(check_frame, [(f, mask) for f in frames], repeats),
-        "residues_ms_per_frame": median_ms(detect_residues, [(f, mask) for f in frames], repeats),
-        "flood_ms_per_frame": statistics.mean(per_frame),
+        "check_ms_per_frame": pass_ms(check_frame, [(f, mask) for f in frames], repeats),
+        "residues_ms_per_frame": pass_ms(detect_residues, [(f, mask) for f in frames], repeats),
+        "flood_ms_per_frame": [sum(t) * 1e3 / len(frames) for t in zip(*times)],
         "paths": {p: paths.count(p) for p in ("cached", "repaired", "full")},
         "ms_per_frame_by_path": {p: statistics.median(t) for p, t in sorted(by_path.items())},
         "charges_sha256": sha256_of(charges),
@@ -197,6 +207,20 @@ def ratio_worker(path: str, repeats: int) -> dict:
     out["clustered_over_conventional"] = out["clustered_s"] / out["conventional_s"]
     out["paper_ratio"] = PAPER_RATIO
     return out
+
+
+def merge_rounds(runs: list) -> dict:
+    """One flood row from the rounds of one tree: the per-pass times of every
+    round pooled into quartiles, the median of each path's time over rounds,
+    and every other field from the first round."""
+    row = dict(runs[0], rounds=len(runs))
+    for key in TIMES:
+        row[key] = quartiles([t for r in runs for t in r[key]])
+    row["ms_per_frame_by_path"] = {
+        p: statistics.median(r["ms_per_frame_by_path"][p] for r in runs)
+        for p in row["ms_per_frame_by_path"]
+    }
+    return row
 
 
 def run_tree(src: Path, kind: str, path: Path, repeats: int) -> dict:
@@ -235,31 +259,35 @@ def main(argv=None) -> None:
         for i, (kind, stack_name, seed, recipe, repeats) in enumerate(jobs):
             path = Path(tmp) / "stack.wphs"
             write_recipe(path, *recipe)
-            group = []
-            for name, src in trees if i % 2 == 0 else trees[::-1]:
-                row = {"kind": kind, "stack": stack_name, "seed": seed, "tree": name,
-                       **run_tree(src, kind, path, repeats)}
-                group.append(row)
-                print(json.dumps(row), flush=True)
-            hashes = {k for k in group[0] if k.endswith("sha256")}
-            equal = all(r[k] == group[0][k] for r in group for k in hashes)
-            for row in group:
-                row["outputs_equal_across_trees"] = equal
-            rows += group
+            results = {name: [] for name, _ in trees}
+            for r in range(ROUNDS if kind == "flood" else 1):
+                for name, src in trees if (i + r) % 2 == 0 else trees[::-1]:
+                    results[name].append(run_tree(src, kind, path, repeats))
+                    print(json.dumps({"stack": stack_name, "seed": seed, "tree": name,
+                                      "round": r, **results[name][-1]}), flush=True)
+            first = results[trees[0][0]][0]
+            hashes = [k for k in first if k.endswith("sha256")]
+            equal = all(run[k] == first[k] for runs in results.values() for run in runs for k in hashes)
+            for name, runs in results.items():
+                rows.append({"kind": kind, "stack": stack_name, "seed": seed, "tree": name,
+                             **(merge_rounds(runs) if kind == "flood" else runs[0]),
+                             "outputs_equal_across_trees": equal})
             path.unlink()
     summary = {"every_output_equal_across_trees": all(r["outputs_equal_across_trees"] for r in rows)}
     for name, _ in trees:
         flood = [r for r in rows if r["tree"] == name and r["kind"] == "flood"]
         summary[name] = {
-            **{
-                key: {f"{r['stack']} seed {r['seed']}": r[key] for r in flood}
-                for key in ("check_ms_per_frame", "residues_ms_per_frame", "flood_ms_per_frame")
-            },
+            **{key: {f"{r['stack']} seed {r['seed']}": r[key] for r in flood} for key in TIMES},
             "paths": {f"{r['stack']} seed {r['seed']}": r["paths"] for r in flood},
             "clustered_over_conventional": {
                 r["stack"]: r["clustered_over_conventional"]
                 for r in rows if r["tree"] == name and r["kind"] == "ratio"
             },
+        }
+    if len(trees) == 2:
+        summary["flood_median_change_over_parent"] = {
+            key: median[1] / summary["parent"]["flood_ms_per_frame"][key][1]
+            for key, median in summary["change"]["flood_ms_per_frame"].items()
         }
     doc = {
         "benchmark": "unwrap: check_frame, detect_residues and flood_unwrap per frame, flood by path; "
@@ -268,7 +296,9 @@ def main(argv=None) -> None:
             "conventional-256": "60 x 256x256 circular aperture, 5 dB, 2 families, no contaminants, seeds 0-9",
             "cluster": f"N = {CLUSTER_SIZES} x 128x128, 20 dB, 2 families, 3% contaminants, seed 0",
         },
-        "repeats": {"flood": REPEATS, f"flood cluster-n{FLOOD_CLUSTER_N}": 3, "routes": ROUTE_REPEATS},
+        "repeats": {"flood": REPEATS, f"flood cluster-n{FLOOD_CLUSTER_N}": 3, "flood rounds": ROUNDS,
+                    "routes": ROUTE_REPEATS},
+        "times": "flood rows: [q1, median, q3] over every pass of every round, ms per frame",
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
