@@ -197,6 +197,13 @@ def turns(d: np.ndarray) -> np.ndarray:
     return (d > _PI).view(np.int8) - (d <= -_PI).view(np.int8)
 
 
+def fold(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """wrap(d) bit for bit (-0.0 gives +0.0) for float64 ``d`` in [-2pi, 2pi],
+    unchecked: d + 2pi * ([d <= -pi] - [d > pi]).  ``out`` may be ``d``."""
+    n = (d <= -_PI).view(np.int8) - (d > _PI).view(np.int8)
+    return np.add(d, TWO_PI * n, out=out)
+
+
 def as_frames(values) -> np.ndarray:
     """``values`` as an array of phase frames: float32 and float64 as given,
     any other dtype converted to float64."""
@@ -317,7 +324,8 @@ def detect_residues(frame: np.ndarray, mask: np.ndarray | None = None) -> np.nda
     ----------
     frame : (h, w) wrapped-phase array
     mask : optional (h, w) bool array; loops touching an invalid pixel
-        carry charge 0 by convention.
+        carry charge 0 by convention.  Invalid pixels are never copied, and
+        their values never reach a charge.
 
     Returns
     -------
@@ -325,9 +333,10 @@ def detect_residues(frame: np.ndarray, mask: np.ndarray | None = None) -> np.nda
     """
     frame = np.asarray(frame, dtype=np.float64)
     check_frame(frame, mask)
-    frame = frame if mask is None else np.where(mask, frame, 0.0)  # invalid may hold NaN
-    n_right = turns(frame[:, 1:] - frame[:, :-1])
-    n_down = turns(frame[1:, :] - frame[:-1, :])
+    # invalid pixels (NaN, +-inf, 1e300: anything) reach only loops zeroed below
+    with np.errstate(invalid="ignore", over="ignore"):
+        n_right = turns(frame[:, 1:] - frame[:, :-1])
+        n_down = turns(frame[1:, :] - frame[:-1, :])
     # Each edge's wrapped difference lies in (-pi, pi], so the circulation
     # lies strictly inside (-4pi, 4pi): the charge is -1, 0 or +1 unclamped.
     charges = n_right[1:, :] - n_right[:-1, :] + n_down[:, :-1] - n_down[:, 1:]

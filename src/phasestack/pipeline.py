@@ -228,8 +228,8 @@ def _measure(stack: PhaseStack, params: PipelineParams, method: str) -> SurfaceR
         with _timed(times, "combine"):
             # the residual is 0.0 off its mask, so it adds nothing there
             w = len(members) if params.cluster_weighting == "by-size" else 1
-            num += w * residual.values
-            den += w * residual.mask
+            num += residual.values if w == 1 else w * residual.values
+            den += residual.mask if w == 1 else w * residual.mask
         kept.append(members)
         fits.append(fit)
     if not kept:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import as_frames, check_frame, check_mask, map_blocks, wrap
+from .core import as_frames, check_frame, check_mask, fold, map_blocks
 
 
 def center_pixel(shape: tuple[int, int]) -> tuple[int, int]:
@@ -61,9 +61,9 @@ def piston_shift(
             "supply an alternate anchor inside the aperture"
         )
     out = np.subtract(frames, frames[..., i, j, None, None], out=out, dtype=np.float64)
-    # zeroed before wrap, which rejects NaN or huge garbage at invalid pixels
+    # zeroed to keep NaN or garbage at invalid pixels in the fold's range
     np.copyto(out, 0.0, where=~mask)  # a third of the time of out[..., ~mask] = 0.0
-    return wrap(out, out=out)
+    return fold(out, out=out)
 
 
 def avg_pool2(frames: np.ndarray, mask: np.ndarray):
@@ -110,7 +110,8 @@ def _pool2(frames: np.ndarray, counts: np.ndarray, out: np.ndarray | None = None
     pairs = f[..., 0::2] + f[..., 1::2]
     sums = pairs[..., 0::2, :] + pairs[..., 1::2, :]
     sums /= np.maximum(counts, 1)  # an all-invalid block stays 0.0
-    return wrap(sums, out=out)
+    # means of phases in (-pi, pi] stay in [-2pi, 2pi], where the fold is wrap
+    return fold(sums, out=sums if out is None else out)
 
 
 def prepare_for_clustering(

@@ -146,8 +146,8 @@ def place_branch_cuts(
     if mask.shape != (h, w):
         raise ValueError("place_branch_cuts: mask shape mismatch")
     sinks = _aperture_of(mask, aperture).derived(_border_sinks)
-    positions = np.argwhere(charges != 0)
-    if positions.size == 0:
+    positions = np.argwhere(charges != 0).tolist()  # Python ints for the ring arithmetic
+    if not positions:
         return cuts
 
     balanced = np.zeros((hh, ww), dtype=bool)
@@ -281,9 +281,10 @@ def _cut_free_tree(mask: np.ndarray, seed: int) -> _Tree:
 class Aperture:
     """A read-only copy of a mask, validated once (2-D bool, at least one
     valid pixel), and what is derived from it alone, each built on first
-    use and kept, read-only, as long as the aperture is: connectivity,
-    border sinks, the cut-free tree of each seed and (``zernike``'s) the
-    factored fit design of each set of modes.  It changes no output.
+    use and kept, read-only, as long as the aperture is: connectivity, the
+    valid count, border sinks, the cut-free tree of each seed and
+    (``zernike``'s) the factored fit design of each set of modes.  It
+    changes no output.
     """
 
     mask: np.ndarray
@@ -521,7 +522,7 @@ def flood_unwrap(
     n = turns(psi - psi[up_at])
     k = np.zeros(order.size, dtype=np.int64)
     for start, stop in zip(bounds[1:-1], bounds[2:]):
-        k[start:stop] = k[up_at[start:stop]] - n[start:stop]
+        np.subtract(k[up_at[start:stop]], n[start:stop], out=k[start:stop])
     for i in late_at:  # in order of their new levels
         k[i] = k[up_at[i]] - n[i]
     values = np.zeros((h, w))
@@ -530,7 +531,7 @@ def flood_unwrap(
     values.ravel()[gone] = 0.0
     reached.ravel()[gone] = False
 
-    n_valid = int(mask.sum())
+    n_valid = aperture.derived(np.count_nonzero)
     n_reached = order.size - len(gone)
     warning = None
     if n_valid - n_reached > 0.5 * n_valid:

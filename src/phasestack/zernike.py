@@ -124,11 +124,11 @@ def zernike_fit_remove(surface, mask=None, modes=MODES, *, aperture: Aperture | 
     modes = _check_modes(modes)
     kept = aperture is not None and np.array_equal(aperture.mask, m)
     center, radius, design, pinv = aperture.derived(_factor, modes) if kept else _factor(m, modes)
-    coef = pinv @ values[m]
+    vm = values[m]
+    coef = pinv @ vm
     fit = ZernikeFit(modes=modes, coefficients=coef, center=center, radius=radius)
-    residual = values.copy()
-    residual[m] -= design @ coef
-    residual[~m] = 0.0
+    residual = np.zeros(values.shape)
+    residual[m] = vm - design @ coef
     if isinstance(surface, Surface):
         return Surface(values=residual, mask=m, warning=surface.warning), fit
     return residual, fit

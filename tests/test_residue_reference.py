@@ -9,6 +9,7 @@ values outside the interval.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,29 @@ def frames(draw, elements, max_side=12):
         fill = draw(arrays(np.float64, (h, w), elements=st.sampled_from(GARBAGE)))
         frame = np.where(mask, frame, fill)
     return frame, mask
+
+
+@given(frames(near_edges), st.data())
+def test_invalid_pixels_are_never_read(case, data):
+    """NaN, +-inf or +-1e300 at the invalid pixels give the charges that
+    zeros there give, and no warning: the kernel reads them only into the
+    loops it zeroes."""
+    frame, mask = case
+    if mask is None or mask.all():
+        mask = np.ones(frame.shape, dtype=bool)
+        h, w = frame.shape
+        mask[data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1))] = False
+    fill = data.draw(arrays(np.float64, frame.shape, elements=st.sampled_from(GARBAGE[:5])))
+    zeros = np.where(mask, frame, 0.0)
+    garbage = np.where(mask, frame, fill)
+    with np.errstate(over="ignore"):  # 1e300 becomes inf in float32
+        garbage32 = garbage.astype(np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dirty, clean in ((garbage, zeros), (garbage32, zeros.astype(np.float32))):
+            want = outcome(detect_residues, clean, mask)  # a float32 pi is out of range
+            got = outcome(detect_residues, dirty, mask)
+            assert got == want if isinstance(want, str) else np.array_equal(got, want)
 
 
 @given(frames(near_edges))

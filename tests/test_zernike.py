@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zernike_reference import FIT_TOL, zernike_fit_remove_reference
+from zernike_reference import FIT_TOL, zernike_fit_remove_copy_form, zernike_fit_remove_reference
 
 from phasestack.core import circular_aperture
 from phasestack.unwrap import Aperture, Surface
@@ -289,6 +289,44 @@ class TestCachedFactorization:
         assert residual.values.tobytes() == zernike_fit_remove(values, mask)[0].tobytes()
         v_max = np.abs(values[mask]).max()
         assert np.abs(residual.values - want.values).max() <= FIT_TOL * (1.0 + v_max)
+
+
+class TestSingleGather:
+    """zernike_fit_remove's residual, scattered into zeros from one gather
+    of the valid values, against the copy-subtract-zero form: the same bits."""
+
+    @given(fit_masks(), st.integers(1, len(MODES)), st.integers(0, 2**32 - 1))
+    def test_bits_of_the_copy_form(self, mask, n_modes, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(0.0, 3.0, size=mask.shape)
+        values[rng.random(mask.shape) < 0.2] = -0.0
+        values[~mask] = rng.choice([np.nan, np.inf, -0.0, 1e300], size=int((~mask).sum()))
+        modes = MODES[:n_modes]
+        want = fit_or_error(zernike_fit_remove_copy_form, values, mask, modes)
+        got = fit_or_error(zernike_fit_remove, values, mask, modes)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].coefficients.tobytes() == want[1].coefficients.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reached_masks_on_an_aperture(self, seed):
+        """The pipeline's case: a Surface fitted on the mask its unwrap
+        reached, with the stack's aperture, whether the two masks are equal
+        (the kept factorization) or not (a new one)."""
+        rng = np.random.default_rng(seed)
+        aperture = Aperture(disk_mask(33))
+        reached = aperture.mask.copy()
+        lost = rng.integers(1, 40) if seed % 2 else 0
+        reached[rng.integers(0, 33, lost), rng.integers(0, 33, lost)] = False
+        values = np.where(reached, rng.normal(0.0, 5.0, size=(33, 33)), 0.0)
+        surface = Surface(values=values, mask=reached, warning=None)
+        got, fit = zernike_fit_remove(surface, aperture=aperture)
+        want, want_fit = zernike_fit_remove_copy_form(surface, aperture=aperture)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert np.array_equal(got.mask, want.mask)
+        assert fit.coefficients.tobytes() == want_fit.coefficients.tobytes()
 
 
 class TestRmse:

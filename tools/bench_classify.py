@@ -216,7 +216,6 @@ def worker(path: str, save: str) -> dict:
         cluster.pairwise_distances(pooled, mask)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     out["minflt"] = faults
-    out["ru_maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return out
 
 

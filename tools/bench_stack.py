@@ -3,10 +3,11 @@ classify and denoise, for this tree and for another one (such as the parent
 commit).
 
 Builds perfbench's cluster-n1000 recipe (the 128x128 peaks surface, two tilt
-families with 30 rad jitter, 3% contaminants, 20 dB, seed 0) at N = 1000 and
-2000 frames and writes each as one WPHS file, which both trees then read.
-Each (tree, N) is measured in a fresh process whose ``PYTHONPATH`` is that
-tree's ``src``; the trees alternate.  Per layer it records:
+families with 30 rad jitter, 3% contaminants, 20 dB, seed 0) at N = 500,
+1000 and 2000 frames and writes each as one WPHS file, which both trees
+then read.  Each (tree, N) is measured in a fresh process whose
+``PYTHONPATH`` is that tree's ``src``; the trees alternate.  Per layer it
+records:
 
 - ``read``: ``read_stack(path)``
 - ``preprocess``: ``prepare_for_clustering(frames, mask, 1, anchor)``
@@ -20,11 +21,13 @@ tree's ``src``; the trees alternate.  Per layer it records:
 Each ``*_s`` is the median of ``REPEATS`` calls.  Each ``*_peak_mb`` is the
 tracemalloc peak of one more call, traced on its own because tracing slows
 numpy's allocations; it counts what the call allocates, not the stack it
-is given.  ``ru_maxrss_mb`` is the process's peak RSS after all of them.
-``pooled_sha256``, ``d_sha256``, ``merges_sha256`` and ``denoised_sha256``
-hash the pooled stack, the distance matrix, the merge list and the denoised
-frames; ``outputs_equal_across_trees`` says whether every hash of one N is
-the same in both trees.
+is given.  The process's peak RSS is not recorded: each worker holds the
+stack, the pooled stack and ``d`` around the calls it times, so it reads
+the same for both trees.  ``pooled_sha256``, ``d_sha256``,
+``merges_sha256`` and ``denoised_sha256`` hash the pooled stack, the
+distance matrix, the merge list and the denoised frames;
+``outputs_equal_across_trees`` says whether every hash of one N is the same
+in both trees.
 
 A tree whose ``prepare_for_clustering`` returns (shifted, pooled,
 pooled_mask) held a float64 piston-shifted stack; it is denoised with
@@ -43,7 +46,6 @@ import hashlib
 import json
 import os
 import platform
-import resource
 import statistics
 import subprocess
 import sys
@@ -52,7 +54,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
-SIZES = (1000, 2000)
+SIZES = (500, 1000, 2000)
 GRID = 128
 REPEATS = 5
 HERE = Path(__file__).resolve()
@@ -142,7 +144,6 @@ def worker(path: str) -> dict:
     prepared = stack = None
     out["clustered_s"] = median_s(lambda: run_clustered(read_stack(path), params))
     out["clustered_peak_mb"] = peak_mb(lambda: run_clustered(read_stack(path), params))
-    out["ru_maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return out
 
 

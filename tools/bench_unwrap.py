@@ -1,5 +1,7 @@
-"""Unwrap benchmark: per-frame ``check_frame``, ``detect_residues`` and
-``flood_unwrap`` time, the path each frame takes, and the
+"""Unwrap benchmark: per-frame time of each step of the conventional route
+(``piston_shift``, ``check_frame``, ``detect_residues``,
+``place_branch_cuts``, ``flood_unwrap``, ``zernike_fit_remove`` and the
+combine), the path each frame's flood takes, and the
 clustered/conventional time ratio, for this tree and for another one (such
 as the parent commit).
 
@@ -19,20 +21,30 @@ one thread, as perfbench sets it.  Two kinds of rows:
   on the conventional route, the target of ROADMAP item 3): ``ROUNDS``
   processes per tree, the trees alternating within the seed, so that a
   slow spell of the machine falls on both.  In each, every frame is
-  piston-shifted to the center pixel and its residues and cuts found, as
-  ``run_conventional`` does, outside the timing.  Then
-  - ``check_ms_per_frame``, ``residues_ms_per_frame`` and
-    ``flood_ms_per_frame``: the quartiles (q1, median, q3), over the
-    ``REPEATS`` passes of every round, of a pass's ``check_frame``,
-    ``detect_residues`` and ``flood_unwrap`` time per frame
+  piston-shifted to the center pixel, its residues and cuts found, its
+  surface unwrapped and fitted, as ``run_conventional`` does, outside the
+  timing.  Then each ``*_ms_per_frame`` holds the quartiles (q1, median,
+  q3), over the ``REPEATS`` passes of every round, of a pass's time per
+  frame of
+  - ``shift``: ``piston_shift`` of the stored (float32) frame
+  - ``check``, ``residues``, ``cuts`` and ``flood``: ``check_frame``,
+    ``detect_residues``, ``place_branch_cuts`` and ``flood_unwrap`` of the
+    shifted frame, its charges and its cuts
+  - ``fit``: ``zernike_fit_remove`` of the unwrapped surface, with the
+    modes the pipeline removes by default
+  - ``combine``: the ``combine`` stage time that ``run_conventional``
+    itself reports (the running weighted mean is inline in the pipeline),
+    one call of it per pass
   - ``paths``: frames integrated on the cached (kept) tree, repaired, or searched
     in full; a tree without ``unwrap._repair`` searches every frame
   - a tree with ``unwrap.Aperture`` gets one of the stack's mask, built
     outside the timing and passed to every call, as the pipeline does
   - ``ms_per_frame_by_path``: the median frame time of each path
-  - ``charges_sha256``, ``cuts_sha256`` and ``surfaces_sha256``: of every
-    frame's charges, cut maps, and surface values and mask, in frame order,
-    the same in every round
+  - ``shifted_sha256``, ``charges_sha256``, ``cuts_sha256``,
+    ``surfaces_sha256`` and ``fits_sha256``: of every frame's shifted
+    frame, charges, cut maps, surface values and mask, and residual and
+    coefficients, in frame order, and ``conventional_sha256`` of
+    ``run_conventional``'s final surface, the same in every round
 - ``ratio`` (the cluster stack at every N): ``run_clustered`` and
   ``run_conventional`` with ``PipelineParams(cut=0.5, min_samples=None,
   min_fraction=0.04)``, each the minimum wall time of ``ROUTE_REPEATS``
@@ -41,7 +53,10 @@ one thread, as perfbench sets it.  Two kinds of rows:
   time), and the hash of each route's surface.
 
 The summary says whether every hash is equal between the trees and gives
-each flood row's quartiles per tree.
+each flood row's quartiles per tree.  Single conventional-256 seeds do not
+resolve differences of 20-30% on a 2-vCPU machine, so ``pooled`` gives,
+per step and tree, the quartiles of every pass of every round of all ten
+seeds, and the change/parent ratio of their medians.
 
 Run from the repository root, with the ``src`` of the tree to compare with,
 labelled ``parent`` (for example a ``git archive`` of the parent commit):
@@ -72,7 +87,8 @@ REPEATS = 5
 ROUNDS = 3
 ROUTE_REPEATS = 2
 PAPER_RATIO = 0.77
-TIMES = ("check_ms_per_frame", "residues_ms_per_frame", "flood_ms_per_frame")
+STEPS = ("shift", "check", "residues", "cuts", "flood", "fit", "combine")
+TIMES = tuple(f"{step}_ms_per_frame" for step in STEPS)
 HERE = Path(__file__).resolve()
 SRC = HERE.parent.parent / "src"
 
@@ -123,12 +139,14 @@ def quartiles(values) -> list:
 
 
 def flood_worker(path: str, repeats: int) -> dict:
-    """Check, residue and flood time and flood paths of every frame of one
-    stack, on this tree."""
+    """Time of every step of the conventional route, and flood paths, of
+    every frame of one stack, on this tree."""
     from phasestack.core import check_frame, detect_residues
+    from phasestack.pipeline import PipelineParams, run_conventional
     from phasestack.preprocess import center_pixel, piston_shift
     from phasestack.unwrap import flood_unwrap, place_branch_cuts
     from phasestack.wphs import read_stack
+    from phasestack.zernike import zernike_fit_remove
 
     unwrap_module = sys.modules["phasestack.unwrap"]
     stack = read_stack(path)
@@ -158,6 +176,7 @@ def flood_worker(path: str, repeats: int) -> dict:
     finally:
         if real is not None:
             unwrap_module._repair = real
+    fits = [zernike_fit_remove(s, **kept) for s in surfaces]
 
     times = [[] for _ in frames]
     for _ in range(repeats):
@@ -168,18 +187,29 @@ def flood_worker(path: str, repeats: int) -> dict:
     by_path = {}
     for p, t in zip(paths, times):
         by_path.setdefault(p, []).append(statistics.median(t) * 1e3)
+    params = PipelineParams(cut=0.5, min_samples=None, min_fraction=0.04)
+    reports = [run_conventional(stack, params) for _ in range(repeats)]
     return {
         "frames": len(frames),
         "residues": sum(int(np.count_nonzero(c)) for c in charges),
         "cut_edges": sum(c.edge_count for c in cuts),
+        "shift_ms_per_frame": pass_ms(piston_shift, [(f, mask, anchor) for f in stack.frames], repeats),
         "check_ms_per_frame": pass_ms(check_frame, [(f, mask) for f in frames], repeats),
         "residues_ms_per_frame": pass_ms(detect_residues, [(f, mask) for f in frames], repeats),
+        "cuts_ms_per_frame": pass_ms(lambda c: place_branch_cuts(c, mask, **kept),
+                                     [(c,) for c in charges], repeats),
         "flood_ms_per_frame": [sum(t) * 1e3 / len(frames) for t in zip(*times)],
+        "fit_ms_per_frame": pass_ms(lambda s: zernike_fit_remove(s, **kept),
+                                    [(s,) for s in surfaces], repeats),
+        "combine_ms_per_frame": [r.stage_times_ms["combine"] / len(frames) for r in reports],
         "paths": {p: paths.count(p) for p in ("cached", "repaired", "full")},
         "ms_per_frame_by_path": {p: statistics.median(t) for p, t in sorted(by_path.items())},
+        "shifted_sha256": sha256_of(frames),
         "charges_sha256": sha256_of(charges),
         "cuts_sha256": sha256_of(a for c in cuts for a in (c.cut_right, c.cut_down)),
         "surfaces_sha256": surface_hash(surfaces),
+        "fits_sha256": sha256_of(a for r, fit in fits for a in (r.values, r.mask, fit.coefficients)),
+        "conventional_sha256": surface_hash([r.surface for r in reports]),
     }
 
 
@@ -255,6 +285,7 @@ def main(argv=None) -> None:
             jobs.append(("flood", f"cluster-n{n}", 0, recipe, 3))
         jobs.append(("ratio", f"cluster-n{n}", 0, recipe, ROUTE_REPEATS))
     rows = []
+    pooled = {name: {key: [] for key in TIMES} for name, _ in trees}  # conventional-256 passes
     with tempfile.TemporaryDirectory() as tmp:
         for i, (kind, stack_name, seed, recipe, repeats) in enumerate(jobs):
             path = Path(tmp) / "stack.wphs"
@@ -269,6 +300,9 @@ def main(argv=None) -> None:
             hashes = [k for k in first if k.endswith("sha256")]
             equal = all(run[k] == first[k] for runs in results.values() for run in runs for k in hashes)
             for name, runs in results.items():
+                if stack_name == "conventional-256":
+                    for key in TIMES:
+                        pooled[name][key] += [t for run in runs for t in run[key]]
                 rows.append({"kind": kind, "stack": stack_name, "seed": seed, "tree": name,
                              **(merge_rounds(runs) if kind == "flood" else runs[0]),
                              "outputs_equal_across_trees": equal})
@@ -284,13 +318,20 @@ def main(argv=None) -> None:
                 for r in rows if r["tree"] == name and r["kind"] == "ratio"
             },
         }
+    summary["pooled"] = {
+        "conventional-256 seeds": f"{CONVENTIONAL_SEEDS.start}-{CONVENTIONAL_SEEDS.stop - 1}",
+        **{name: {key: quartiles(v) for key, v in times.items()} for name, times in pooled.items()},
+    }
     if len(trees) == 2:
+        summary["pooled"]["median_change_over_parent"] = {
+            key: summary["pooled"]["change"][key][1] / summary["pooled"]["parent"][key][1] for key in TIMES
+        }
         summary["flood_median_change_over_parent"] = {
             key: median[1] / summary["parent"]["flood_ms_per_frame"][key][1]
             for key, median in summary["change"]["flood_ms_per_frame"].items()
         }
     doc = {
-        "benchmark": "unwrap: check_frame, detect_residues and flood_unwrap per frame, flood by path; "
+        "benchmark": "unwrap: every step of the conventional route per frame, flood by path; "
                      "clustered / conventional time",
         "recipes": {
             "conventional-256": "60 x 256x256 circular aperture, 5 dB, 2 families, no contaminants, seeds 0-9",
@@ -298,7 +339,8 @@ def main(argv=None) -> None:
         },
         "repeats": {"flood": REPEATS, f"flood cluster-n{FLOOD_CLUSTER_N}": 3, "flood rounds": ROUNDS,
                     "routes": ROUTE_REPEATS},
-        "times": "flood rows: [q1, median, q3] over every pass of every round, ms per frame",
+        "times": "flood rows: [q1, median, q3] over every pass of every round, ms per frame; "
+                 "pooled: the same over every conventional-256 seed",
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
