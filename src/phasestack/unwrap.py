@@ -58,51 +58,10 @@ class BranchCutMap:
     def edge_count(self) -> int:
         return int(self.cut_right.sum()) + int(self.cut_down.sum())
 
-    def block_step(self, r: int, c: int, dr: int, dc: int) -> None:
-        """Block the pixel edge crossed by a unit dual-lattice step."""
-        if dc == 1:
-            er, ec, arr = r, c + 1, self.cut_down
-        elif dc == -1:
-            er, ec, arr = r, c, self.cut_down
-        elif dr == 1:
-            er, ec, arr = r + 1, c, self.cut_right
-        else:
-            er, ec, arr = r, c, self.cut_right
-        if 0 <= er < arr.shape[0] and 0 <= ec < arr.shape[1]:
-            arr[er, ec] = True
-
-
-def _cut_path(cuts: BranchCutMap, r0: int, c0: int, r1: int, c1: int) -> None:
-    """Block edges along a 4-connected Bresenham path between dual nodes."""
-    dr, dc = r1 - r0, c1 - c0
-    sr = 1 if dr >= 0 else -1
-    sc = 1 if dc >= 0 else -1
-    dr, dc = abs(dr), abs(dc)
-    r, c = r0, c0
-    if dc >= dr:
-        err = dc // 2
-        for _ in range(dc):
-            cuts.block_step(r, c, 0, sc)
-            c += sc
-            err -= dr
-            if err < 0:
-                cuts.block_step(r, c, sr, 0)
-                r += sr
-                err += dc
-    else:
-        err = dr // 2
-        for _ in range(dr):
-            cuts.block_step(r, c, sr, 0)
-            r += sr
-            err -= dc
-            if err < 0:
-                cuts.block_step(r, c, 0, sc)
-                c += sc
-                err += dr
-
 
 def _border_sinks(mask: np.ndarray) -> np.ndarray:
-    """Dual nodes whose 2x2 loop touches a border-connected invalid region.
+    """Dual nodes whose 2x2 loop touches a border-connected invalid region,
+    padded by one ring of nodes beyond the lattice, which are sinks too.
 
     Interior invalid holes are not sinks: a cut ending at one would not
     stop integration paths from circling around it.
@@ -114,9 +73,47 @@ def _border_sinks(mask: np.ndarray) -> np.ndarray:
             np.concatenate([labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]])
         )
         g = np.isin(labels, edge_labels[edge_labels > 0])
+    g = np.pad(g, 1, constant_values=True)
     sinks = g[:-1, :-1] | g[:-1, 1:] | g[1:, :-1] | g[1:, 1:]
     sinks.flags.writeable = False  # an aperture shares it between calls
     return sinks
+
+
+#: Cell state of a sink: a cell on a border-connected invalid region or
+#: outside the lattice.  Charges are read as bytes: +1 as 1, -1 as 255.
+_SINK = 2
+
+
+def _ring_offsets(r: int, width: int) -> list:
+    """Flat offsets of the cells at Chebyshev distance r from a cell of a
+    grid ``width`` cells wide, in raster order."""
+    return [di * width + dj for di in range(-r, r + 1)
+            for dj in range(-r, r + 1, 1 if abs(di) == r else 2 * r)]
+
+
+def _path_offsets(offset: int, width: int, base: int) -> tuple:
+    """Flat offsets, from the start cell, of the pixel edges blocked by the
+    4-connected Bresenham path to the cell ``offset`` away: a step between
+    cells p and q blocks cut_down at min(p, q) along a row and cut_right at
+    base + min(p, q) along a column.  No search reaches width / 2 columns
+    away (see ``place_branch_cuts``), so the offset decides the steps."""
+    half = width // 2
+    di, dj = divmod(offset + half, width)
+    dj -= half
+    axes = [(1 if dj >= 0 else -1, 0, abs(dj)), (width if di >= 0 else -width, base, abs(di))]
+    if abs(dj) < abs(di):  # the longer axis leads, the row on a tie
+        axes.reverse()
+    (major, major_cuts, n), (minor, minor_cuts, m) = axes
+    p, err, edges = 0, n // 2, []
+    for _ in range(n):
+        edges.append(major_cuts + min(p, p + major))
+        p += major
+        err -= m
+        if err < 0:
+            edges.append(minor_cuts + min(p, p + minor))
+            p += minor
+            err += n
+    return tuple(edges)
 
 
 def place_branch_cuts(
@@ -125,70 +122,69 @@ def place_branch_cuts(
     """Goldstein branch-cut placement.
 
     Residues are visited in raster order.  Around each unbalanced residue
-    a square search box grows one ring at a time (up to max(width, height));
-    ring cells are scanned in raster order and the first hit wins: an
-    opposite-charge unbalanced residue is paired with a cut chain, while a
-    cell beyond the lattice or on a border-connected invalid region
-    grounds the residue with a cut to the border.  Every residue ends
-    balanced because the border is always reachable.  ``aperture`` (see
+    a square search box grows one ring at a time; ring cells are scanned in
+    raster order and the first hit wins: an opposite-charge unbalanced
+    residue is paired with a cut chain, while a cell beyond the lattice or
+    on a border-connected invalid region grounds the residue with a cut to
+    the border.  Charges must be -1, 0 or +1.  ``aperture`` (see
     ``flood_unwrap``) keeps the sinks.
+
+    Each cell of the lattice, padded by one ring of sinks, holds one byte:
+    its charge, 0 once balanced, or ``_SINK``.  Ring r is searched only when
+    ring r - 1 had no hit and so lay inside the lattice: the pad suffices,
+    and every search ends on it.
     """
     charges = np.asarray(charges)
     if charges.ndim != 2:
         raise ValueError("place_branch_cuts: charges must be 2-D")
+    outside = (charges != 0) & (charges != 1) & (charges != -1)
+    if outside.any():
+        index = tuple(int(i) for i in np.argwhere(outside)[0])
+        raise ValueError(f"place_branch_cuts: charge {charges[index]} at {index} is not -1, 0 or +1")
     hh, ww = charges.shape
-    h, w = hh + 1, ww + 1
-    cuts = BranchCutMap(
-        cut_right=np.zeros((h, w - 1), dtype=bool),
-        cut_down=np.zeros((h - 1, w), dtype=bool),
-    )
-    mask = np.ones((h, w), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    if mask.shape != (h, w):
+    mask = np.ones((hh + 1, ww + 1), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if mask.shape != (hh + 1, ww + 1):
         raise ValueError("place_branch_cuts: mask shape mismatch")
     sinks = _aperture_of(mask, aperture).derived(_border_sinks)
-    positions = np.argwhere(charges != 0).tolist()  # Python ints for the ring arithmetic
-    if not positions:
-        return cuts
 
-    balanced = np.zeros((hh, ww), dtype=bool)
-    max_radius = max(h, w)
-    for i0, j0 in positions:
-        if balanced[i0, j0]:
-            continue
-        sign = charges[i0, j0]
-        done = False
-        for radius in range(1, max_radius + 1):
-            for i, j in _ring(i0, j0, radius):
-                inside = 0 <= i < hh and 0 <= j < ww
-                if not inside or sinks[i, j]:
-                    _cut_path(cuts, i0, j0, i, j)
-                    balanced[i0, j0] = True
-                    done = True
+    width = ww + 2
+    grid = np.zeros(sinks.shape, dtype=np.int8)
+    grid[1:-1, 1:-1] = charges
+    starts = np.flatnonzero(grid != 0).tolist()  # far faster on bools than on int8
+    signs = grid.view(np.uint8).ravel()[starts].tolist()
+    grid[sinks] = _SINK
+    cells = bytearray(grid)
+    # cut_down padded to (hh + 2) x width, then cut_right to (hh + 1) x width:
+    # ring and path offsets are flat in one width
+    base = (hh + 2) * width
+    cut = bytearray(base + (hh + 1) * width)
+    rings, paths = {}, {}
+    for p0, own in zip(starts, signs):
+        if not cells[p0]:
+            continue  # an earlier residue's partner
+        hit = radius = 0
+        while not hit:  # no ring offset is 0
+            radius += 1
+            if radius not in rings:
+                rings[radius] = _ring_offsets(radius, width)
+            for offset in rings[radius]:
+                state = cells[p0 + offset]
+                if state and state != own:
+                    hit = offset
                     break
-                if charges[i, j] == -sign and not balanced[i, j]:
-                    _cut_path(cuts, i0, j0, i, j)
-                    balanced[i0, j0] = True
-                    balanced[i, j] = True
-                    done = True
-                    break
-            if done:
-                break
-        if not done:  # unreachable: border ring always exists within max_radius
-            raise AssertionError("branch cut search failed to terminate")
-    return cuts
-
-
-def _ring(i0: int, j0: int, r: int):
-    """Cells at Chebyshev distance r from (i0, j0), in raster order."""
-    out = []
-    for j in range(j0 - r, j0 + r + 1):
-        out.append((i0 - r, j))
-    for i in range(i0 - r + 1, i0 + r):
-        out.append((i, j0 - r))
-        out.append((i, j0 + r))
-    for j in range(j0 - r, j0 + r + 1):
-        out.append((i0 + r, j))
-    return out
+        if state != _SINK:
+            cells[p0 + hit] = 0
+        if cells[p0] == own:  # a residue on a sink cell stays a sink
+            cells[p0] = 0
+        if hit not in paths:
+            paths[hit] = _path_offsets(hit, width, base)
+        for edge in paths[hit]:
+            cut[p0 + edge] = 1
+    cut = np.frombuffer(cut, dtype=bool)
+    return BranchCutMap(
+        cut_right=cut[base:].reshape(hh + 1, width)[:, 1:-1],
+        cut_down=cut[:base].reshape(hh + 2, width)[1:-1, :-1],
+    )
 
 
 def default_seed(mask: np.ndarray) -> tuple:

@@ -88,6 +88,19 @@ class TestBranchCutPlacement:
         with pytest.raises(ValueError):
             place_branch_cuts(np.zeros((4, 4), dtype=np.int8), np.ones((4, 4), dtype=bool))
 
+    @pytest.mark.parametrize("value, dtype", [
+        (2, np.int8), (-2, np.int8), (127, np.int8), (-128, np.int8), (300, np.int64),
+        (255, np.uint8), (0.5, np.float64), (np.nan, np.float64),
+    ])
+    def test_rejects_charges_outside_unit_range(self, value, dtype):
+        """None of these is a charge; as int8 bytes, 2 would read as a sink,
+        255 as -1 and 300 as 44."""
+        charges = np.zeros((5, 6), dtype=dtype)
+        charges[1, 1] = 1
+        charges[2, 3] = value
+        with pytest.raises(ValueError, match=rf"charge {value} at \(2, 3\)"):
+            place_branch_cuts(charges)
+
 
 class TestDefaultSeed:
     def test_full_mask_center(self):

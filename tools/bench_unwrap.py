@@ -45,18 +45,22 @@ one thread, as perfbench sets it.  Two kinds of rows:
     frame, charges, cut maps, surface values and mask, and residual and
     coefficients, in frame order, and ``conventional_sha256`` of
     ``run_conventional``'s final surface, the same in every round
-- ``ratio`` (the cluster stack at every N): ``run_clustered`` and
-  ``run_conventional`` with ``PipelineParams(cut=0.5, min_samples=None,
+- ``ratio`` (the cluster stack at every N): ``ROUNDS`` processes per tree,
+  the trees alternating as in the flood rows.  In each, ``run_clustered``
+  and ``run_conventional`` with ``PipelineParams(cut=0.5, min_samples=None,
   min_fraction=0.04)``, each the minimum wall time of ``ROUTE_REPEATS``
-  calls after ``read_stack``, their unwrap stage times, the ratio
-  clustered / conventional beside the paper's 0.77 (about 23% less
-  time), and the hash of each route's surface.
+  calls after ``read_stack``, and the ratio clustered / conventional.  The
+  row holds the quartiles over rounds of ``clustered_s``,
+  ``conventional_s`` and that ratio, beside the paper's 0.77 (about 23%
+  less time), and from the first round the unwrap stage times and the
+  hash of each route's surface.
 
 The summary says whether every hash is equal between the trees and gives
-each flood row's quartiles per tree.  Single conventional-256 seeds do not
-resolve differences of 20-30% on a 2-vCPU machine, so ``pooled`` gives,
-per step and tree, the quartiles of every pass of every round of all ten
-seeds, and the change/parent ratio of their medians.
+each flood row's quartiles per tree, and each ratio row's as ``routes``.
+Single conventional-256 seeds do not resolve differences of 20-30% on a
+2-vCPU machine, so ``pooled`` gives, per step and tree, the quartiles of
+every pass of every round of all ten seeds, and the change/parent ratio
+of their medians.
 
 Run from the repository root, with the ``src`` of the tree to compare with,
 labelled ``parent`` (for example a ``git archive`` of the parent commit):
@@ -87,6 +91,7 @@ REPEATS = 5
 ROUNDS = 3
 ROUTE_REPEATS = 2
 PAPER_RATIO = 0.77
+RATIO_TIMES = ("clustered_s", "conventional_s", "clustered_over_conventional")
 STEPS = ("shift", "check", "residues", "cuts", "flood", "fit", "combine")
 TIMES = tuple(f"{step}_ms_per_frame" for step in STEPS)
 HERE = Path(__file__).resolve()
@@ -239,11 +244,17 @@ def ratio_worker(path: str, repeats: int) -> dict:
     return out
 
 
-def merge_rounds(runs: list) -> dict:
-    """One flood row from the rounds of one tree: the per-pass times of every
-    round pooled into quartiles, the median of each path's time over rounds,
-    and every other field from the first round."""
+def merge_rounds(kind: str, runs: list) -> dict:
+    """One row from the rounds of one tree: for a flood row, the per-pass
+    times of every round pooled into quartiles and the median of each
+    path's time over rounds; for a ratio row, the quartiles over rounds of
+    each route's time and of their ratio; every other field from the first
+    round."""
     row = dict(runs[0], rounds=len(runs))
+    if kind == "ratio":
+        for key in RATIO_TIMES:
+            row[key] = quartiles([r[key] for r in runs])
+        return row
     for key in TIMES:
         row[key] = quartiles([t for r in runs for t in r[key]])
     row["ms_per_frame_by_path"] = {
@@ -291,7 +302,7 @@ def main(argv=None) -> None:
             path = Path(tmp) / "stack.wphs"
             write_recipe(path, *recipe)
             results = {name: [] for name, _ in trees}
-            for r in range(ROUNDS if kind == "flood" else 1):
+            for r in range(ROUNDS):
                 for name, src in trees if (i + r) % 2 == 0 else trees[::-1]:
                     results[name].append(run_tree(src, kind, path, repeats))
                     print(json.dumps({"stack": stack_name, "seed": seed, "tree": name,
@@ -304,7 +315,7 @@ def main(argv=None) -> None:
                     for key in TIMES:
                         pooled[name][key] += [t for run in runs for t in run[key]]
                 rows.append({"kind": kind, "stack": stack_name, "seed": seed, "tree": name,
-                             **(merge_rounds(runs) if kind == "flood" else runs[0]),
+                             **merge_rounds(kind, runs),
                              "outputs_equal_across_trees": equal})
             path.unlink()
     summary = {"every_output_equal_across_trees": all(r["outputs_equal_across_trees"] for r in rows)}
@@ -313,8 +324,8 @@ def main(argv=None) -> None:
         summary[name] = {
             **{key: {f"{r['stack']} seed {r['seed']}": r[key] for r in flood} for key in TIMES},
             "paths": {f"{r['stack']} seed {r['seed']}": r["paths"] for r in flood},
-            "clustered_over_conventional": {
-                r["stack"]: r["clustered_over_conventional"]
+            "routes": {
+                r["stack"]: {key: r[key] for key in RATIO_TIMES}
                 for r in rows if r["tree"] == name and r["kind"] == "ratio"
             },
         }
@@ -337,10 +348,11 @@ def main(argv=None) -> None:
             "conventional-256": "60 x 256x256 circular aperture, 5 dB, 2 families, no contaminants, seeds 0-9",
             "cluster": f"N = {CLUSTER_SIZES} x 128x128, 20 dB, 2 families, 3% contaminants, seed 0",
         },
-        "repeats": {"flood": REPEATS, f"flood cluster-n{FLOOD_CLUSTER_N}": 3, "flood rounds": ROUNDS,
+        "repeats": {"flood": REPEATS, f"flood cluster-n{FLOOD_CLUSTER_N}": 3, "rounds": ROUNDS,
                     "routes": ROUTE_REPEATS},
         "times": "flood rows: [q1, median, q3] over every pass of every round, ms per frame; "
-                 "pooled: the same over every conventional-256 seed",
+                 "pooled: the same over every conventional-256 seed; "
+                 "ratio rows and routes: [q1, median, q3] over rounds, s and clustered / conventional",
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
