@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, as_frames, map_blocks, turns, wrap
+from .core import TWO_PI, as_frames, fold, map_blocks, turns, wrap
 from .preprocess import center_pixel, piston_shift
 
 #: Resultant lengths at or below this are treated as an undefined mean.  It
@@ -105,12 +105,13 @@ def circular_mean_rows(frames: np.ndarray, rows, mask: np.ndarray, anchor=None):
 
     The fast kernel behind the pipeline's denoise step; its oracle is
     ``circular_mean_frame(piston_shift(frames[rows], mask, anchor), mask)``.
-    Each member is shifted as ``piston_shift`` shifts it, in float64:
-    ``s = wrap(f - f[anchor])``, with the invalid pixels zeroed before the
-    ``wrap``.  Its deviation from the first shifted member, ``d = s - ref``,
-    is folded into (-pi, pi] as ``d - 2*pi*turns(d)``; cos and sin of
-    ``float32(d)`` are computed in float32 and summed in float64, frame by
-    frame from zero; the mean is ``wrap(atan2(S, C) + ref)``.
+    Each block of members is gathered into scratch and shifted into float64
+    by ``piston_shift``, which checks every member.  A member's deviation
+    from the first shifted member, ``d = s - ref``, is folded into (-pi, pi]
+    as ``d - 2*pi*turns(d)``; cos and sin of ``float32(d)`` are computed in
+    float32 and summed in float64, frame by frame from zero; the mean is
+    ``wrap(atan2(S, C) + ref)``, computed as ``core.fold``, since atan2 plus
+    ``ref`` lies in [-2pi, 2pi].
 
     Parameters
     ----------
@@ -129,8 +130,9 @@ def circular_mean_rows(frames: np.ndarray, rows, mask: np.ndarray, anchor=None):
     Raises
     ------
     ValueError
-        On a bad shape or row index, an invalid anchor pixel, or a member
-        that ``wrap`` rejects (a non-finite value at a valid pixel).
+        On a bad shape or row index, an invalid anchor pixel, or any member
+        that ``piston_shift`` rejects (a value at a valid pixel that is not
+        finite or lies outside (-pi, pi]).
 
     Error against the oracle: rounding d to float32 moves each unit vector
     by at most pi * 2**-24, and numpy's float32 sin and cos (under 1.5 ulp)
@@ -156,20 +158,21 @@ def circular_mean_rows(frames: np.ndarray, rows, mask: np.ndarray, anchor=None):
         raise ValueError("circular_mean_rows: row index out of range")
     anchor = center_pixel(mask.shape) if anchor is None else anchor
     ref = piston_shift(frames[rows[0]], mask, anchor)  # checks the anchor
-    i, j = anchor
-    invalid = ~mask
 
     def cos_sin(block, buf):
-        # Two halves of the block's scratch: `raw` holds f - f[anchor], then
-        # 2*pi times d's turns, then the float32 cos and sin of d; `d` the
-        # shifted members, then d.  They do not overlap, so wrap needs no
-        # temporary.
+        # Two halves of the block's scratch: `raw` holds the members, in the
+        # stack's dtype, then 2*pi times d's turns, then the float32 cos and
+        # sin of d; `d` the shifted members, then d.
         n = len(buf)
         d, raw = buf.reshape(2, n, *mask.shape)
-        for k, r in enumerate(rows[block]):
-            np.subtract(frames[r], frames[r, i, j], out=raw[k], dtype=np.float64)
-        np.copyto(raw, 0.0, where=invalid)
-        wrap(raw, out=d)
+        members = raw.reshape(-1).view(frames.dtype)[: d.size].reshape(d.shape)
+        # "clip": no buffered copy of `members`; the rows are checked above
+        np.take(frames, rows[block], axis=0, out=members, mode="clip")
+        # piston_shift checks every member.  Two calls keep the float64
+        # temporary of its fold to half a block, so the blocks in flight
+        # stay within their scratch and a few frames.
+        for part in (slice(0, n // 2), slice(n // 2, n)):
+            piston_shift(members[part], mask, anchor, out=d[part])
         np.subtract(d, ref, out=d)
         np.subtract(d, np.multiply(turns(d), TWO_PI, out=raw), out=d)
         cs = raw.reshape(n, -1).view(np.float32).reshape(n, 2, *mask.shape)
@@ -191,7 +194,7 @@ def circular_mean_rows(frames: np.ndarray, rows, mask: np.ndarray, anchor=None):
     out_mask = mask & (resultant > RESULTANT_EPS)
     mean_frame = np.zeros(mask.shape)
     np.add(np.arctan2(y, x), ref, out=mean_frame, where=out_mask)
-    return wrap(mean_frame, out=mean_frame), resultant, out_mask
+    return fold(mean_frame, out=mean_frame), resultant, out_mask
 
 
 def circular_rms_error(a: np.ndarray, b: np.ndarray, mask: np.ndarray | None = None) -> float:

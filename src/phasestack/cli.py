@@ -15,7 +15,8 @@ from pathlib import Path
 
 from .cluster import NoClusterError, agglomerate, pairwise_distances
 from .core import detect_residues, residue_count
-from .pipeline import WEIGHTINGS, PipelineParams, compare, run_clustered, run_conventional
+from .pipeline import WEIGHTINGS, PipelineParams, anchor_for, compare
+from .pipeline import run_clustered, run_conventional
 from .preprocess import prepare_for_clustering
 from .synth import TrialSpec, make_trial, peaks_surface
 from .wphs import StackFormatError, read_stack, write_report, write_stack
@@ -222,7 +223,9 @@ def _cmd_inspect(args) -> int:
         "dendrogram": None,
     }
     if n >= 2:
-        pooled, pooled_mask = prepare_for_clustering(stack.frames, stack.mask, args.pool_levels)
+        pooled, pooled_mask = prepare_for_clustering(
+            stack.frames, stack.mask, args.pool_levels, anchor_for(stack.mask)
+        )
         doc["dendrogram"] = agglomerate(pairwise_distances(pooled, pooled_mask)).to_dict()
     json.dump(doc, sys.stdout, indent=2)
     print()

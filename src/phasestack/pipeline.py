@@ -146,8 +146,9 @@ class SurfaceReport:
         return out
 
 
-def _anchor_for(mask: np.ndarray):
-    """Center pixel when valid, else the valid pixel nearest the centroid."""
+def anchor_for(mask: np.ndarray):
+    """The pipeline's piston anchor and unwrap seed: the center pixel when
+    valid, else the valid pixel nearest the centroid."""
     i, j = center_pixel(mask.shape)
     if mask[i, j]:
         return (i, j)
@@ -170,7 +171,7 @@ def _measure(stack: PhaseStack, params: PipelineParams, method: str) -> SurfaceR
     warnings: list = []
     n = len(stack)
     classify = method == "clustered"
-    anchor = _anchor_for(stack.mask)
+    anchor = anchor_for(stack.mask)
     aperture = Aperture(stack.mask)
 
     with _timed(times, "preprocess"):
@@ -215,7 +216,7 @@ def _measure(stack: PhaseStack, params: PipelineParams, method: str) -> SurfaceR
                     )
                 part = aperture if np.array_equal(mask, aperture.mask) else Aperture(mask)
             with _timed(times, "unwrap"):
-                seed = _anchor_for(part.mask)
+                seed = anchor_for(part.mask)
                 unwraps += 1
                 s = unwrap(frame, part.mask, seed=seed, aperture=part)
             with _timed(times, "fit"):

@@ -341,6 +341,25 @@ class TestCircularMeanRows:
         window = core.WORKERS + 1 if core.WORKERS > 1 else 1
         assert peak <= window * 2 * core.BLOCK_BYTES + 16 * frames[0].nbytes
 
+    @pytest.mark.parametrize("member", [0, 1, 2, 4])
+    @pytest.mark.parametrize("per_block", [1, 2, 5])
+    def test_every_member_is_range_checked(self, block_pool, member, per_block):
+        """4.0 at a valid pixel of any member raises, as in the oracle's
+        piston_shift, whatever block the member falls in."""
+        frames = wrap(np.random.default_rng(member).normal(0.0, 1.0, size=(6, 5, 7)))
+        rows = [5, 0, 3, 1, 2]
+        frames[rows[member], 1, 4] = 4.0
+        mask = np.ones((5, 7), dtype=bool)
+        mask[0, 0] = False
+        block_pool(per_block, (5, 7))
+        with pytest.raises(ValueError):
+            circular_mean_frame(piston_shift(frames[rows], mask), mask)
+        with pytest.raises(ValueError, match="outside"):
+            circular_mean_rows(frames, rows, mask)
+        frames[rows[member], 1, 4] = 0.5
+        frames[rows[member], 0, 0] = 4.0  # an invalid pixel is never read
+        circular_mean_rows(frames, rows, mask)
+
     @pytest.mark.parametrize(
         "frames, rows, mask",
         [

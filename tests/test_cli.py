@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from phasestack.cli import main
-from phasestack.wphs import read_report, read_stack
+from phasestack.core import PhaseStack
+from phasestack.wphs import read_report, read_stack, write_stack
 
 
 def synth(tmp_path, name="trial.wphs", frames=6, grid=32, snr=15.0, seed=0,
@@ -131,6 +132,21 @@ class TestInspectCommand:
         assert len(doc["residue_counts"]) == 3
         assert doc["dendrogram"]["leaf_count"] == 3
         assert len(doc["dendrogram"]["merges"]) == 2
+
+    def test_invalid_center_uses_the_pipelines_anchor(self, tmp_path, capsys):
+        # a 4x4 invalid block over the center pixel: run measures this stack,
+        # so inspect must read it too, from the same anchor
+        stack = read_stack(synth(tmp_path, frames=4, seed=9))
+        mask = stack.mask.copy()
+        mask[14:18, 14:18] = False
+        path = tmp_path / "holed.wphs"
+        write_stack(PhaseStack(frames=np.where(mask, stack.frames, 0.0), mask=mask), path)
+        assert main(["run", str(path), "--min-samples", "2"]) == 0
+        capsys.readouterr()
+        assert main(["inspect", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["valid_pixels"] == 32 * 32 - 16
+        assert doc["dendrogram"]["leaf_count"] == 4
 
 
 class TestExitCodes:

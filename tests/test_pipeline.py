@@ -6,10 +6,12 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from zernike_reference import FIT_TOL, zernike_fit_remove_reference
 
 from phasestack import core, pipeline
-from phasestack.cluster import NoClusterError
+from phasestack.cluster import ClusterSet, NoClusterError
 from phasestack.core import PhaseStack, circular_aperture, detect_residues, wrap
 from phasestack.pipeline import (
     STAGES,
@@ -542,6 +544,64 @@ class TestInputContract:
         with pytest.raises(ValueError) as info:
             step(np.zeros((8, 10)), np.ones((10, 8), dtype=bool))
         assert "(8, 10)" in str(info.value) and "(10, 8)" in str(info.value)
+
+
+def trial_stack(trial, aperture):
+    stack, _ = family_trial(**trial)
+    if aperture:
+        mask = circular_aperture(stack.shape)
+        stack = PhaseStack(frames=np.where(mask, stack.frames, 0.0), mask=mask)
+    return stack
+
+
+def route_outcome(route, stack, params):
+    """The surface bytes, mask and warnings of a route, or its error."""
+    try:
+        rep = route(stack, params)
+    except ValueError as exc:
+        return str(exc)
+    return rep.surface.values.tobytes(), rep.surface.mask.tobytes(), rep.warnings
+
+
+class TestRoutesAgree:
+    """The clustered route, given the partition another route uses, gives
+    that route's surface bit for bit (ROADMAP item 6)."""
+
+    trials = st.builds(
+        dict,
+        seed=st.integers(0, 2**16),
+        n=st.integers(2, 12),
+        grid=st.sampled_from([24, 32, 48]),
+        snr=st.sampled_from([5.0, 20.0]),
+        jitter=st.sampled_from([0.0, 3.0, 20.0]),
+        frac=st.sampled_from([0.0, 0.2]),
+    )
+
+    @staticmethod
+    def clustered_with(stack, partition, params):
+        def chosen(dendrogram, cut, min_samples):
+            return ClusterSet(partition(len(stack)), [], min_samples, cut)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "select_clusters", chosen)
+            return route_outcome(run_clustered, stack, params)
+
+    @settings(max_examples=12)
+    @given(trial=trials, aperture=st.booleans())
+    def test_singletons_give_the_conventional_surface(self, trial, aperture):
+        stack = trial_stack(trial, aperture)
+        params = PipelineParams(cut=0.5)
+        got = self.clustered_with(stack, lambda n: [[i] for i in range(n)], params)
+        assert got == route_outcome(run_conventional, stack, params)
+
+    @settings(max_examples=12)
+    @given(trial=trials, aperture=st.booleans())
+    def test_one_cluster_gives_the_no_classify_surface(self, trial, aperture):
+        stack = trial_stack(trial, aperture)
+        params = PipelineParams(cut=0.5)
+        got = self.clustered_with(stack, lambda n: [list(range(n))], params)
+        want = route_outcome(run_clustered, stack, PipelineParams(cut=0.5, classify=False))
+        assert got == want
 
 
 class TestAgreementWhenClusteringIsMoot:

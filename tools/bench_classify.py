@@ -2,14 +2,15 @@
 ``pairwise_distances`` and ``agglomerate``, for this tree and for another one
 (such as the parent commit).
 
-Builds perfbench's cluster-n1000 recipe (the 128x128 peaks surface, two tilt
-families with 30 rad jitter, 3% contaminants, 20 dB, seed 0) at N = 500,
-1000 and 2000 frames and writes each as one WPHS file, which both trees
-read and pool with ``prepare_for_clustering``.  Each (N, BLAS setting,
-tree) is measured in a fresh process whose ``PYTHONPATH`` is that tree's
-``src``; the trees alternate which runs first.  BLAS runs with one thread
-(``OPENBLAS_NUM_THREADS=1``, as perfbench sets it) and at OpenBLAS's
-default (one thread per CPU).  Per run it records:
+Builds perfbench's cluster-n1000 recipe (``harness.trial``: the 128x128
+peaks surface, two tilt families with 30 rad jitter, 3% contaminants,
+20 dB, seed 0) at N = 500, 1000 and 2000 frames and writes each as one
+WPHS file, which both trees read and pool with ``prepare_for_clustering``.
+Each (N, BLAS setting, tree) is measured in a fresh process whose
+``PYTHONPATH`` is that tree's ``src``; the trees alternate which runs
+first.  BLAS runs with one thread (``OPENBLAS_NUM_THREADS=1``, as
+perfbench sets it) and at OpenBLAS's default (one thread per CPU).  Per
+run it records:
 
 - ``pairwise_s`` and ``agglomerate_s``: the tree's own functions
 - ``pairwise_peak_mb``: the tracemalloc peak of one ``pairwise_distances``
@@ -44,14 +45,10 @@ labelled ``parent`` (for example a ``git archive`` of the parent commit):
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
-import os
-import platform
 import resource
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -61,34 +58,14 @@ from pathlib import Path
 
 import numpy as np
 
+import harness
+from harness import median_s
+
 SIZES = (500, 1000, 2000)
 GRID = 128
 REPEATS = 5
 BLAS_SETTINGS = ("1", "default")
 HERE = Path(__file__).resolve()
-ROOT = HERE.parent.parent
-SRC = ROOT / "src"
-
-
-def write_recipe(n: int, path: Path) -> None:
-    from phasestack.synth import TrialSpec, make_trial, peaks_surface
-    from phasestack.wphs import write_stack
-
-    spec = TrialSpec(
-        frame_count=n, grid=GRID, snr_db=20.0, perturbation_count=2,
-        contaminant_fraction=0.03, tilt_jitter=30.0, seed=0,
-    )
-    stack, _ = make_trial(peaks_surface(GRID, 37.82), spec)
-    write_stack(stack, path)
-
-
-def median_s(fn) -> float:
-    times = []
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
 
 
 def step_times(pooled, mask, cluster, core, copies: bool) -> dict:
@@ -98,7 +75,7 @@ def step_times(pooled, mask, cluster, core, copies: bool) -> dict:
     out = {}
     if copies:
         x = x.compress(mask.ravel(), axis=1)
-        out["compress_s"] = median_s(lambda: pooled.reshape(n, -1).compress(mask.ravel(), axis=1))
+        out["compress_s"] = median_s(lambda: pooled.reshape(n, -1).compress(mask.ravel(), axis=1), REPEATS)
     sq = np.einsum("ij,ij->i", x, x)
 
     def near_recompute(d2, near, lo):
@@ -118,9 +95,9 @@ def step_times(pooled, mask, cluster, core, copies: bool) -> dict:
             near_recompute(d2, np.triu(d2 <= rel * norms, 1), 0)
             d[...] = np.sqrt(d2) / scale
 
-        out["gram_s"] = median_s(lambda: x @ x.T)
-        out["elementwise_s"] = median_s(elementwise)
-        out["mirror_s"] = median_s(lambda: d + d.T)
+        out["gram_s"] = median_s(lambda: x @ x.T, REPEATS)
+        out["elementwise_s"] = median_s(elementwise, REPEATS)
+        out["mirror_s"] = median_s(lambda: d + d.T, REPEATS)
         return out
 
     starts = range(0, n, rows)
@@ -168,7 +145,7 @@ def step_times(pooled, mask, cluster, core, copies: bool) -> dict:
         each(mirror)
         return time.perf_counter() - t0
 
-    out["gram_s"] = median_s(timed_gram)
+    out["gram_s"] = median_s(timed_gram, REPEATS)
     out["elementwise_s"] = statistics.median(timed_elementwise() for _ in range(REPEATS))
     out["mirror_s"] = statistics.median(timed_mirror() for _ in range(REPEATS))
     return out
@@ -199,14 +176,14 @@ def worker(path: str, save: str) -> dict:
     with open(save + ".json", "w", encoding="utf-8") as fh:
         json.dump(merges, fh)
     out = {
-        "d_sha256": hashlib.sha256(d.tobytes()).hexdigest(),
-        "merges_sha256": hashlib.sha256(repr(merges).encode()).hexdigest(),
+        "d_sha256": harness.sha256_of([d]),
+        "merges_sha256": harness.sha256_of([repr(merges).encode()]),
         "workers": core.WORKERS,
         "panel_rows": getattr(cluster, "_PANEL_ROWS", None),
         "pairwise_peak_mb": peak / 2**20,
         "copies_stack": copies,
-        "pairwise_s": median_s(lambda: cluster.pairwise_distances(pooled, mask)),
-        "agglomerate_s": median_s(lambda: cluster.agglomerate(d)),
+        "pairwise_s": median_s(lambda: cluster.pairwise_distances(pooled, mask), REPEATS),
+        "agglomerate_s": median_s(lambda: cluster.agglomerate(d), REPEATS),
         **step_times(pooled, mask, cluster, core, copies),
     }
     faults = []
@@ -219,22 +196,9 @@ def worker(path: str, save: str) -> dict:
     return out
 
 
-def run_tree(src: Path, path: Path, blas: str, save: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src))
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env.pop(var, None)
-        if blas != "default":
-            env[var] = blas
-    done = subprocess.run(
-        [sys.executable, str(HERE), "--worker", str(path), "--save", save],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    return json.loads(done.stdout.splitlines()[-1])
-
-
 def compare(runs: list, tmp: Path, path: Path) -> dict:
     """Each run's outputs against the parent's and the test references."""
-    sys.path.insert(0, str(ROOT / "tests"))
+    sys.path.insert(0, str(harness.ROOT / "tests"))
     from cluster_reference import agglomerate_reference, pairwise_distances_reference
 
     from phasestack.preprocess import center_pixel, prepare_for_clustering
@@ -269,50 +233,44 @@ def main(argv=None) -> None:
     if args.worker:
         print(json.dumps(worker(args.worker, args.save)))
         return
-    trees = [("change", SRC)] + ([("parent", args.other.resolve())] if args.other else [])
-    runs, checks, i = [], {}, 0
+    from phasestack.wphs import write_stack
+
+    trees = harness.trees(args.other)
+    runs = []
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for n in SIZES:
-            path = tmp / f"n{n}.wphs"
-            write_recipe(n, path)
+        path = tmp / "stack.wphs"
+        for i, n in enumerate(SIZES):
+            write_stack(harness.trial("cluster-n1000", frames=n), path)
             rows = []
-            for blas in BLAS_SETTINGS:
-                for name, src in trees if i % 2 == 0 else trees[::-1]:
+            for j, blas in enumerate(BLAS_SETTINGS):
+
+                def run(name, src):
                     save = f"{name}-n{n}-blas{blas}"
-                    row = {"tree": name, "n": n, "blas_threads": blas, "save": save,
-                           **run_tree(src, path, blas, str(tmp / save))}
-                    rows.append(row)
-                    print(json.dumps(row), flush=True)
-                i += 1
-            checks.update(compare(rows, tmp, path))
+                    argv = [HERE, "--worker", path, "--save", tmp / save]
+                    return {"save": save, **harness.run_tree(src, argv, blas)}
+
+                job = {"n": n, "blas_threads": blas}
+                results = harness.alternate(trees, run, 1, len(BLAS_SETTINGS) * i + j, job)
+                group = [{"tree": name, **job, **r[0]} for name, r in results.items()]
+                if len(group) == 2:
+                    change, parent = group
+                    for key in ("d", "merges"):
+                        change[f"{key}_equal_parent"] = change[f"{key}_sha256"] == parent[f"{key}_sha256"]
+                rows += group
+            checks = compare(rows, tmp, path)
             for row in rows:
-                parent = next(
-                    (r for r in rows if r["tree"] == "parent" and r["blas_threads"] == row["blas_threads"]),
-                    None,
-                )
                 row.update(checks[row.pop("save")])
-                if parent is not None and row["tree"] == "change":
-                    row["d_equal_parent"] = row["d_sha256"] == parent["d_sha256"]
-                    row["merges_equal_parent"] = row["merges_sha256"] == parent["merges_sha256"]
             runs += rows
-            path.unlink()
-    doc = {
+    harness.write_json(args.out, {
         "benchmark": "classify: pairwise_distances and agglomerate, time, page faults and output equality",
         "recipe": f"cluster-n1000 at N = {SIZES} ({GRID}x{GRID}, 2 families, 3% contaminants, 20 dB, seed 0)",
         "repeats": REPEATS,
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-            "blas_threads": "1 (OPENBLAS_NUM_THREADS=1) or default (unset: one per CPU)",
-        },
+        "environment": harness.environment(
+            blas_threads="1 (OPENBLAS_NUM_THREADS=1) or default (unset: one per CPU)"
+        ),
         "runs": runs,
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    })
 
 
 if __name__ == "__main__":

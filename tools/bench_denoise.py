@@ -1,10 +1,10 @@
 """Denoise-layer benchmark: ``circular_mean_rows`` against its oracle.
 
-Builds perfbench's cluster-n1000 recipe (1000 frames of the 128x128 peaks
-surface, two tilt families with 30 rad jitter, 3% contaminants, seed 0) at
-20 and 5 dB, classifies it as ``run_clustered`` does with
-``PipelineParams(cut=0.5, min_fraction=0.04)``, and for each chosen cluster
-records:
+Builds perfbench's cluster-n1000 recipe (``harness.trial``: 1000 frames of
+the 128x128 peaks surface, two tilt families with 30 rad jitter, 3%
+contaminants, seed 0) at 20 and 5 dB, classifies it as ``run_clustered``
+does with ``PipelineParams(cut=0.5, min_fraction=0.04)``, and for each
+chosen cluster records:
 
 - ``oracle_s``: median of 7 calls of ``circular_mean_frame(piston_shift(
   frames[rows], mask, anchor), mask)``, the float64 oracle with its gather
@@ -37,20 +37,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import statistics
 import time
 
 import numpy as np
 
+import harness
 from phasestack import core
 from phasestack.circular import circular_mean_frame, circular_mean_rows
 from phasestack.cluster import agglomerate, pairwise_distances, select_clusters
 from phasestack.core import wrap
 from phasestack.pipeline import PipelineParams
 from phasestack.preprocess import center_pixel, piston_shift, prepare_for_clustering
-from phasestack.synth import TrialSpec, make_trial, peaks_surface
 
 PARAMS = PipelineParams(cut=0.5, min_samples=None, min_fraction=0.04)
 SNRS_DB = (20.0, 5.0)
@@ -61,11 +59,7 @@ DELTA = 3.2e-7
 
 def clusters(snr_db: float):
     """Frames, mask, anchor and chosen clusters of the recipe."""
-    spec = TrialSpec(
-        frame_count=1000, grid=128, snr_db=snr_db, perturbation_count=2,
-        contaminant_fraction=0.03, tilt_jitter=30.0, seed=0,
-    )
-    stack, _ = make_trial(peaks_surface(128, 37.82), spec)
+    stack = harness.trial("cluster-n1000", snr_db=snr_db)
     # the recipe's mask is full, so the pipeline's anchor is the center pixel
     anchor = center_pixel(stack.shape)
     pooled, pooled_mask = prepare_for_clustering(
@@ -113,18 +107,12 @@ def main(argv=None) -> None:
             results.append(row)
             print(json.dumps(row))
         del frames
-    doc = {
+    harness.write_json(args.out, {
         "benchmark": "denoise: circular_mean_rows vs circular_mean_frame with its gather",
         "recipe": "cluster-n1000 (1000 x 128x128, 2 families, 3% contaminants, seed 0)",
         "repeats": REPEATS,
         "delta_bound": DELTA,
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-            "workers": core.WORKERS,
-        },
+        "environment": harness.environment(workers=core.WORKERS),
         "clusters": results,
         "totals": {
             "oracle_s": sum(r["oracle_s"] for r in results),
@@ -133,10 +121,7 @@ def main(argv=None) -> None:
             "max_abs_dresultant": max(r["max_abs_dresultant"] for r in results),
             "out_mask_disagreements": sum(r["out_mask_disagreements"] for r in results),
         },
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    })
 
 
 if __name__ == "__main__":

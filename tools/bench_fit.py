@@ -2,10 +2,10 @@
 ``lstsq`` oracle, the parts the flood did not fully reach, and the unwrap
 with a new ``Aperture`` per frame and with one reused.
 
-Builds perfbench's conventional-256 recipe (60 frames of the 256x256 peaks
-surface at 5 dB in a circular aperture, two tilt families with 30 rad
-jitter, no contaminants), piston-shifts it as ``run_conventional`` does and
-unwraps every frame from the center pixel.  On seed 0 it records:
+Builds perfbench's conventional-256 recipe (``harness.trial``: 60 frames of
+the 256x256 peaks surface at 5 dB in a circular aperture, two tilt
+families with 30 rad jitter, no contaminants), piston-shifts it as
+``run_conventional`` does and unwraps every frame from the center pixel.  On seed 0 it records:
 
 - ``cold_fit_s``: per-fit time of ``zernike_fit_remove(surface, modes=MODES,
   aperture=Aperture(mask))`` with a new aperture for each fit (build + fit)
@@ -44,37 +44,30 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import statistics
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+import harness
+
+sys.path.insert(0, str(harness.ROOT / "tests"))
 from zernike_reference import zernike_fit_remove_reference  # noqa: E402
 
-from phasestack.core import PhaseStack, circular_aperture, detect_residues  # noqa: E402
+from phasestack.core import detect_residues  # noqa: E402
 from phasestack.preprocess import center_pixel, piston_shift  # noqa: E402
-from phasestack.synth import TrialSpec, make_trial, peaks_surface  # noqa: E402
 from phasestack.unwrap import Aperture, flood_unwrap, place_branch_cuts  # noqa: E402
 from phasestack.zernike import MODES, zernike_fit_remove  # noqa: E402
 
-GRID = 256
 REPEATS = 7
 UNREACHED_SEEDS = range(10)
 
 
 def frames(seed: int):
     """Piston-shifted frames, mask and seed pixel of the recipe."""
-    spec = TrialSpec(
-        frame_count=60, grid=GRID, snr_db=5.0, perturbation_count=2,
-        contaminant_fraction=0.0, tilt_jitter=30.0, seed=seed,
-    )
-    stack, _ = make_trial(peaks_surface(GRID, 37.82), spec)
-    mask = circular_aperture((GRID, GRID))
-    stack = PhaseStack(frames=np.where(mask, stack.frames, 0.0), mask=mask)
+    stack = harness.trial("conventional-256", seed)
+    mask = stack.mask
     pixel = center_pixel(stack.shape)  # valid on the disk: the pipeline's anchor
     return piston_shift(stack.frames, mask, pixel), mask, pixel
 
@@ -156,13 +149,7 @@ def main(argv=None) -> None:
         "frame and with one reused",
         "recipe": "conventional-256 (60 x 256x256 circular aperture, 5 dB, 2 families, seed 0)",
         "repeats": REPEATS,
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default"),
-        },
+        "environment": harness.environment(blas_threads=os.environ.get("OPENBLAS_NUM_THREADS", "default")),
         "valid_px": int(mask.sum()),
         "fully_reached_frames": sum(bool(np.array_equal(s.mask, mask)) for s in surfaces),
         "cold_fit_s": statistics.median(cold_t),
@@ -185,9 +172,7 @@ def main(argv=None) -> None:
         "aperture_saving_s": flood_cold_s - flood_warm_s,
     }
     print(json.dumps(doc, indent=2))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    harness.write_json(args.out, doc)
 
 
 if __name__ == "__main__":

@@ -5,9 +5,10 @@ combine), the path each frame's flood takes, and the
 clustered/conventional time ratio, for this tree and for another one (such
 as the parent commit).
 
-The stacks are written once as WPHS files and read by both trees:
+The stacks are perfbench's recipes, built by ``harness.trial``, written
+once as WPHS files and read by both trees:
 
-- conventional-256: perfbench's recipe (60 frames of the 256x256 peaks
+- conventional-256: perfbench's workload (60 frames of the 256x256 peaks
   surface at 5 dB in a circular aperture, two tilt families with 30 rad
   jitter, no contaminants), seeds 0-9
 - cluster: the cluster-n1000 recipe (128x128, 20 dB, 3% contaminants,
@@ -71,18 +72,17 @@ labelled ``parent`` (for example a ``git archive`` of the parent commit):
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
+
+import harness
+from harness import pass_ms, quartiles, sha256_of
 
 CONVENTIONAL_SEEDS = range(10)
 CLUSTER_SIZES = (250, 500, 1000, 2000)
@@ -95,52 +95,10 @@ RATIO_TIMES = ("clustered_s", "conventional_s", "clustered_over_conventional")
 STEPS = ("shift", "check", "residues", "cuts", "flood", "fit", "combine")
 TIMES = tuple(f"{step}_ms_per_frame" for step in STEPS)
 HERE = Path(__file__).resolve()
-SRC = HERE.parent.parent / "src"
-
-
-def write_recipe(path: Path, frames: int, grid: int, snr_db: float, contaminants: float,
-                 aperture: bool, seed: int) -> None:
-    from phasestack.core import PhaseStack, circular_aperture
-    from phasestack.synth import TrialSpec, make_trial, peaks_surface
-    from phasestack.wphs import write_stack
-
-    spec = TrialSpec(
-        frame_count=frames, grid=grid, snr_db=snr_db, perturbation_count=2,
-        contaminant_fraction=contaminants, tilt_jitter=30.0, seed=seed,
-    )
-    stack, _ = make_trial(peaks_surface(grid, 37.82), spec)
-    if aperture:
-        mask = circular_aperture((grid, grid))
-        stack = PhaseStack(frames=np.where(mask, stack.frames, 0.0), mask=mask)
-    write_stack(stack, path)
-
-
-def sha256_of(arrays) -> str:
-    digest = hashlib.sha256()
-    for a in arrays:
-        digest.update(a.tobytes())
-    return digest.hexdigest()
 
 
 def surface_hash(surfaces) -> str:
     return sha256_of(a for s in surfaces for a in (s.values, s.mask))
-
-
-def pass_ms(fn, items, repeats: int) -> list:
-    """Time of ``fn(*item)`` per item, in ms, in each of ``repeats`` passes
-    through all of ``items``."""
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for item in items:
-            fn(*item)
-        times.append((time.perf_counter() - t0) * 1e3 / len(items))
-    return times
-
-
-def quartiles(values) -> list:
-    """[q1, median, q3] of ``values``."""
-    return [float(q) for q in np.percentile(values, (25, 50, 75))]
 
 
 def flood_worker(path: str, repeats: int) -> dict:
@@ -250,29 +208,14 @@ def merge_rounds(kind: str, runs: list) -> dict:
     path's time over rounds; for a ratio row, the quartiles over rounds of
     each route's time and of their ratio; every other field from the first
     round."""
-    row = dict(runs[0], rounds=len(runs))
     if kind == "ratio":
-        for key in RATIO_TIMES:
-            row[key] = quartiles([r[key] for r in runs])
-        return row
-    for key in TIMES:
-        row[key] = quartiles([t for r in runs for t in r[key]])
+        return harness.merge_rounds(runs, over_rounds=RATIO_TIMES)
+    row = harness.merge_rounds(runs, pooled=TIMES)
     row["ms_per_frame_by_path"] = {
         p: statistics.median(r["ms_per_frame_by_path"][p] for r in runs)
         for p in row["ms_per_frame_by_path"]
     }
     return row
-
-
-def run_tree(src: Path, kind: str, path: Path, repeats: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src))
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    done = subprocess.run(
-        [sys.executable, str(HERE), "--worker", kind, "--stack", str(path), "--repeats", str(repeats)],
-        env=env, stdout=subprocess.PIPE, text=True, check=True,
-    )
-    return json.loads(done.stdout.splitlines()[-1])
 
 
 def main(argv=None) -> None:
@@ -287,29 +230,25 @@ def main(argv=None) -> None:
         worker = flood_worker if args.worker == "flood" else ratio_worker
         print(json.dumps(worker(args.stack, args.repeats)))
         return
-    trees = [("change", SRC)] + ([("parent", args.other.resolve())] if args.other else [])
-    jobs = [("flood", "conventional-256", seed, (60, 256, 5.0, 0.0, True, seed), REPEATS)
+    from phasestack.wphs import write_stack
+
+    trees = harness.trees(args.other)
+    jobs = [("flood", "conventional-256", seed, "conventional-256", {}, REPEATS)
             for seed in CONVENTIONAL_SEEDS]
     for n in CLUSTER_SIZES:
-        recipe = (n, 128, 20.0, 0.03, False, 0)
         if n == FLOOD_CLUSTER_N:
-            jobs.append(("flood", f"cluster-n{n}", 0, recipe, 3))
-        jobs.append(("ratio", f"cluster-n{n}", 0, recipe, ROUTE_REPEATS))
+            jobs.append(("flood", f"cluster-n{n}", 0, "cluster-n1000", {"frames": n}, 3))
+        jobs.append(("ratio", f"cluster-n{n}", 0, "cluster-n1000", {"frames": n}, ROUTE_REPEATS))
     rows = []
     pooled = {name: {key: [] for key in TIMES} for name, _ in trees}  # conventional-256 passes
     with tempfile.TemporaryDirectory() as tmp:
-        for i, (kind, stack_name, seed, recipe, repeats) in enumerate(jobs):
-            path = Path(tmp) / "stack.wphs"
-            write_recipe(path, *recipe)
-            results = {name: [] for name, _ in trees}
-            for r in range(ROUNDS):
-                for name, src in trees if (i + r) % 2 == 0 else trees[::-1]:
-                    results[name].append(run_tree(src, kind, path, repeats))
-                    print(json.dumps({"stack": stack_name, "seed": seed, "tree": name,
-                                      "round": r, **results[name][-1]}), flush=True)
-            first = results[trees[0][0]][0]
-            hashes = [k for k in first if k.endswith("sha256")]
-            equal = all(run[k] == first[k] for runs in results.values() for run in runs for k in hashes)
+        path = Path(tmp) / "stack.wphs"
+        for i, (kind, stack_name, seed, workload, overrides, repeats) in enumerate(jobs):
+            write_stack(harness.trial(workload, seed, **overrides), path)
+            argv = [HERE, "--worker", kind, "--stack", path, "--repeats", repeats]
+            results = harness.alternate(trees, lambda name, src: harness.run_tree(src, argv), ROUNDS, i,
+                                        {"stack": stack_name, "seed": seed})
+            equal = harness.outputs_equal(results)
             for name, runs in results.items():
                 if stack_name == "conventional-256":
                     for key in TIMES:
@@ -317,7 +256,6 @@ def main(argv=None) -> None:
                 rows.append({"kind": kind, "stack": stack_name, "seed": seed, "tree": name,
                              **merge_rounds(kind, runs),
                              "outputs_equal_across_trees": equal})
-            path.unlink()
     summary = {"every_output_equal_across_trees": all(r["outputs_equal_across_trees"] for r in rows)}
     for name, _ in trees:
         flood = [r for r in rows if r["tree"] == name and r["kind"] == "flood"]
@@ -341,7 +279,7 @@ def main(argv=None) -> None:
             key: median[1] / summary["parent"]["flood_ms_per_frame"][key][1]
             for key, median in summary["change"]["flood_ms_per_frame"].items()
         }
-    doc = {
+    harness.write_json(args.out, {
         "benchmark": "unwrap: every step of the conventional route per frame, flood by path; "
                      "clustered / conventional time",
         "recipes": {
@@ -353,19 +291,10 @@ def main(argv=None) -> None:
         "times": "flood rows: [q1, median, q3] over every pass of every round, ms per frame; "
                  "pooled: the same over every conventional-256 seed; "
                  "ratio rows and routes: [q1, median, q3] over rounds, s and clustered / conventional",
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-            "blas_threads": "1",
-        },
+        "environment": harness.environment(blas_threads="1"),
         "summary": summary,
         "runs": rows,
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    })
 
 
 if __name__ == "__main__":
