@@ -12,6 +12,11 @@ Conventions used throughout the package:
   may hold any value, even NaN (writers store zeros there).
 * Pixel (r, c) means row r, column c; rows increase downward.
 
+Graph searches on the pixel grid (connectivity here; the unwrap trees and
+border sinks in ``unwrap``) are one level-synchronous breadth-first search
+of a neighbour table, ``breadth_first_levels``, in numpy: the package
+imports nothing outside numpy and the standard library.
+
 Whole-stack kernels (``wphs.read_stack``, ``preprocess.prepare_for_clustering``
 and ``circular.circular_mean_rows``) stream the frames through ``map_blocks``:
 blocks of about ``BLOCK_BYTES`` of frames on a thread pool with one worker per
@@ -32,7 +37,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass
 
 import numpy as np
-from scipy import ndimage
 
 TWO_PI = 2.0 * np.pi
 
@@ -55,8 +59,9 @@ BLOCK_BYTES = 2**20
 #: Threads of ``map_blocks``: one per CPU this process may run on.
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-# 4-connectivity structuring element shared by connectivity checks.
-_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+#: Unit steps (row, column) to the 4 and to the 8 neighbours of a pixel.
+STEPS_4 = ((0, -1), (-1, 0), (0, 1), (1, 0))
+STEPS_8 = tuple((dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if dr or dc)
 
 
 def wrap(x, out=None):
@@ -254,10 +259,60 @@ def check_mask(mask: np.ndarray) -> None:
         raise ValueError("aperture mask has no valid pixels")
 
 
+def neighbour_table(nodes: np.ndarray, steps) -> np.ndarray:
+    """Neighbour table of the True pixels of the 2-D bool ``nodes``, numbered
+    0 to n - 1 in raster order: row i holds, for each unit step (dr, dc) of
+    ``steps``, the number of the True pixel that step away from pixel i, or
+    n where there is none.  Row n, the sentinel, holds n throughout."""
+    h, w = nodes.shape
+    padded = np.zeros((h + 2, w + 2), dtype=bool)
+    padded[1:-1, 1:-1] = nodes
+    at = np.flatnonzero(padded)
+    n = at.size
+    number = np.full(padded.size, n, dtype=np.intp)
+    number[at] = np.arange(n)
+    table = np.empty((n + 1, len(steps)), dtype=np.intp)
+    table[n] = n
+    for j, (dr, dc) in enumerate(steps):
+        np.take(number, at + (dr * (w + 2) + dc), out=table[:n, j])
+    return table
+
+
+def breadth_first_levels(table: np.ndarray, starts) -> tuple:
+    """Level-synchronous breadth-first search of a graph given by its
+    (n + 1, k) intp neighbour table (as ``neighbour_table``: row n the
+    sentinel, n standing for no neighbour), from the distinct nodes
+    ``starts``.
+
+    Returns (order, bounds): the nodes reached, level L (at distance L from
+    the nearest start) at order[bounds[L]:bounds[L + 1]].  Each level is one
+    gather of the frontier's rows and one ``minimum.at`` of the candidates'
+    serial numbers, which only rise from level to level, onto their nodes:
+    a node reached before keeps its smaller number, and a new one takes its
+    first candidate's, which alone then reads its own number back.
+    """
+    n = len(table) - 1
+    mark = np.full(n + 1, np.iinfo(np.intp).max, dtype=np.intp)
+    frontier = np.asarray(starts, dtype=np.intp)
+    mark[frontier] = -1
+    mark[n] = -1
+    levels, bounds, used = [], [0], 0
+    while frontier.size:
+        levels.append(frontier)
+        bounds.append(bounds[-1] + frontier.size)
+        found = np.take(table, frontier, axis=0).ravel()
+        numbers = np.arange(used, used + found.size)
+        used += found.size
+        np.minimum.at(mark, found, numbers)
+        frontier = found[mark.take(found) == numbers]
+    return np.concatenate(levels or [frontier]), bounds
+
+
 def mask_is_connected(mask: np.ndarray) -> bool:
     """True when the valid region forms a single 4-connected component."""
-    _, n = ndimage.label(mask, structure=_CROSS)
-    return n == 1
+    table = neighbour_table(np.asarray(mask, dtype=bool), STEPS_4)
+    n = len(table) - 1
+    return n > 0 and breadth_first_levels(table, [n // 2])[0].size == n  # from the middle: fewer levels
 
 
 def circular_aperture(shape: tuple[int, int], margin: int = 0) -> np.ndarray:

@@ -14,7 +14,9 @@ comparisons of its difference with +-pi (``core.turns``), not a float wrap.
 
 What depends on the mask alone is kept by an ``Aperture``; each frame's
 tree is the aperture's cut-free one with the frame's cuts taken out, and
-repaired where they break a level (``flood_unwrap``).
+repaired where they break a level (``flood_unwrap``).  The trees and the
+border sinks come from one numpy breadth-first search of a neighbour table
+(``core.breadth_first_levels``).
 """
 
 from __future__ import annotations
@@ -22,11 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
 
-from .core import TWO_PI, check_frame, check_mask, detect_residues, mask_is_connected, turns
+from .core import (
+    STEPS_8,
+    TWO_PI,
+    breadth_first_levels,
+    check_frame,
+    check_mask,
+    detect_residues,
+    neighbour_table,
+    turns,
+)
 
 
 @dataclass
@@ -67,12 +75,13 @@ def _border_sinks(mask: np.ndarray) -> np.ndarray:
     stop integration paths from circling around it.
     """
     g = ~mask
-    if g.any():  # keep the invalid regions that reach the border
-        labels, _ = ndimage.label(g, structure=np.ones((3, 3), dtype=bool))
-        edge_labels = np.unique(
-            np.concatenate([labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]])
-        )
-        g = np.isin(labels, edge_labels[edge_labels > 0])
+    invalid = np.flatnonzero(g)
+    if invalid.size:  # keep the invalid pixels 8-connected to the border through invalid ones
+        border = np.zeros_like(g)
+        border[[0, -1], :] = border[:, [0, -1]] = True
+        reached, _ = breadth_first_levels(neighbour_table(g, STEPS_8), np.flatnonzero(border[g]))
+        g = np.zeros_like(g)
+        g.ravel()[invalid[reached]] = True
     g = np.pad(g, 1, constant_values=True)
     sinks = g[:-1, :-1] | g[:-1, 1:] | g[1:, :-1] | g[1:, 1:]
     sinks.flags.writeable = False  # an aperture shares it between calls
@@ -199,8 +208,10 @@ def default_seed(mask: np.ndarray) -> tuple:
 
 #: ``_repair`` gives up, and the frame gets a search of its own, when more
 #: than 1/_REPAIR_SHARE of the reached pixels are affected.  On a 256x256
-#: disk (2 vCPUs) the repair took about 6 us an affected pixel and the
-#: search about 6 ms, so the two break even near 1/64 of the pixels.
+#: disk of 51468 pixels (2 vCPUs; 67 repaired frames of 5 dB down to -2 dB)
+#: the repair took 7-10 us an affected pixel (fitted slope, median) and the
+#: numpy search (``_bfs_tree``) about 7 ms, so the two break even at 700 to
+#: 970 pixels, 1/74 to 1/53 of the disk.
 _REPAIR_SHARE = 64
 
 
@@ -227,34 +238,28 @@ class _Tree:
 
 
 def _bfs_tree(ok_right: np.ndarray, ok_down: np.ndarray, seed: int) -> _Tree:
-    """One scipy breadth-first search from the flat pixel index ``seed`` over
-    the open edges (ok_right as BranchCutMap.cut_right, ok_down as cut_down)."""
+    """Breadth-first search (``core.breadth_first_levels``) from the flat
+    pixel index ``seed`` over the open edges (ok_right as
+    BranchCutMap.cut_right, ok_down as cut_down)."""
     h, w = ok_right.shape[0], ok_down.shape[1]
-    # Open-edge table in CSR form, four columns per row: p-w, p-1, p+1, p+w
-    # where that edge is open, p itself where it is not (a self-loop is
-    # never followed).  Rows need not be sorted: the levels, and the parents
-    # chosen by direction priority, do not depend on neighbour order.
+    # Neighbour table of every pixel: left, above, right, below where that
+    # edge is open, the sentinel n where it is not.  The levels, and the
+    # parents chosen by direction priority, do not depend on the order
+    # within a level.
     n = h * w
-    columns = np.arange(n, dtype=np.int32).reshape(h, w, 1).repeat(4, axis=2)
-    columns[1:, :, 0] -= w * ok_down
-    columns[:, 1:, 1] -= ok_right
-    columns[:, :-1, 2] += ok_right
-    columns[:-1, :, 3] += w * ok_down
-    indptr = np.arange(0, 4 * n + 1, 4, dtype=np.int32)
-    graph = csr_matrix((np.ones(4 * n), columns.ravel(), indptr), shape=(n, n))
-    order, found_by = breadth_first_order(graph, seed, return_predecessors=True)
-    order = order.astype(np.intp)
-    del graph, columns  # 52 bytes a pixel, freed before the tree's arrays are built
+    index = np.arange(n).reshape(h, w)
+    table = np.full((n + 1, 4), n, dtype=np.intp)
+    t = table[:n].reshape(h, w, 4)
+    np.copyto(t[:, 1:, 0], index[:, :-1], where=ok_right)
+    np.copyto(t[1:, :, 1], index[:-1, :], where=ok_down)
+    np.copyto(t[:, :-1, 2], index[:, 1:], where=ok_right)
+    np.copyto(t[:-1, :, 3], index[1:, :], where=ok_down)
+    del t, index
+    order, bounds = breadth_first_levels(table, [seed])
+    del table  # 32 bytes a pixel, freed before the tree's arrays are built
 
-    # FIFO order is sorted by level and each pixel's discoverer sits at a
-    # non-decreasing position along it, so level L + 1 ends where the
-    # discoverers pass the end of level L.
     pos = np.empty(n, dtype=np.intp)
     pos[order] = np.arange(order.size)
-    found_at = pos[found_by[order[1:]]]
-    bounds = [0, 1]
-    while bounds[-1] < order.size:
-        bounds.append(1 + int(np.searchsorted(found_at, bounds[-1])))
     d = np.full((h, w), -1, dtype=np.int32)
     d.ravel()[order] = np.repeat(np.arange(len(bounds) - 1, dtype=np.int32), np.diff(bounds))
     up = np.zeros((4, h, w), dtype=bool)
@@ -277,8 +282,8 @@ def _cut_free_tree(mask: np.ndarray, seed: int) -> _Tree:
 class Aperture:
     """A read-only copy of a mask, validated once (2-D bool, at least one
     valid pixel), and what is derived from it alone, each built on first
-    use and kept, read-only, as long as the aperture is: connectivity, the
-    valid count, border sinks, the cut-free tree of each seed and
+    use and kept, read-only, as long as the aperture is: the valid count,
+    border sinks, the cut-free tree of each seed and
     (``zernike``'s) the factored fit design of each set of modes.  It
     changes no output.
     """
@@ -452,14 +457,15 @@ def flood_unwrap(
     one level at a time.  Pixels that cannot be reached without crossing a
     cut are invalid in the output mask.
 
-    The cut-free tree of each seed is built by a scipy breadth-first search
-    and kept, with each pixel's parent, by ``aperture``, which must hold
-    ``mask`` (all valid when None); a call without one builds its own.  A
-    frame's cuts only remove edges, and removing edges never shortens a
-    path, so while every reached pixel other than the seed keeps an open
-    neighbour one level up, no level changes (by induction on level): only
-    the pixels at the ends of cut edges re-choose their parent among their
-    uncut level-up edges (``_cut_ends``).  Where some pixel loses all of
+    The cut-free tree of each seed is built by a breadth-first search
+    (``_bfs_tree``) and kept, with each pixel's parent, by ``aperture``,
+    which must hold ``mask`` (all valid when None); a call without one
+    builds its own.  The valid region is 4-connected when that tree reaches
+    every valid pixel.  A frame's cuts only remove edges, and removing
+    edges never shortens a path, so while every reached pixel other than
+    the seed keeps an open neighbour one level up, no level changes (by
+    induction on level): only the pixels at the ends of cut edges re-choose
+    their parent among their uncut level-up edges (``_cut_ends``).  Where some pixel loses all of
     them, ``_repair`` moves only the pixels whose level changed
     (decremental breadth-first search, after Ramalingam & Reps, J.
     Algorithms 21, 1996); where those are many, the frame gets a search of
@@ -475,8 +481,6 @@ def flood_unwrap(
         )
     mask = np.ones((h, w), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     aperture = _aperture_of(mask, aperture)
-    if not aperture.derived(mask_is_connected):
-        raise ValueError("flood_unwrap: valid region is not 4-connected")
     if seed is None:
         seed = default_seed(mask)
     sr, sc = seed
@@ -484,6 +488,9 @@ def flood_unwrap(
         raise ValueError("flood_unwrap: seed pixel is not valid")
 
     tree = aperture.derived(_cut_free_tree, sr * w + sc)
+    n_valid = aperture.derived(np.count_nonzero)
+    if tree.order.size < n_valid:
+        raise ValueError("flood_unwrap: valid region is not 4-connected")
     up_at = tree.up_at
     late_at, gone = [], []
     if cuts is not None:
@@ -527,7 +534,6 @@ def flood_unwrap(
     values.ravel()[gone] = 0.0
     reached.ravel()[gone] = False
 
-    n_valid = aperture.derived(np.count_nonzero)
     n_reached = order.size - len(gone)
     warning = None
     if n_valid - n_reached > 0.5 * n_valid:

@@ -1,0 +1,240 @@
+"""The numpy grid search (``core.breadth_first_levels``) and the three
+kernels built on it, against the scipy searches they replaced
+(``unwrap_reference``): the breadth-first tree's levels, reach and parents,
+the border sinks and the connectivity of a mask.  The order within a level
+is not compared; everything that depends on it is.  Last, the package
+imports and runs both routes without loading scipy.
+"""
+
+import os
+import subprocess
+import sys
+from collections import deque
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from unwrap_reference import bfs_tree_reference, border_sinks_reference, mask_is_connected_reference
+
+from phasestack.core import (
+    STEPS_4,
+    STEPS_8,
+    breadth_first_levels,
+    circular_aperture,
+    mask_is_connected,
+    neighbour_table,
+)
+from phasestack.unwrap import _bfs_tree, _border_sinks, _cut_free_tree
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def split(h, w, rng, gap):
+    """Two dense blocks on either side of an invalid column band, joined
+    through it by a one-pixel corridor when ``gap``."""
+    mask = rng.random((h, w)) < 0.9
+    c0 = w // 2
+    band = slice(max(c0 - 1, 0), min(c0 + 1, w))
+    mask[:, band] = False
+    if gap:
+        mask[rng.integers(h), band] = True
+    return mask
+
+
+def holes(h, w, rng):
+    mask = circular_aperture((h, w)) if min(h, w) >= 5 else np.ones((h, w), dtype=bool)
+    mask &= rng.random((h, w)) > 0.15
+    r0, c0 = rng.integers(1, max(h - 1, 2)), rng.integers(1, max(w - 1, 2))
+    mask[r0 : r0 + rng.integers(1, 4), c0 : c0 + rng.integers(1, 4)] = False
+    return mask
+
+
+def diagonal(h, w, rng):
+    """A checkerboard with some squares dropped: pixels of either kind meet
+    their own kind only at corners."""
+    r, c = np.indices((h, w))
+    return ((r + c) % 2 == 0) & (rng.random((h, w)) < 0.85)
+
+
+def ring(h, w, rng):
+    """A random interior inside a ring of invalid border pixels."""
+    mask = rng.random((h, w)) < 0.75
+    mask[[0, -1], :] = mask[:, [0, -1]] = False
+    return mask
+
+
+SHAPES = {
+    "random": lambda h, w, rng: rng.random((h, w)) < rng.choice([0.3, 0.55, 0.8, 0.95]),
+    "all valid": lambda h, w, rng: np.ones((h, w), dtype=bool),
+    "holes": holes,
+    "diagonal": diagonal,
+    "corridor": lambda h, w, rng: split(h, w, rng, gap=True),
+    "disconnected": lambda h, w, rng: split(h, w, rng, gap=False),
+    "ring": ring,
+}
+
+
+@st.composite
+def masks(draw, max_side=16):
+    h = draw(st.integers(2, max_side))
+    w = draw(st.integers(2, max_side))
+    shape = draw(st.sampled_from(sorted(SHAPES)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return SHAPES[shape](h, w, rng)
+
+
+@st.composite
+def cut_graphs(draw, max_side=16):
+    """(ok_right, ok_down, seed): the open edges of a mask less a random
+    share of cut ones, and a valid seed."""
+    mask = draw(masks(max_side).filter(np.any))
+    h, w = mask.shape
+    share = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ok_right = mask[:, :-1] & mask[:, 1:] & (rng.random((h, w - 1)) >= share)
+    ok_down = mask[:-1, :] & mask[1:, :] & (rng.random((h - 1, w)) >= share)
+    seed = draw(st.sampled_from(np.flatnonzero(mask).tolist()))
+    return ok_right, ok_down, seed
+
+
+def assert_same_tree(got, want):
+    """Equal levels, reach and parents; order within a level is free."""
+    assert got.bounds == want.bounds
+    assert np.array_equal(got.depth, want.depth)
+    assert np.array_equal(got.up, want.up)
+    for tree in (got, want):
+        assert np.array_equal(tree.pos[tree.order], np.arange(tree.order.size))
+    parent_of = [np.full(got.depth.size, -1) for _ in range(2)]
+    for parents, tree in zip(parent_of, (got, want)):
+        parents[tree.order] = tree.order[tree.up_at]
+    assert np.array_equal(*parent_of)
+
+
+@given(cut_graphs())
+def test_tree_matches_scipy(case):
+    assert_same_tree(_bfs_tree(*case), bfs_tree_reference(*case))
+
+
+@given(cut_graphs(max_side=48))
+def test_tree_matches_scipy_larger(case):
+    assert_same_tree(_bfs_tree(*case), bfs_tree_reference(*case))
+
+
+@given(masks().filter(np.any), st.data())
+def test_cut_free_tree_matches_scipy(mask, data):
+    seed = data.draw(st.sampled_from(np.flatnonzero(mask).tolist()))
+    want = bfs_tree_reference(mask[:, :-1] & mask[:, 1:], mask[:-1, :] & mask[1:, :], seed)
+    tree = _cut_free_tree(mask, seed)
+    assert_same_tree(tree, want)
+    # flood_unwrap reads connectivity off the tree's reach
+    assert (tree.order.size == mask.sum()) == mask_is_connected_reference(mask)
+
+
+def test_tree_on_the_disk_matches_scipy():
+    """The 256x256 disk of the conventional-256 recipe, cut-free and with
+    3% of its edges cut."""
+    mask = circular_aperture((256, 256))
+    ok_right, ok_down = mask[:, :-1] & mask[:, 1:], mask[:-1, :] & mask[1:, :]
+    rng = np.random.default_rng(7)
+    cut = (ok_right & (rng.random(ok_right.shape) >= 0.03),
+           ok_down & (rng.random(ok_down.shape) >= 0.03))
+    seed = 128 * 256 + 128
+    for right, down in ((ok_right, ok_down), cut):
+        assert_same_tree(_bfs_tree(right, down, seed), bfs_tree_reference(right, down, seed))
+
+
+@given(masks(max_side=24))
+def test_sinks_and_connectivity_match_scipy(mask):
+    assert np.array_equal(_border_sinks(mask), border_sinks_reference(mask))
+    assert mask_is_connected(mask) == mask_is_connected_reference(mask)
+
+
+def test_empty_and_single_pixel_masks():
+    empty = np.zeros((3, 4), dtype=bool)
+    assert not mask_is_connected(empty) and not mask_is_connected_reference(empty)
+    assert np.array_equal(_border_sinks(empty), border_sinks_reference(empty))
+    one = empty.copy()
+    one[1, 2] = True
+    assert mask_is_connected(one) and mask_is_connected_reference(one)
+    assert np.array_equal(_border_sinks(one), border_sinks_reference(one))
+
+
+def levels_reference(table, starts):
+    """Distance of every node from the nearest start, by a FIFO queue; -1
+    where unreached."""
+    n = len(table) - 1
+    dist = np.full(n, -1)
+    queue = deque(starts)
+    dist[list(starts)] = 0
+    while queue:
+        p = queue.popleft()
+        for q in table[p]:
+            if q < n and dist[q] < 0:
+                dist[q] = dist[p] + 1
+                queue.append(q)
+    return dist
+
+
+@st.composite
+def graphs(draw):
+    """A random directed graph as a neighbour table, and distinct starts."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, 8))
+    table = draw(arrays(np.intp, (n, k), elements=st.integers(0, n)))
+    table = np.vstack([table, np.full((1, k), n, dtype=np.intp)])
+    starts = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=4))
+    return table, starts
+
+
+@given(graphs())
+def test_levels_of_any_graph(case):
+    table, starts = case
+    order, bounds = breadth_first_levels(table, starts)
+    dist = levels_reference(table, starts)
+    assert order.size == np.unique(order).size == bounds[-1]
+    assert np.array_equal(np.sort(order), np.flatnonzero(dist >= 0))
+    for level, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+        assert start < stop
+        assert (dist[order[start:stop]] == level).all()
+
+
+@given(masks(), st.sampled_from([STEPS_4, STEPS_8]))
+def test_neighbour_table(mask, steps):
+    table = neighbour_table(mask, steps)
+    at = np.argwhere(mask)
+    n = len(at)
+    assert table.shape == (n + 1, len(steps)) and (table[n] == n).all()
+    number = {tuple(p): i for i, p in enumerate(at.tolist())}
+    for i, (r, c) in enumerate(at.tolist()):
+        assert table[i].tolist() == [number.get((r + dr, c + dc), n) for dr, dc in steps]
+
+
+GUARD = """
+import sys
+import numpy as np
+import phasestack
+from phasestack.core import PhaseStack, circular_aperture, detect_residues
+from phasestack.pipeline import PipelineParams, run_clustered, run_conventional
+from phasestack.synth import TrialSpec, make_trial, peaks_surface
+from phasestack.unwrap import place_branch_cuts
+
+trial, _ = make_trial(peaks_surface(32, 8.0), TrialSpec(
+    frame_count=24, grid=32, snr_db=5.0, perturbation_count=2, tilt_jitter=3.0, seed=1))
+mask = circular_aperture((32, 32))
+stack = PhaseStack(trial.frames, mask)
+assert place_branch_cuts(detect_residues(stack.frames[0], mask), mask).edge_count > 0
+params = PipelineParams(cut=0.5, min_samples=None, min_fraction=0.04)
+for run in (run_clustered, run_conventional):
+    assert run(stack, params).surface.mask.any()
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_no_route_loads_scipy():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", GUARD], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -1,5 +1,8 @@
 """Reference flood integration: the breadth-first frontier loop that
-``phasestack.unwrap.flood_unwrap`` must reproduce bit for bit.
+``phasestack.unwrap.flood_unwrap`` must reproduce bit for bit; and the
+scipy graph searches that ``unwrap._bfs_tree``, ``unwrap._border_sinks``
+and ``core.mask_is_connected`` replaced with numpy ones, kept as their
+oracles.
 
 The loop expands one breadth-first level at a time.  Within a level it
 tries the four step directions in the fixed order right, down, left, up,
@@ -13,9 +16,71 @@ It takes the same arguments as the kernel it checks.
 from __future__ import annotations
 
 import numpy as np
+from scipy import ndimage
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
-from phasestack.core import TWO_PI, check_frame, mask_is_connected, wrap
-from phasestack.unwrap import BranchCutMap, Surface, default_seed
+from phasestack.core import TWO_PI, check_frame, wrap
+from phasestack.unwrap import BranchCutMap, Surface, _parent_steps, _Tree, default_seed
+
+
+def mask_is_connected_reference(mask: np.ndarray) -> bool:
+    """True when the valid region forms a single 4-connected component."""
+    _, n = ndimage.label(mask, structure=np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool))
+    return n == 1
+
+
+def border_sinks_reference(mask: np.ndarray) -> np.ndarray:
+    """Dual nodes whose 2x2 loop touches a border-connected invalid region
+    (8-connected labels that reach the border), padded by one ring of nodes
+    beyond the lattice, which are sinks too."""
+    g = ~mask
+    if g.any():  # keep the invalid regions that reach the border
+        labels, _ = ndimage.label(g, structure=np.ones((3, 3), dtype=bool))
+        edge_labels = np.unique(
+            np.concatenate([labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]])
+        )
+        g = np.isin(labels, edge_labels[edge_labels > 0])
+    g = np.pad(g, 1, constant_values=True)
+    return g[:-1, :-1] | g[:-1, 1:] | g[1:, :-1] | g[1:, 1:]
+
+
+def bfs_tree_reference(ok_right: np.ndarray, ok_down: np.ndarray, seed: int) -> _Tree:
+    """One scipy breadth-first search from the flat pixel index ``seed`` over
+    the open edges (ok_right as BranchCutMap.cut_right, ok_down as cut_down)."""
+    h, w = ok_right.shape[0], ok_down.shape[1]
+    # Open-edge table in CSR form, four columns per row: p-w, p-1, p+1, p+w
+    # where that edge is open, p itself where it is not (a self-loop is
+    # never followed).
+    n = h * w
+    columns = np.arange(n, dtype=np.int32).reshape(h, w, 1).repeat(4, axis=2)
+    columns[1:, :, 0] -= w * ok_down
+    columns[:, 1:, 1] -= ok_right
+    columns[:, :-1, 2] += ok_right
+    columns[:-1, :, 3] += w * ok_down
+    indptr = np.arange(0, 4 * n + 1, 4, dtype=np.int32)
+    graph = csr_matrix((np.ones(4 * n), columns.ravel(), indptr), shape=(n, n))
+    order, found_by = breadth_first_order(graph, seed, return_predecessors=True)
+    order = order.astype(np.intp)
+
+    # FIFO order is sorted by level and each pixel's discoverer sits at a
+    # non-decreasing position along it, so level L + 1 ends where the
+    # discoverers pass the end of level L.
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(order.size)
+    found_at = pos[found_by[order[1:]]]
+    bounds = [0, 1]
+    while bounds[-1] < order.size:
+        bounds.append(1 + int(np.searchsorted(found_at, bounds[-1])))
+    d = np.full((h, w), -1, dtype=np.int32)
+    d.ravel()[order] = np.repeat(np.arange(len(bounds) - 1, dtype=np.int32), np.diff(bounds))
+    up = np.zeros((4, h, w), dtype=bool)
+    np.logical_and(ok_right, d[:, :-1] == d[:, 1:] - 1, out=up[0, :, 1:])
+    np.logical_and(ok_down, d[:-1, :] == d[1:, :] - 1, out=up[1, 1:, :])
+    np.logical_and(ok_right, d[:, 1:] == d[:, :-1] - 1, out=up[2, :, :-1])
+    np.logical_and(ok_down, d[1:, :] == d[:-1, :] - 1, out=up[3, :-1, :])
+    up_at = pos[order + _parent_steps(up, w)[order]]
+    return _Tree(order, pos, tuple(bounds), d, up, up_at)
 
 
 def _k_increments(frame: np.ndarray):
@@ -48,7 +113,7 @@ def flood_unwrap_reference(
         mask = np.ones((h, w), dtype=bool)
     else:
         mask = np.asarray(mask, dtype=bool)
-    if not mask_is_connected(mask):
+    if not mask_is_connected_reference(mask):
         raise ValueError("flood_unwrap: valid region is not 4-connected")
     if cuts is None:
         cuts = BranchCutMap(
