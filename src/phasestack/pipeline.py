@@ -171,6 +171,8 @@ def _measure(stack: PhaseStack, params: PipelineParams, method: str) -> SurfaceR
     warnings: list = []
     n = len(stack)
     classify = method == "clustered"
+    if classify and n < 2:
+        raise ValueError("run_clustered: need at least 2 frames to classify")
     anchor = anchor_for(stack.mask)
     aperture = Aperture(stack.mask)
 
@@ -183,8 +185,6 @@ def _measure(stack: PhaseStack, params: PipelineParams, method: str) -> SurfaceR
     with _timed(times, "classify"):
         abandoned: list = []
         if classify:
-            if n < 2:
-                raise ValueError("run_clustered: need at least 2 frames to classify")
             d = pairwise_distances(pooled, pooled_mask)
             # each dropped once read: agglomerate's N x N copy never sits
             # beside the pooled stack, nor d beside the denoise

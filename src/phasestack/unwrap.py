@@ -21,6 +21,7 @@ border sinks come from one numpy breadth-first search of a neighbour table
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,10 +209,10 @@ def default_seed(mask: np.ndarray) -> tuple:
 
 #: ``_repair`` gives up, and the frame gets a search of its own, when more
 #: than 1/_REPAIR_SHARE of the reached pixels are affected.  On a 256x256
-#: disk of 51468 pixels (2 vCPUs; 67 repaired frames of 5 dB down to -2 dB)
-#: the repair took 7-10 us an affected pixel (fitted slope, median) and the
-#: numpy search (``_bfs_tree``) about 7 ms, so the two break even at 700 to
-#: 970 pixels, 1/74 to 1/53 of the disk.
+#: disk of 51468 pixels (2 vCPUs; 66 repaired frames of 5 dB down to -2 dB)
+#: the repair took 5.1-6.3 us an affected pixel (fitted slope, median) and
+#: the numpy search (``_bfs_tree``) about 3.9 ms, so the two break even at
+#: 620 to 770 pixels, 1/83 to 1/67 of the disk.
 _REPAIR_SHARE = 64
 
 
@@ -355,67 +356,67 @@ def _cut_ends(tree: _Tree, cuts: BranchCutMap):
     return ends, _parent_steps(bits, w)
 
 
-def _repair(tree: _Tree, up: np.ndarray, ok_right: np.ndarray, ok_down: np.ndarray, lost: list):
-    """New levels and parents of the pixels whose level the cuts changed.
+def _repair(tree: _Tree, ok_right: np.ndarray, ok_down: np.ndarray, lost: list):
+    """New levels and parents of the pixels the cuts move.
 
-    ``up`` is the kept tree's level-up edges minus the cut ones and
-    ``lost`` the reached pixels (other than the seed) left with none.  A
-    pixel is affected when every one of its remaining level-up neighbours
-    is affected; the lost ones are, and the rest follow from a count of
-    unaffected level-up neighbours per pixel, decremented as affected
-    pixels are found.  By induction on level, an unaffected pixel keeps
-    its level and an affected one moves down, so an unaffected pixel's
-    parent is its first unaffected level-up neighbour: ``up`` loses the
-    bits that point to affected pixels.  The affected pixels get their
-    levels from a breadth-first search among them, seeded from their
+    ``ok_right`` and ``ok_down`` are the open edges (as in ``_bfs_tree``)
+    and ``lost`` the reached pixels (other than the seed) left with no open
+    level-up neighbour.  A pixel is affected when all of its open level-up
+    neighbours are, starting from the lost ones: each pixel an affected one
+    touches keeps the list of its open level-up neighbours not found
+    affected, in the priority left, above, right, below, and is affected
+    when the list runs empty.  By induction on level, an unaffected pixel keeps its
+    level, so a touched one takes the first entry left in its list as its
+    parent and an untouched one keeps its own.  The affected pixels get
+    their levels from a breadth-first search among them, seeded from their
     unaffected neighbours' levels, and their parents by the same priority.
 
-    Returns (late, parents, gone): the affected pixels still reached, in
-    order of their new levels, their parents, and the affected pixels no
-    longer reached.  Returns None, before the search, when more than
-    1/_REPAIR_SHARE of the reached pixels are affected.
+    Returns (late, gone, moved, parents): the affected pixels still
+    reached, in order of their new levels; those no longer reached; and the
+    touched unaffected pixels, then the late ones, with their new parents.
+    Returns None, before the search, when more than 1/_REPAIR_SHARE of the
+    reached pixels are affected.
     """
-    _, h, w = up.shape
-    n = h * w
-    flat = list(up.reshape(4, n))
-    count = up.sum(axis=0, dtype=np.uint8).ravel()
-    steps = (-1, -w, 1, w)
+    h, w = tree.depth.shape
+    right, down = np.zeros((2, h, w), dtype=bool)
+    right[:, :-1] = ok_right
+    down[:-1, :] = ok_down
+    right, down = memoryview(right.ravel()), memoryview(down.ravel())
+
+    @functools.cache  # each pixel's are asked for several times
+    def neighbours(p):
+        """Open neighbours of p in the priority left, above, right, below."""
+        out = []
+        if p >= 1 and right[p - 1]:
+            out.append(p - 1)
+        if p >= w and down[p - w]:
+            out.append(p - w)
+        if right[p]:
+            out.append(p + 1)
+        if down[p]:
+            out.append(p + w)
+        return out
+
+    depth = memoryview(tree.depth.ravel())  # indexed pixel by pixel: Python ints
+    ups = {}  # touched pixel -> its open level-up neighbours not found affected
     affected = list(lost)
     limit = tree.order.size // _REPAIR_SHARE
     for a in affected:  # the list grows while it is walked
-        for up_d, step in zip(flat, steps):
-            q = a - step  # q has a as its level-up neighbour in this direction
-            if 0 <= q < n and up_d[q]:
-                up_d[q] = False
-                count[q] -= 1
-                if count[q] == 0:
+        below = depth[a] + 1
+        for q in neighbours(a):
+            if depth[q] == below:  # a is one of q's level-up neighbours
+                if q not in ups:
+                    ups[q] = [p for p in neighbours(q) if depth[p] == depth[a]]
+                ups[q].remove(a)
+                if not ups[q]:
                     affected.append(q)
         if len(affected) > limit:
             return None
 
-    right = np.zeros((h, w), dtype=bool)
-    right[:, :-1] = ok_right
-    right = right.ravel()
-    down = np.zeros((h, w), dtype=bool)
-    down[:-1, :] = ok_down
-    down = down.ravel()
-
-    def neighbours(p):
-        """Open neighbours of p in the priority left, above, right, below."""
-        if p >= 1 and right[p - 1]:
-            yield p - 1
-        if p >= w and down[p - w]:
-            yield p - w
-        if right[p]:
-            yield p + 1
-        if down[p]:
-            yield p + w
-
-    depth = tree.depth.ravel()
     inside = set(affected)
     levels = {}
     for a in affected:
-        outer = [int(depth[q]) for q in neighbours(a) if q not in inside]
+        outer = [depth[q] for q in neighbours(a) if q not in inside]
         if outer:
             levels.setdefault(min(outer) + 1, []).append(a)
     new = {}  # affected pixel -> its new level, filled level by level
@@ -429,12 +430,12 @@ def _repair(tree: _Tree, up: np.ndarray, ok_right: np.ndarray, ok_down: np.ndarr
                         levels.setdefault(level + 1, []).append(q)
         level += 1
 
-    def level_of(q):
-        return new.get(q) if q in inside else depth[q]
-
-    parents = [next(q for q in neighbours(a) if level_of(q) == new[a] - 1) for a in new]
-    gone = [a for a in affected if a not in new]
-    return list(new), parents, gone
+    touched = [q for q, left in ups.items() if left]
+    late = list(new)
+    parents = [ups[q][0] for q in touched]
+    # a late pixel's neighbours are reached too: each is late or unaffected
+    parents += [next(q for q in neighbours(a) if new.get(q, depth[q]) == new[a] - 1) for a in late]
+    return late, [a for a in affected if a not in new], touched + late, parents
 
 
 def flood_unwrap(
@@ -464,12 +465,14 @@ def flood_unwrap(
     every valid pixel.  A frame's cuts only remove edges, and removing
     edges never shortens a path, so while every reached pixel other than
     the seed keeps an open neighbour one level up, no level changes (by
-    induction on level): only the pixels at the ends of cut edges re-choose
-    their parent among their uncut level-up edges (``_cut_ends``).  Where some pixel loses all of
-    them, ``_repair`` moves only the pixels whose level changed
-    (decremental breadth-first search, after Ramalingam & Reps, J.
-    Algorithms 21, 1996); where those are many, the frame gets a search of
-    its own (``_bfs_tree``).  The result is the same in all three cases.
+    induction on level), and the kept parents stand but at the ends of cut
+    edges, which re-choose among their uncut level-up edges
+    (``_cut_ends``).  Where some pixel loses all of them, ``_repair`` finds
+    the pixels whose level changed and re-parents them and the pixels that
+    had them as a level-up neighbour (decremental breadth-first search,
+    after Ramalingam & Reps, J. Algorithms 21, 1996); only those parents
+    are patched.  Where the moved pixels are many, the frame gets a search
+    of its own (``_bfs_tree``).  The result is the same on every path.
     """
     frame = np.asarray(frame, dtype=np.float64)
     check_frame(frame, mask)
@@ -495,29 +498,21 @@ def flood_unwrap(
     late_at, gone = [], []
     if cuts is not None:
         ends, steps = _cut_ends(tree, cuts)
-        lost = ends[steps == 0]
-        if not lost.size:
-            up_at = up_at.copy()
-            up_at[tree.pos[ends]] = tree.pos[ends + steps]
-        else:  # some pixel lost every level-up neighbour
-            up = tree.up.copy()
-            # a & ~b is a > b on bools: the level-up edges that are not cut
-            np.greater(up[0, :, 1:], cuts.cut_right, out=up[0, :, 1:])
-            np.greater(up[1, 1:, :], cuts.cut_down, out=up[1, 1:, :])
-            np.greater(up[2, :, :-1], cuts.cut_right, out=up[2, :, :-1])
-            np.greater(up[3, :-1, :], cuts.cut_down, out=up[3, :-1, :])
+        lost = ends[steps == 0].tolist()
+        repaired = [], [], [], []
+        if lost:  # some pixel lost every level-up neighbour
             ok_right = mask[:, :-1] & mask[:, 1:] & ~cuts.cut_right
             ok_down = mask[:-1, :] & mask[1:, :] & ~cuts.cut_down
-            repaired = _repair(tree, up, ok_right, ok_down, lost.tolist())
-            if repaired is None:
-                tree = _bfs_tree(ok_right, ok_down, sr * w + sc)
-                up_at = tree.up_at
-            else:
-                late, late_parents, gone = repaired
-                late_at = tree.pos[late].tolist()
-                parent = tree.order + _parent_steps(up, w)[tree.order]
-                parent[late_at] = late_parents
-                up_at = tree.pos[parent]
+            repaired = _repair(tree, ok_right, ok_down, lost)
+        if repaired is None:
+            tree = _bfs_tree(ok_right, ok_down, sr * w + sc)
+            up_at = tree.up_at
+        else:
+            late, gone, moved, parents = repaired
+            up_at = up_at.copy()
+            up_at[tree.pos[ends]] = tree.pos[ends + steps]
+            up_at[tree.pos[moved]] = tree.pos[parents]  # after the ends: a repair overrides
+            late_at = tree.pos[late].tolist()
 
     order, bounds = tree.order, tree.bounds
     psi = frame.ravel()[order]

@@ -118,6 +118,15 @@ class TestRunClustered:
         for key in ("preprocess", "classify", "denoise", "unwrap", "fit", "combine"):
             assert key in rep.stage_times_ms
 
+    def test_one_frame_fails_before_pooling(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("prepare_for_clustering called on a one-frame stack")
+
+        monkeypatch.setattr(pipeline, "prepare_for_clustering", never)
+        stack, _ = family_trial(n=1)
+        with pytest.raises(ValueError, match="need at least 2 frames"):
+            run_clustered(stack, PipelineParams())
+
     def test_identical_frames_single_cluster(self):
         truth = peaks_surface(32, 6.0)
         frames = np.stack([wrap(truth)] * 5)

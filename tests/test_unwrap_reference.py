@@ -494,6 +494,38 @@ def test_cut_end_keeps_a_parent_across_another_edge():
     assert_same(frame, mask, cuts, seed)
 
 
+def test_repair_re_parents_a_pixel_that_keeps_its_level():
+    """Right of and below the seed, q = (8, 9) has two level-up neighbours:
+    p = (8, 8) on its left, its parent, and (7, 9) above.  Cut both of p's
+    level-up edges and p moves down, while q keeps its level and takes
+    (7, 9) as its parent, across an edge where k turns.  A residue on the
+    loop of those four pixels makes the two parents give q values 2pi
+    apart.  Where q also ends a cut edge, ``_cut_ends`` re-chooses p for
+    it, and the repair must override that."""
+    n = 16
+    frame = np.zeros((n, n))
+    frame[7:9, 8:10] = [[0.0, -2.0], [-1.0, 2.0]]
+    assert detect_residues(frame)[7, 8] != 0
+    mask = np.ones((n, n), dtype=bool)
+    seed = (4, 4)
+    tree = Aperture(mask).derived(_cut_free_tree, 4 * n + 4)
+    p, q = 8 * n + 8, 8 * n + 9
+    assert _parent_steps(tree.up, n)[q] == -1 and tree.up[1].ravel()[q]
+    for q_ends_a_cut in (False, True):
+        cuts = no_cuts(n, n)
+        cuts.cut_right[8, 7] = True  # (8, 7) - p
+        cuts.cut_down[7, 8] = True  # (7, 8) - p
+        if q_ends_a_cut:
+            cuts.cut_down[8, 9] = True  # q - (9, 9)
+        ends, steps = _cut_ends(tree, cuts)
+        chosen = dict(zip(ends.tolist(), steps.tolist()))
+        assert chosen[p] == 0
+        assert chosen.get(q) == (-1 if q_ends_a_cut else None)
+        assert path_of(frame, mask, cuts, seed) == "repaired"
+        assert_same(frame, mask, cuts, seed)
+        assert flood_unwrap(frame, mask, cuts, seed).values[8, 9] == 2.0 - TWO_PI
+
+
 def test_cut_at_the_seed_moves_only_the_far_side():
     """The seed ends a cut edge but has no parent to lose: only the pixels
     that reached the seed through that edge alone move, so the frame is

@@ -6,11 +6,12 @@ Builds perfbench's cluster-n1000 recipe (``harness.trial``: the 128x128
 peaks surface, two tilt families with 30 rad jitter, 3% contaminants,
 20 dB, seed 0) at N = 500, 1000 and 2000 frames and writes each as one
 WPHS file, which both trees read and pool with ``prepare_for_clustering``.
-Each (N, BLAS setting, tree) is measured in a fresh process whose
-``PYTHONPATH`` is that tree's ``src``; the trees alternate which runs
-first.  BLAS runs with one thread (``OPENBLAS_NUM_THREADS=1``, as
+Each (N, BLAS setting) is measured in ``ROUNDS`` rounds of fresh
+processes, one per tree, whose ``PYTHONPATH`` is that tree's ``src``; the
+trees alternate which runs first, so that a slow spell of the machine
+falls on both.  BLAS runs with one thread (``OPENBLAS_NUM_THREADS=1``, as
 perfbench sets it) and at OpenBLAS's default (one thread per CPU).  Per
-run it records:
+(N, BLAS setting, tree) it records:
 
 - ``pairwise_s`` and ``agglomerate_s``: the tree's own functions
 - ``pairwise_peak_mb``: the tracemalloc peak of one ``pairwise_distances``
@@ -31,10 +32,13 @@ run it records:
   their arenas behind), as the pipeline calls it
 - ``d_sha256`` and ``merges_sha256``
 
-Each ``*_s`` is the median of ``REPEATS`` calls.  The summary compares each
-run's ``d`` and merge list with the parent's and with
-``tests/cluster_reference.py`` (``pdist`` within the tests' 1e-12 relative
-bound; the full-rescan linkage exactly).
+Each ``*_s`` is [q1, median, q3] of the ``REPEATS`` calls of every round,
+``minflt`` the same of its counts, and ``pairwise_peak_mb`` [q1, median,
+q3] over the rounds.  ``outputs_equal_across_trees`` says whether both
+hashes of one (N, BLAS setting) are the same in every round of both
+trees; each row's ``d`` and merge list are also checked against
+``tests/cluster_reference.py`` (``pdist`` within the tests' 1e-12
+relative bound; the full-rescan linkage exactly).
 
 Run from the repository root, with the ``src`` of the tree to compare with,
 labelled ``parent`` (for example a ``git archive`` of the parent commit):
@@ -48,7 +52,6 @@ import argparse
 import json
 import math
 import resource
-import statistics
 import sys
 import tempfile
 import time
@@ -59,23 +62,26 @@ from pathlib import Path
 import numpy as np
 
 import harness
-from harness import median_s
+from harness import call_s
 
 SIZES = (500, 1000, 2000)
 GRID = 128
 REPEATS = 5
+ROUNDS = 3
 BLAS_SETTINGS = ("1", "default")
+STEPS = ("pairwise_s", "agglomerate_s", "compress_s", "gram_s", "elementwise_s", "mirror_s")
 HERE = Path(__file__).resolve()
 
 
 def step_times(pooled, mask, cluster, core, copies: bool) -> dict:
-    """Median time of each step of pairwise_distances in the tree's layout."""
+    """Times of ``REPEATS`` calls of each step of pairwise_distances in the
+    tree's layout."""
     n, scale, rel = len(pooled), math.sqrt(int(mask.sum())), cluster._NEAR_REL
     x = pooled.reshape(n, -1)
     out = {}
     if copies:
         x = x.compress(mask.ravel(), axis=1)
-        out["compress_s"] = median_s(lambda: pooled.reshape(n, -1).compress(mask.ravel(), axis=1), REPEATS)
+        out["compress_s"] = call_s(lambda: pooled.reshape(n, -1).compress(mask.ravel(), axis=1), REPEATS)
     sq = np.einsum("ij,ij->i", x, x)
 
     def near_recompute(d2, near, lo):
@@ -95,9 +101,9 @@ def step_times(pooled, mask, cluster, core, copies: bool) -> dict:
             near_recompute(d2, np.triu(d2 <= rel * norms, 1), 0)
             d[...] = np.sqrt(d2) / scale
 
-        out["gram_s"] = median_s(lambda: x @ x.T, REPEATS)
-        out["elementwise_s"] = median_s(elementwise, REPEATS)
-        out["mirror_s"] = median_s(lambda: d + d.T, REPEATS)
+        out["gram_s"] = call_s(lambda: x @ x.T, REPEATS)
+        out["elementwise_s"] = call_s(elementwise, REPEATS)
+        out["mirror_s"] = call_s(lambda: d + d.T, REPEATS)
         return out
 
     starts = range(0, n, rows)
@@ -145,9 +151,9 @@ def step_times(pooled, mask, cluster, core, copies: bool) -> dict:
         each(mirror)
         return time.perf_counter() - t0
 
-    out["gram_s"] = median_s(timed_gram, REPEATS)
-    out["elementwise_s"] = statistics.median(timed_elementwise() for _ in range(REPEATS))
-    out["mirror_s"] = statistics.median(timed_mirror() for _ in range(REPEATS))
+    out["gram_s"] = call_s(timed_gram, REPEATS)
+    out["elementwise_s"] = [timed_elementwise() for _ in range(REPEATS)]
+    out["mirror_s"] = [timed_mirror() for _ in range(REPEATS)]
     return out
 
 
@@ -182,8 +188,8 @@ def worker(path: str, save: str) -> dict:
         "panel_rows": getattr(cluster, "_PANEL_ROWS", None),
         "pairwise_peak_mb": peak / 2**20,
         "copies_stack": copies,
-        "pairwise_s": median_s(lambda: cluster.pairwise_distances(pooled, mask), REPEATS),
-        "agglomerate_s": median_s(lambda: cluster.agglomerate(d), REPEATS),
+        "pairwise_s": call_s(lambda: cluster.pairwise_distances(pooled, mask), REPEATS),
+        "agglomerate_s": call_s(lambda: cluster.agglomerate(d), REPEATS),
         **step_times(pooled, mask, cluster, core, copies),
     }
     faults = []
@@ -251,13 +257,12 @@ def main(argv=None) -> None:
                     return {"save": save, **harness.run_tree(src, argv, blas)}
 
                 job = {"n": n, "blas_threads": blas}
-                results = harness.alternate(trees, run, 1, len(BLAS_SETTINGS) * i + j, job)
-                group = [{"tree": name, **job, **r[0]} for name, r in results.items()]
-                if len(group) == 2:
-                    change, parent = group
-                    for key in ("d", "merges"):
-                        change[f"{key}_equal_parent"] = change[f"{key}_sha256"] == parent[f"{key}_sha256"]
-                rows += group
+                results = harness.alternate(trees, run, ROUNDS, len(BLAS_SETTINGS) * i + j, job)
+                equal = harness.outputs_equal(results)
+                for name, r in results.items():
+                    steps = [key for key in STEPS if key in r[0]]
+                    row = harness.merge_rounds(r, (*steps, "minflt"), ("pairwise_peak_mb",))
+                    rows.append({"tree": name, **job, **row, "outputs_equal_across_trees": equal})
             checks = compare(rows, tmp, path)
             for row in rows:
                 row.update(checks[row.pop("save")])
@@ -266,6 +271,7 @@ def main(argv=None) -> None:
         "benchmark": "classify: pairwise_distances and agglomerate, time, page faults and output equality",
         "recipe": f"cluster-n1000 at N = {SIZES} ({GRID}x{GRID}, 2 families, 3% contaminants, 20 dB, seed 0)",
         "repeats": REPEATS,
+        "rounds": ROUNDS,
         "environment": harness.environment(
             blas_threads="1 (OPENBLAS_NUM_THREADS=1) or default (unset: one per CPU)"
         ),

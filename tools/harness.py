@@ -19,7 +19,6 @@ import hashlib
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 import time
@@ -122,10 +121,6 @@ def call_s(fn, repeats: int) -> list:
         fn()
         times.append(time.perf_counter() - t0)
     return times
-
-
-def median_s(fn, repeats: int) -> float:
-    return statistics.median(call_s(fn, repeats))
 
 
 def pass_ms(fn, items, repeats: int) -> list:
