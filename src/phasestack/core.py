@@ -14,8 +14,9 @@ Conventions used throughout the package:
 
 Graph searches on the pixel grid (connectivity here; the unwrap trees and
 border sinks in ``unwrap``) are one level-synchronous breadth-first search
-of a neighbour table, ``breadth_first_levels``, in numpy: the package
-imports nothing outside numpy and the standard library.
+of a neighbour table, ``breadth_first_levels``, in numpy, which also picks
+each node's parent by the table's row order: the package imports nothing
+outside numpy and the standard library.
 
 Whole-stack kernels (``wphs.read_stack``, ``preprocess.prepare_for_clustering``
 and ``circular.circular_mean_rows``) stream the frames through ``map_blocks``:
@@ -261,9 +262,10 @@ def check_mask(mask: np.ndarray) -> None:
 
 def neighbour_table(nodes: np.ndarray, steps) -> np.ndarray:
     """Neighbour table of the True pixels of the 2-D bool ``nodes``, numbered
-    0 to n - 1 in raster order: row i holds, for each unit step (dr, dc) of
-    ``steps``, the number of the True pixel that step away from pixel i, or
-    n where there is none.  Row n, the sentinel, holds n throughout."""
+    0 to n - 1 in raster order: row j holds, for the unit step (dr, dc) =
+    ``steps[j]``, the number of the True pixel that step away from each
+    pixel i in column i, or n where there is none.  Column n, the sentinel,
+    holds n throughout."""
     h, w = nodes.shape
     padded = np.zeros((h + 2, w + 2), dtype=bool)
     padded[1:-1, 1:-1] = nodes
@@ -271,47 +273,60 @@ def neighbour_table(nodes: np.ndarray, steps) -> np.ndarray:
     n = at.size
     number = np.full(padded.size, n, dtype=np.intp)
     number[at] = np.arange(n)
-    table = np.empty((n + 1, len(steps)), dtype=np.intp)
-    table[n] = n
+    table = np.empty((len(steps), n + 1), dtype=np.intp)
+    table[:, n] = n
     for j, (dr, dc) in enumerate(steps):
-        np.take(number, at + (dr * (w + 2) + dc), out=table[:n, j])
+        np.take(number, at + (dr * (w + 2) + dc), out=table[j, :n])
     return table
 
 
 def breadth_first_levels(table: np.ndarray, starts) -> tuple:
     """Level-synchronous breadth-first search of a graph given by its
-    (n + 1, k) intp neighbour table (as ``neighbour_table``: row n the
+    (k, n + 1) intp neighbour table (as ``neighbour_table``: column n the
     sentinel, n standing for no neighbour), from the distinct nodes
     ``starts``.
 
-    Returns (order, bounds): the nodes reached, level L (at distance L from
-    the nearest start) at order[bounds[L]:bounds[L + 1]].  Each level is one
-    gather of the frontier's rows and one ``minimum.at`` of the candidates'
-    serial numbers, which only rise from level to level, onto their nodes:
-    a node reached before keeps its smaller number, and a new one takes its
-    first candidate's, which alone then reads its own number back.
+    Returns (order, bounds, up_at): the nodes reached, level L (at distance
+    L from the nearest start) at order[bounds[L]:bounds[L + 1]], and the
+    position in order of each one's parent: of the nodes one level up that
+    reach it, the one that does so by the lowest row of the table, the
+    earliest in order on a tie (a start's parent is itself).  Each level is
+    one gather of the frontier's columns, numbered row by row, and one
+    ``minimum.at`` of the candidates' serial numbers, which only rise from
+    level to level, onto their nodes: a node reached before keeps its
+    smaller number, and a new one takes its lowest candidate's, which alone
+    then reads its own number back.
     """
-    n = len(table) - 1
+    n = table.shape[1] - 1
     mark = np.full(n + 1, np.iinfo(np.intp).max, dtype=np.intp)
     frontier = np.asarray(starts, dtype=np.intp)
+    if not frontier.size:
+        return frontier, [0], frontier
     mark[frontier] = -1
     mark[n] = -1
-    levels, bounds, used = [], [0], 0
+    levels, bounds, used = [], [0], [0]
     while frontier.size:
         levels.append(frontier)
         bounds.append(bounds[-1] + frontier.size)
-        found = np.take(table, frontier, axis=0).ravel()
-        numbers = np.arange(used, used + found.size)
-        used += found.size
+        found = np.take(table, frontier, axis=1).ravel()
+        numbers = np.arange(used[-1], used[-1] + found.size)
+        used.append(used[-1] + found.size)
         np.minimum.at(mark, found, numbers)
         frontier = found[mark.take(found) == numbers]
-    return np.concatenate(levels or [frontier]), bounds
+    order = np.concatenate(levels)
+    # The i-th of the f nodes of level L numbered its candidates in row r
+    # used[L] + r * f + i, so a node of level L + 1 that kept number m has
+    # the ((m - used[L]) % f)-th node of level L as its parent.
+    f = np.diff(bounds)
+    level = np.repeat(np.arange(f.size - 1), f[1:])  # of each parent
+    up_at = (mark[order[f[0]:]] - np.take(used, level)) % f[level] + np.take(bounds, level)
+    return order, bounds, np.concatenate([np.arange(f[0]), up_at])
 
 
 def mask_is_connected(mask: np.ndarray) -> bool:
     """True when the valid region forms a single 4-connected component."""
     table = neighbour_table(np.asarray(mask, dtype=bool), STEPS_4)
-    n = len(table) - 1
+    n = table.shape[1] - 1
     return n > 0 and breadth_first_levels(table, [n // 2])[0].size == n  # from the middle: fewer levels
 
 

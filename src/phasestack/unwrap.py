@@ -12,11 +12,13 @@ independence and the output-minus-input multiple-of-2*pi property exact
 rather than accumulation-limited.  Each step's change of k comes from two
 comparisons of its difference with +-pi (``core.turns``), not a float wrap.
 
-What depends on the mask alone is kept by an ``Aperture``; each frame's
-tree is the aperture's cut-free one with the frame's cuts taken out, and
-repaired where they break a level (``flood_unwrap``).  The trees and the
-border sinks come from one numpy breadth-first search of a neighbour table
-(``core.breadth_first_levels``).
+A pixel's parent is its first open neighbour one level up in the
+priority left, above, right, below.  One numpy breadth-first search of a
+neighbour table (``core.breadth_first_levels``) picks the parents, and
+finds the border sinks too.  What depends on the mask alone, such as the
+cut-free tree, is kept by an ``Aperture``; each frame's tree is that
+tree, repaired only where the frame's cuts remove a pixel's edge to its
+parent (``flood_unwrap``).
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def _border_sinks(mask: np.ndarray) -> np.ndarray:
     if invalid.size:  # keep the invalid pixels 8-connected to the border through invalid ones
         border = np.zeros_like(g)
         border[[0, -1], :] = border[:, [0, -1]] = True
-        reached, _ = breadth_first_levels(neighbour_table(g, STEPS_8), np.flatnonzero(border[g]))
+        reached = breadth_first_levels(neighbour_table(g, STEPS_8), np.flatnonzero(border[g]))[0]
         g = np.zeros_like(g)
         g.ravel()[invalid[reached]] = True
     g = np.pad(g, 1, constant_values=True)
@@ -208,11 +210,11 @@ def default_seed(mask: np.ndarray) -> tuple:
 
 
 #: ``_repair`` gives up, and the frame gets a search of its own, when more
-#: than 1/_REPAIR_SHARE of the reached pixels are affected.  On a 256x256
-#: disk of 51468 pixels (2 vCPUs; 66 repaired frames of 5 dB down to -2 dB)
-#: the repair took 5.1-6.3 us an affected pixel (fitted slope, median) and
-#: the numpy search (``_bfs_tree``) about 3.9 ms, so the two break even at
-#: 620 to 770 pixels, 1/83 to 1/67 of the disk.
+#: than 1/_REPAIR_SHARE of the reached pixels are orphans or affected.  On
+#: a 256x256 disk of 51468 pixels (2 vCPUs; 66 repaired frames of 5 dB down
+#: to -2 dB) the repair took 5.1-6.3 us an affected pixel (fitted slope,
+#: median) and the numpy search (``_bfs_tree``) about 3.9 ms, so the two
+#: break even at 620 to 770 pixels, 1/83 to 1/67 of the disk.
 _REPAIR_SHARE = 64
 
 
@@ -223,18 +225,16 @@ class _Tree:
     order holds the reached pixels (flat indices) level by level, level L
     at order[bounds[L]:bounds[L + 1]]; pos[p] is p's position in order
     (undefined where p is not reached) and depth[r, c] its level (-1 where
-    not reached).  up[d, r, c] is set where the edge from (r, c) to its
-    neighbour in direction d (left, above, right, below) is open and that
-    neighbour is one level up.  up_at[i] is the position in order of the
-    parent of order[i]: its first level-up neighbour in that priority (the
-    seed's is 0, itself).  The arrays are read-only.
+    not reached).  up_at[i] is the position in order of the parent of
+    order[i]: its first open neighbour one level up in the priority left,
+    above, right, below (the seed's is 0, itself).  The arrays are
+    read-only.
     """
 
     order: np.ndarray
     pos: np.ndarray
     bounds: tuple
     depth: np.ndarray
-    up: np.ndarray
     up_at: np.ndarray
 
 
@@ -243,35 +243,30 @@ def _bfs_tree(ok_right: np.ndarray, ok_down: np.ndarray, seed: int) -> _Tree:
     pixel index ``seed`` over the open edges (ok_right as
     BranchCutMap.cut_right, ok_down as cut_down)."""
     h, w = ok_right.shape[0], ok_down.shape[1]
-    # Neighbour table of every pixel: left, above, right, below where that
-    # edge is open, the sentinel n where it is not.  The levels, and the
-    # parents chosen by direction priority, do not depend on the order
-    # within a level.
+    # Neighbour table of every pixel: its right, lower, left and upper
+    # neighbour where that edge is open, the sentinel n where it is not.
+    # The search keeps the parent that reaches a pixel by the lowest row,
+    # so a pixel's parent is its first level-up neighbour on its left,
+    # above it, on its right or below it.
     n = h * w
     index = np.arange(n).reshape(h, w)
-    table = np.full((n + 1, 4), n, dtype=np.intp)
-    t = table[:n].reshape(h, w, 4)
-    np.copyto(t[:, 1:, 0], index[:, :-1], where=ok_right)
-    np.copyto(t[1:, :, 1], index[:-1, :], where=ok_down)
-    np.copyto(t[:, :-1, 2], index[:, 1:], where=ok_right)
-    np.copyto(t[:-1, :, 3], index[1:, :], where=ok_down)
+    table = np.full((4, n + 1), n, dtype=np.intp)
+    t = table[:, :n].reshape(4, h, w)
+    np.copyto(t[0, :, :-1], index[:, 1:], where=ok_right)
+    np.copyto(t[1, :-1, :], index[1:, :], where=ok_down)
+    np.copyto(t[2, :, 1:], index[:, :-1], where=ok_right)
+    np.copyto(t[3, 1:, :], index[:-1, :], where=ok_down)
     del t, index
-    order, bounds = breadth_first_levels(table, [seed])
+    order, bounds, up_at = breadth_first_levels(table, [seed])
     del table  # 32 bytes a pixel, freed before the tree's arrays are built
 
     pos = np.empty(n, dtype=np.intp)
     pos[order] = np.arange(order.size)
     d = np.full((h, w), -1, dtype=np.int32)
     d.ravel()[order] = np.repeat(np.arange(len(bounds) - 1, dtype=np.int32), np.diff(bounds))
-    up = np.zeros((4, h, w), dtype=bool)
-    np.logical_and(ok_right, d[:, :-1] == d[:, 1:] - 1, out=up[0, :, 1:])
-    np.logical_and(ok_down, d[:-1, :] == d[1:, :] - 1, out=up[1, 1:, :])
-    np.logical_and(ok_right, d[:, 1:] == d[:, :-1] - 1, out=up[2, :, :-1])
-    np.logical_and(ok_down, d[1:, :] == d[:-1, :] - 1, out=up[3, :-1, :])
-    up_at = pos[order + _parent_steps(up, w)[order]]
-    for a in (order, pos, d, up, up_at):
+    for a in (order, pos, d, up_at):
         a.flags.writeable = False
-    return _Tree(order, pos, tuple(bounds), d, up, up_at)
+    return _Tree(order, pos, tuple(bounds), d, up_at)
 
 
 def _cut_free_tree(mask: np.ndarray, seed: int) -> _Tree:
@@ -315,98 +310,84 @@ def _aperture_of(mask: np.ndarray, aperture: Aperture | None) -> Aperture:
     return aperture
 
 
-def _parent_steps(up: np.ndarray, w: int) -> np.ndarray:
-    """Flat offset from each pixel to its parent in a frame ``w`` pixels
-    wide: the first direction set in ``up`` (4 by the pixels' shape) in the
-    priority left, above, right, below; 0 where none is."""
-    steps = np.zeros(up.shape[1:], dtype=np.intp)
-    for d, step in ((3, w), (2, 1), (1, -w), (0, -1)):  # the first direction is written last
-        np.copyto(steps, step, where=up[d])
-    return steps.ravel()
+def _orphans(tree: _Tree, cuts: BranchCutMap) -> np.ndarray:
+    """The reached pixels whose edge to their parent in ``tree`` is cut.
 
-
-def _cut_ends(tree: _Tree, cuts: BranchCutMap):
-    """(ends, steps): the reached pixels other than the seed that end a cut
-    edge, in raster order, and the flat offset from each to its first
-    level-up neighbour across an uncut edge, in the priority left, above,
-    right, below (0 where every such edge is cut).
-
-    Only these pixels can lose their kept parent, since a cut edge
-    touches only its two ends; each keeps its level-up bits but for the
-    cut ones, so this is ``_parent_steps`` of the cut tree's bits at the
-    ends.
+    Found from the cut edges alone: each pixel at either end of one, other
+    than the seed and unreached pixels, whose parent is the pixel at the
+    other end.
     """
-    cut_right, cut_down = cuts.cut_right, cuts.cut_down
-    h, w = tree.depth.shape
-    is_end = np.zeros((h, w), dtype=bool)
-    is_end[:, :-1] |= cut_right
-    is_end[:, 1:] |= cut_right
-    is_end[:-1, :] |= cut_down
-    is_end[1:, :] |= cut_down
-    ends = np.flatnonzero(is_end)
-    ends = ends[tree.depth.ravel()[ends] > 0]
-    r, c = np.divmod(ends, w)
-    bits = tree.up.reshape(4, -1)[:, ends]
-    # The clamped indices only fall where the bit is False already: a pixel
-    # in the first column has no level-up neighbour on its left, and so on.
-    bits[0] &= ~cut_right[r, np.maximum(c - 1, 0)]
-    bits[1] &= ~cut_down[np.maximum(r - 1, 0), c]
-    bits[2] &= ~cut_right[r, np.minimum(c, w - 2)]
-    bits[3] &= ~cut_down[np.minimum(r, h - 2), c]
-    return ends, _parent_steps(bits, w)
+    w = tree.depth.shape[1]
+    # flatnonzero: the maps are often strided views, where nonzero is slow
+    right = np.flatnonzero(cuts.cut_right)
+    right += right // (w - 1)  # the flat index of each edge's left end
+    down = np.flatnonzero(cuts.cut_down)  # of each edge's upper end
+    ends = np.concatenate([right, down, right + 1, down + w])
+    across = np.concatenate([right + 1, down + w, right, down])
+    inner = tree.depth.ravel()[ends] > 0
+    ends, across = ends[inner], across[inner]
+    return ends[tree.order[tree.up_at[tree.pos[ends]]] == across]
 
 
-def _repair(tree: _Tree, ok_right: np.ndarray, ok_down: np.ndarray, lost: list):
+def _repair(tree: _Tree, cuts: BranchCutMap, orphans: np.ndarray):
     """New levels and parents of the pixels the cuts move.
 
-    ``ok_right`` and ``ok_down`` are the open edges (as in ``_bfs_tree``)
-    and ``lost`` the reached pixels (other than the seed) left with no open
-    level-up neighbour.  A pixel is affected when all of its open level-up
-    neighbours are, starting from the lost ones: each pixel an affected one
-    touches keeps the list of its open level-up neighbours not found
-    affected, in the priority left, above, right, below, and is affected
-    when the list runs empty.  By induction on level, an unaffected pixel keeps its
-    level, so a touched one takes the first entry left in its list as its
-    parent and an untouched one keeps its own.  The affected pixels get
-    their levels from a breadth-first search among them, seeded from their
-    unaffected neighbours' levels, and their parents by the same priority.
+    ``orphans`` are the reached pixels whose parent edge in ``tree`` (of
+    the valid pixels, all reached) is cut (``_orphans``).  An edge is open
+    when both its pixels are reached and ``cuts`` does not cut it.  Each
+    orphan keeps the list of its open neighbours one level up, in the
+    priority left, above, right, below; an orphan with an empty list is
+    lost.  A pixel is affected when all of its open level-up neighbours
+    are, starting from the lost ones: each pixel an affected one touches
+    keeps the same list, less the neighbours found affected, and is
+    affected when the list runs empty.  By induction on level, an
+    unaffected pixel keeps its level, so an orphan or touched pixel takes
+    the first entry left in its list as its parent, and any other keeps its
+    own.  The affected pixels get their levels from a breadth-first search
+    among them, seeded from their unaffected neighbours' levels, and their
+    parents by the same priority (the decremental breadth-first search of
+    Ramalingam & Reps, J. Algorithms 21, 1996).
 
     Returns (late, gone, moved, parents): the affected pixels still
     reached, in order of their new levels; those no longer reached; and the
-    touched unaffected pixels, then the late ones, with their new parents.
-    Returns None, before the search, when more than 1/_REPAIR_SHARE of the
-    reached pixels are affected.
+    unaffected orphans and touched pixels, then the late ones, with their
+    new parents.  Returns None, before any search, when more than
+    1/_REPAIR_SHARE of the reached pixels are orphans or affected.
     """
+    limit = tree.order.size // _REPAIR_SHARE
+    if orphans.size > limit:
+        return None
     h, w = tree.depth.shape
-    right, down = np.zeros((2, h, w), dtype=bool)
-    right[:, :-1] = ok_right
-    down[:-1, :] = ok_down
-    right, down = memoryview(right.ravel()), memoryview(down.ravel())
+    depth = memoryview(tree.depth.ravel())  # indexed pixel by pixel: Python ints
+    right, down = memoryview(cuts.cut_right), memoryview(cuts.cut_down)
 
     @functools.cache  # each pixel's are asked for several times
     def neighbours(p):
         """Open neighbours of p in the priority left, above, right, below."""
+        r, c = divmod(p, w)
         out = []
-        if p >= 1 and right[p - 1]:
+        if c and depth[p - 1] >= 0 and not right[r, c - 1]:
             out.append(p - 1)
-        if p >= w and down[p - w]:
+        if r and depth[p - w] >= 0 and not down[r - 1, c]:
             out.append(p - w)
-        if right[p]:
+        if c < w - 1 and depth[p + 1] >= 0 and not right[r, c]:
             out.append(p + 1)
-        if down[p]:
+        if r < h - 1 and depth[p + w] >= 0 and not down[r, c]:
             out.append(p + w)
         return out
 
-    depth = memoryview(tree.depth.ravel())  # indexed pixel by pixel: Python ints
-    ups = {}  # touched pixel -> its open level-up neighbours not found affected
-    affected = list(lost)
-    limit = tree.order.size // _REPAIR_SHARE
+    def level_up(q):
+        return [p for p in neighbours(q) if depth[p] == depth[q] - 1]
+
+    # orphan or touched pixel -> its open level-up neighbours not found affected
+    ups = {q: level_up(q) for q in orphans.tolist()}
+    affected = [q for q, left in ups.items() if not left]
     for a in affected:  # the list grows while it is walked
         below = depth[a] + 1
         for q in neighbours(a):
             if depth[q] == below:  # a is one of q's level-up neighbours
                 if q not in ups:
-                    ups[q] = [p for p in neighbours(q) if depth[p] == depth[a]]
+                    ups[q] = level_up(q)
                 ups[q].remove(a)
                 if not ups[q]:
                     affected.append(q)
@@ -453,35 +434,38 @@ def flood_unwrap(
     2pi times k, where k is the parent's k minus ``turns(pixel - parent)``:
     an integer count, exact because every valid value is in (-pi, pi].  The
     tree is the breadth-first tree of the open edges (both ends valid, edge
-    not cut): a pixel's parent is its open neighbour one level up, taken in
+    not cut): a pixel's parent is its first open neighbour one level up in
     the priority left, above, right, below, and k propagates down that tree
     one level at a time.  Pixels that cannot be reached without crossing a
     cut are invalid in the output mask.
 
-    The cut-free tree of each seed is built by a breadth-first search
-    (``_bfs_tree``) and kept, with each pixel's parent, by ``aperture``,
-    which must hold ``mask`` (all valid when None); a call without one
-    builds its own.  The valid region is 4-connected when that tree reaches
-    every valid pixel.  A frame's cuts only remove edges, and removing
-    edges never shortens a path, so while every reached pixel other than
-    the seed keeps an open neighbour one level up, no level changes (by
-    induction on level), and the kept parents stand but at the ends of cut
-    edges, which re-choose among their uncut level-up edges
-    (``_cut_ends``).  Where some pixel loses all of them, ``_repair`` finds
-    the pixels whose level changed and re-parents them and the pixels that
-    had them as a level-up neighbour (decremental breadth-first search,
-    after Ramalingam & Reps, J. Algorithms 21, 1996); only those parents
-    are patched.  Where the moved pixels are many, the frame gets a search
-    of its own (``_bfs_tree``).  The result is the same on every path.
+    One search picks every parent (``_bfs_tree``), and one repair changes
+    them.  The cut-free tree of each seed is searched once and kept by
+    ``aperture``, which must hold ``mask`` (all valid when None); a call
+    without one builds its own.  The valid region is 4-connected when that
+    tree reaches every valid pixel.  A frame's cuts only remove edges, and
+    removing edges never shortens a path, so the kept levels and parents
+    stand but where a cut edge was some pixel's edge to its parent
+    (``_orphans``).  Where there are such orphans, ``_repair`` re-parents
+    them, finds the pixels whose level changed and re-parents those and
+    the pixels that had them as a level-up neighbour; only those parents
+    are patched.  Where the orphans or moved pixels are many, the frame
+    gets a search of its own.  The result is the same on every path.
+
+    Cut maps must be bool arrays of the frame's edge shapes.
     """
     frame = np.asarray(frame, dtype=np.float64)
     check_frame(frame, mask)
     h, w = frame.shape
-    if cuts is not None and (cuts.cut_right.shape, cuts.cut_down.shape) != ((h, w - 1), (h - 1, w)):
-        raise ValueError(
-            f"flood_unwrap: cut map shapes {cuts.cut_right.shape} and {cuts.cut_down.shape} do not "
-            f"fit a {h}x{w} frame, which needs {(h, w - 1)} and {(h - 1, w)}"
-        )
+    if cuts is not None:
+        right, down = cuts.cut_right, cuts.cut_down
+        if (right.shape, down.shape) != ((h, w - 1), (h - 1, w)):
+            raise ValueError(
+                f"flood_unwrap: cut map shapes {right.shape} and {down.shape} do not "
+                f"fit a {h}x{w} frame, which needs {(h, w - 1)} and {(h - 1, w)}"
+            )
+        if (right.dtype, down.dtype) != (bool, bool):
+            raise ValueError(f"flood_unwrap: cut maps must be bool, not {right.dtype} and {down.dtype}")
     mask = np.ones((h, w), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     aperture = _aperture_of(mask, aperture)
     if seed is None:
@@ -494,24 +478,19 @@ def flood_unwrap(
     n_valid = aperture.derived(np.count_nonzero)
     if tree.order.size < n_valid:
         raise ValueError("flood_unwrap: valid region is not 4-connected")
-    up_at = tree.up_at
-    late_at, gone = [], []
-    if cuts is not None:
-        ends, steps = _cut_ends(tree, cuts)
-        lost = ends[steps == 0].tolist()
-        repaired = [], [], [], []
-        if lost:  # some pixel lost every level-up neighbour
+    up_at, late_at, gone = tree.up_at, [], []
+    orphans = [] if cuts is None else _orphans(tree, cuts)
+    if len(orphans):
+        repaired = _repair(tree, cuts, orphans)
+        if repaired is None:
             ok_right = mask[:, :-1] & mask[:, 1:] & ~cuts.cut_right
             ok_down = mask[:-1, :] & mask[1:, :] & ~cuts.cut_down
-            repaired = _repair(tree, ok_right, ok_down, lost)
-        if repaired is None:
             tree = _bfs_tree(ok_right, ok_down, sr * w + sc)
             up_at = tree.up_at
         else:
             late, gone, moved, parents = repaired
             up_at = up_at.copy()
-            up_at[tree.pos[ends]] = tree.pos[ends + steps]
-            up_at[tree.pos[moved]] = tree.pos[parents]  # after the ends: a repair overrides
+            up_at[tree.pos[moved]] = tree.pos[parents]
             late_at = tree.pos[late].tolist()
 
     order, bounds = tree.order, tree.bounds

@@ -2,7 +2,8 @@
 kernels built on it, against the scipy searches they replaced
 (``unwrap_reference``): the breadth-first tree's levels, reach and parents,
 the border sinks and the connectivity of a mask.  The order within a level
-is not compared; everything that depends on it is.  Last, the package
+is not compared; everything that depends on it is.  Then the orphans of a
+cut map (``unwrap._orphans``) against their definition.  Last, the package
 imports and runs both routes without loading scipy.
 """
 
@@ -26,7 +27,7 @@ from phasestack.core import (
     mask_is_connected,
     neighbour_table,
 )
-from phasestack.unwrap import _bfs_tree, _border_sinks, _cut_free_tree
+from phasestack.unwrap import BranchCutMap, _bfs_tree, _border_sinks, _cut_free_tree, _orphans
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -86,24 +87,37 @@ def masks(draw, max_side=16):
 
 
 @st.composite
-def cut_graphs(draw, max_side=16):
-    """(ok_right, ok_down, seed): the open edges of a mask less a random
-    share of cut ones, and a valid seed."""
+def cut_masks(draw, max_side=16):
+    """(mask, cuts, seed): a mask, a random share of every edge cut (edges
+    at invalid pixels too), and a valid seed.  The cut maps are sometimes
+    strided views, as ``place_branch_cuts`` returns them."""
     mask = draw(masks(max_side).filter(np.any))
     h, w = mask.shape
     share = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    ok_right = mask[:, :-1] & mask[:, 1:] & (rng.random((h, w - 1)) >= share)
-    ok_down = mask[:-1, :] & mask[1:, :] & (rng.random((h - 1, w)) >= share)
+    cut_right = rng.random((h, w - 1)) < share
+    cut_down = rng.random((h - 1, w)) < share
+    if draw(st.booleans()):
+        cut_right = np.pad(cut_right, 1)[1:-1, 1:-1]
+        cut_down = np.pad(cut_down, 1)[1:-1, 1:-1]
     seed = draw(st.sampled_from(np.flatnonzero(mask).tolist()))
-    return ok_right, ok_down, seed
+    return mask, BranchCutMap(cut_right, cut_down), seed
+
+
+def cut_graphs(max_side=16):
+    """(ok_right, ok_down, seed): the open edges of a ``cut_masks`` case."""
+    def open_edges(case):
+        mask, cuts, seed = case
+        return (mask[:, :-1] & mask[:, 1:] & ~cuts.cut_right,
+                mask[:-1, :] & mask[1:, :] & ~cuts.cut_down, seed)
+
+    return cut_masks(max_side).map(open_edges)
 
 
 def assert_same_tree(got, want):
     """Equal levels, reach and parents; order within a level is free."""
     assert got.bounds == want.bounds
     assert np.array_equal(got.depth, want.depth)
-    assert np.array_equal(got.up, want.up)
     for tree in (got, want):
         assert np.array_equal(tree.pos[tree.order], np.arange(tree.order.size))
     parent_of = [np.full(got.depth.size, -1) for _ in range(2)]
@@ -164,13 +178,13 @@ def test_empty_and_single_pixel_masks():
 def levels_reference(table, starts):
     """Distance of every node from the nearest start, by a FIFO queue; -1
     where unreached."""
-    n = len(table) - 1
+    n = table.shape[1] - 1
     dist = np.full(n, -1)
     queue = deque(starts)
     dist[list(starts)] = 0
     while queue:
         p = queue.popleft()
-        for q in table[p]:
+        for q in table[:, p]:
             if q < n and dist[q] < 0:
                 dist[q] = dist[p] + 1
                 queue.append(q)
@@ -182,8 +196,8 @@ def graphs(draw):
     """A random directed graph as a neighbour table, and distinct starts."""
     n = draw(st.integers(1, 40))
     k = draw(st.integers(1, 8))
-    table = draw(arrays(np.intp, (n, k), elements=st.integers(0, n)))
-    table = np.vstack([table, np.full((1, k), n, dtype=np.intp)])
+    table = draw(arrays(np.intp, (k, n), elements=st.integers(0, n)))
+    table = np.hstack([table, np.full((k, 1), n, dtype=np.intp)])
     starts = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=4))
     return table, starts
 
@@ -191,7 +205,7 @@ def graphs(draw):
 @given(graphs())
 def test_levels_of_any_graph(case):
     table, starts = case
-    order, bounds = breadth_first_levels(table, starts)
+    order, bounds, _ = breadth_first_levels(table, starts)
     dist = levels_reference(table, starts)
     assert order.size == np.unique(order).size == bounds[-1]
     assert np.array_equal(np.sort(order), np.flatnonzero(dist >= 0))
@@ -200,15 +214,62 @@ def test_levels_of_any_graph(case):
         assert (dist[order[start:stop]] == level).all()
 
 
+@given(graphs())
+def test_parents_of_any_graph(case):
+    """A start is its own parent.  Every other node's parent sits one level
+    up and reaches it, by the lowest row of any node one level up that
+    does, and is the earliest such node in order."""
+    table, starts = case
+    order, bounds, up_at = breadth_first_levels(table, starts)
+    dist = levels_reference(table, starts)
+    assert up_at.shape == order.shape
+    assert np.array_equal(up_at[: len(starts)], np.arange(len(starts)))
+    for i in range(len(starts), order.size):
+        node, parent = order[i], order[up_at[i]]
+        assert dist[parent] == dist[node] - 1
+        rows = {q: np.flatnonzero(table[:, q] == node) for q in order[: bounds[dist[node]]]}
+        lowest = min(r[0] for q, r in rows.items() if dist[q] == dist[node] - 1 and r.size)
+        assert rows[parent].size and rows[parent][0] == lowest
+        first = next(q for q in order if dist[q] == dist[node] - 1 and lowest in rows[q])
+        assert parent == first
+
+
 @given(masks(), st.sampled_from([STEPS_4, STEPS_8]))
 def test_neighbour_table(mask, steps):
     table = neighbour_table(mask, steps)
     at = np.argwhere(mask)
     n = len(at)
-    assert table.shape == (n + 1, len(steps)) and (table[n] == n).all()
+    assert table.shape == (len(steps), n + 1) and (table[:, n] == n).all()
     number = {tuple(p): i for i, p in enumerate(at.tolist())}
     for i, (r, c) in enumerate(at.tolist()):
-        assert table[i].tolist() == [number.get((r + dr, c + dc), n) for dr, dc in steps]
+        assert table[:, i].tolist() == [number.get((r + dr, c + dc), n) for dr, dc in steps]
+
+
+def orphans_reference(mask, cuts, seed):
+    """Every reached pixel other than the seed whose edge to its parent in
+    the cut-free tree is cut, pixel by pixel, in raster order."""
+    tree = _cut_free_tree(mask, seed)
+    h, w = mask.shape
+    out = []
+    for p in range(h * w):
+        if tree.depth.flat[p] <= 0:
+            continue
+        q = int(tree.order[tree.up_at[tree.pos[p]]])
+        (r, c), (rq, cq) = divmod(p, w), divmod(q, w)
+        if rq == r:
+            cut = cuts.cut_right[r, min(c, cq)]
+        else:
+            cut = cuts.cut_down[min(r, rq), c]
+        if cut:
+            out.append(p)
+    return out
+
+
+@given(cut_masks(max_side=24))
+def test_orphans_match_their_definition(case):
+    mask, cuts, seed = case
+    orphans = _orphans(_cut_free_tree(mask, seed), cuts)
+    assert np.sort(orphans).tolist() == orphans_reference(mask, cuts, seed)
 
 
 GUARD = """

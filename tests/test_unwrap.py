@@ -269,7 +269,7 @@ class TestAperture:
         aperture = Aperture(mask)
         tree = aperture.derived(_cut_free_tree, 5 * 10 + 5)
         sinks = aperture.derived(_border_sinks)
-        for a in (aperture.mask, sinks, tree.order, tree.pos, tree.depth, tree.up, tree.up_at):
+        for a in (aperture.mask, sinks, tree.order, tree.pos, tree.depth, tree.up_at):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a.flat[0] = a.flat[0]
@@ -300,6 +300,17 @@ class TestCutMapShape:
             cuts.cut_right[4, 5] = True
         shapes = f"{right} and {down}"
         with pytest.raises(ValueError, match=rf"cut map shapes {re.escape(shapes)} do not fit a 8x8 frame"):
+            flood_unwrap(np.zeros((8, 8)), cuts=cuts)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_flood_rejects_a_cut_map_that_is_not_bool(self, dtype):
+        # a numpy casting error inside the flood without the check, which
+        # the pipeline and the CLI do not catch
+        cuts = BranchCutMap(np.zeros((8, 7), dtype=dtype), np.zeros((7, 8), dtype=dtype))
+        cuts.cut_right[4, 3] = 1
+        cuts.cut_down[3, 4] = 1
+        name = np.dtype(dtype).name
+        with pytest.raises(ValueError, match=f"cut maps must be bool, not {name} and {name}"):
             flood_unwrap(np.zeros((8, 8)), cuts=cuts)
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from unwrap_reference import flood_unwrap_reference
+from unwrap_reference import bfs_tree_reference, flood_unwrap_reference
 
 from phasestack.core import TWO_PI, circular_aperture, detect_residues, wrap
 from phasestack.synth import peaks_surface
@@ -22,9 +22,9 @@ from phasestack.unwrap import (
     Aperture,
     BranchCutMap,
     Surface,
-    _cut_ends,
     _cut_free_tree,
-    _parent_steps,
+    _orphans,
+    _repair,
     flood_unwrap,
     place_branch_cuts,
     unwrap,
@@ -167,8 +167,9 @@ def test_noisy_aperture_with_goldstein_cuts(seed):
 
 
 # The three ways flood_unwrap builds a frame's tree: the cached cut-free tree
-# as it is, the cached tree with the pixels whose level the cuts changed
-# repaired, or one new search of the whole frame.
+# as it is, where the cuts orphan no pixel (cut no pixel's edge to its
+# parent); the cached tree with the orphans, and the pixels whose level the
+# cuts changed, repaired; or one new search of the whole frame.
 unwrap_module = sys.modules["phasestack.unwrap"]
 
 
@@ -274,13 +275,19 @@ def test_each_path_is_taken_and_exact():
     mask = circular_aperture((n, n))
     frame[~mask] = 0.0
     seed = (32, 32)
+    tree = Aperture(mask).derived(_cut_free_tree, 32 * n + 32)
     assert path_of(frame, mask, None, seed) == "cached"
     cuts = no_cuts(n, n)
-    cuts.cut_right[10, 15] = True  # off the seed's row and column: each end
-    cuts.cut_down[5, 40] = True  # keeps another neighbour one level up
+    cuts.cut_down[10, 15] = True  # off the seed's row and column: neither
+    cuts.cut_down[5, 40] = True  # end's parent is across the cut edge
+    assert _orphans(tree, cuts).size == 0
     assert path_of(frame, mask, cuts, seed) == "cached"
     assert_same(frame, mask, cuts, seed)
 
+    cuts.cut_right[10, 15] = True  # (10, 15)'s parent is on its right: it
+    assert _orphans(tree, cuts).tolist() == [10 * n + 15]  # takes the one below
+    assert path_of(frame, mask, cuts, seed) == "repaired"
+    assert_same(frame, mask, cuts, seed)
     cuts.cut_right[32, 50] = True  # on the seed's row: the rest of the row moves
     assert path_of(frame, mask, cuts, seed) == "repaired"
     assert_same(frame, mask, cuts, seed)
@@ -328,20 +335,10 @@ def test_mask_edited_in_place_between_calls():
     assert_same(frame, mask, cuts, seed)
 
 
-# Parent patches: with cuts, only the pixels at the ends of cut edges
-# re-choose their parent from the cached tree's level-up edges.
+# Parent patches: with cuts, only the orphans, the pixels whose edge to
+# their cached parent is cut, and the pixels the repair moves from them
+# change parent.
 dense_bool = st.sampled_from([False, True])
-
-
-def cut_tree_steps(tree, cuts):
-    """_parent_steps of the cached tree's level-up edges minus the cut ones:
-    every pixel's parent offset, derived over the whole frame."""
-    up = tree.up.copy()
-    up[0, :, 1:] &= ~cuts.cut_right
-    up[1, 1:, :] &= ~cuts.cut_down
-    up[2, :, :-1] &= ~cuts.cut_right
-    up[3, :-1, :] &= ~cuts.cut_down
-    return _parent_steps(up, up.shape[2])
 
 
 @st.composite
@@ -414,21 +411,37 @@ def test_cut_maps_match_reference_larger(case):
     assert_same(*case)
 
 
+def parents_of(tree):
+    """The flat parent of each pixel of ``tree``; -1 where unreached."""
+    parents = np.full(tree.depth.size, -1)
+    parents[tree.order] = tree.order[tree.up_at]
+    return parents
+
+
 @given(cut_maps())
-def test_cut_ends_are_the_cut_tree_parents(case):
-    """At the ends of cut edges the re-chosen parent is the one the cut
-    tree's level-up edges give; everywhere else the cut tree gives the
-    cached parent."""
+def test_only_orphans_and_moved_pixels_change_parent(case):
+    """The cut tree's parents (an independent search of the cut frame)
+    differ from the cached ones only at orphans and at the pixels the
+    repair moves, and there they are the repair's; with no orphan, the
+    cached tree is the cut tree."""
     frame, mask, cuts, (sr, sc) = case
     w = mask.shape[1]
     tree = Aperture(mask).derived(_cut_free_tree, sr * w + sc)
-    ends, steps = _cut_ends(tree, cuts)
-    full = cut_tree_steps(tree, cuts)
-    assert np.array_equal(steps, full[ends])
-    cached = _parent_steps(tree.up, w)
-    others = np.setdiff1d(tree.order[1:], ends)
-    assert np.array_equal(full[others], cached[others])
-    assert np.array_equal(tree.up_at, tree.pos[tree.order + cached[tree.order]])
+    ok_right = mask[:, :-1] & mask[:, 1:] & ~cuts.cut_right
+    ok_down = mask[:-1, :] & mask[1:, :] & ~cuts.cut_down
+    want = bfs_tree_reference(ok_right, ok_down, sr * w + sc)
+    cached, cut = parents_of(tree), parents_of(want)
+    orphans = _orphans(tree, cuts)
+    assert (cached[orphans] != cut[orphans]).all()
+    repaired = _repair(tree, cuts, orphans) if orphans.size else ([], [], [], [])
+    if repaired is None:
+        return  # searched in full
+    late, gone, moved, parents = repaired
+    patched = cached.copy()
+    patched[moved] = parents
+    patched[gone] = -1
+    assert np.array_equal(patched, cut)
+    assert set(orphans.tolist()) <= set(moved) | set(gone)
 
 
 def test_cached_up_at_is_read_only_and_kept():
@@ -454,32 +467,39 @@ def test_cached_up_at_is_read_only_and_kept():
 def test_one_cut_edge_whose_ends_both_lose_their_parent():
     """Below and right of the seed a pixel's parent is on its left.  Cut
     the edge between two such pixels and the edge from the left one to its
-    parent, and both ends of the first edge re-choose: above, where they
-    have a level-up neighbour there (the cached path), or, on the seed's
-    row, where they have none, through a repair."""
+    parent, and both ends of the first edge are orphans.  Each takes the
+    pixel above it as its parent: one level up, where it has that
+    neighbour one level up (no level moves), or, on the seed's row, where
+    it has none, after both have moved down two levels."""
     n = 32
     frame = wrap(peaks_surface(n, 30.0) + np.random.default_rng(3).normal(0, 0.8, (n, n)))
     mask = np.ones((n, n), dtype=bool)
     seed = (5, 24)
     tree = Aperture(mask).derived(_cut_free_tree, 5 * n + 24)
-    for row, path in ((9, "cached"), (5, "repaired")):
+    for row in (9, 5):
         cuts = no_cuts(n, n)
         cuts.cut_right[row, 27] = True  # (row, 27) - (row, 28)
         cuts.cut_right[row, 26] = True  # (row, 26) - (row, 27), the parent edge of (row, 27)
-        ends, steps = _cut_ends(tree, cuts)
         p, q = row * n + 27, row * n + 28
-        assert _parent_steps(tree.up, n)[[p, q]].tolist() == [-1, -1]
-        chosen = dict(zip(ends.tolist(), steps.tolist()))
-        want = -n if path == "cached" else 0
-        assert chosen[p] == want and chosen[q] == want
-        assert path_of(frame, mask, cuts, seed) == path
+        assert parents_of(tree)[[p, q]].tolist() == [p - 1, q - 1]
+        orphans = _orphans(tree, cuts)
+        assert sorted(orphans.tolist()) == [p, q]
+        late, gone, moved, parents = _repair(tree, cuts, orphans)
+        chosen = dict(zip(moved, parents))
+        assert chosen[p] == p - n and chosen[q] == q - n and gone == []
+        if row == 9:
+            assert late == [] and len(chosen) == 2
+        else:
+            assert p in late and q in late
+        assert path_of(frame, mask, cuts, seed) == "repaired"
         assert_same(frame, mask, cuts, seed)
 
 
 def test_cut_end_keeps_a_parent_across_another_edge():
     """A cut end whose cached parent lies across a different, uncut edge
-    keeps that parent: cutting the edge below a pixel right of and below
-    the seed leaves both ends' parents (each on its left) in place."""
+    is no orphan and keeps that parent: cutting the edge below a pixel
+    right of and below the seed leaves both ends' parents (each on its
+    left) in place, and the cached tree serves the frame."""
     n = 16
     frame = wrap(peaks_surface(n, 30.0) + np.random.default_rng(5).normal(0, 0.8, (n, n)))
     mask = np.ones((n, n), dtype=bool)
@@ -487,9 +507,8 @@ def test_cut_end_keeps_a_parent_across_another_edge():
     tree = Aperture(mask).derived(_cut_free_tree, 4 * n + 4)
     cuts = no_cuts(n, n)
     cuts.cut_down[8, 9] = True  # (8, 9) - (9, 9)
-    ends, steps = _cut_ends(tree, cuts)
-    assert ends.tolist() == [8 * n + 9, 9 * n + 9]
-    assert steps.tolist() == [-1, -1]
+    assert parents_of(tree)[[8 * n + 9, 9 * n + 9]].tolist() == [8 * n + 8, 9 * n + 8]
+    assert _orphans(tree, cuts).size == 0
     assert path_of(frame, mask, cuts, seed) == "cached"
     assert_same(frame, mask, cuts, seed)
 
@@ -497,11 +516,11 @@ def test_cut_end_keeps_a_parent_across_another_edge():
 def test_repair_re_parents_a_pixel_that_keeps_its_level():
     """Right of and below the seed, q = (8, 9) has two level-up neighbours:
     p = (8, 8) on its left, its parent, and (7, 9) above.  Cut both of p's
-    level-up edges and p moves down, while q keeps its level and takes
-    (7, 9) as its parent, across an edge where k turns.  A residue on the
-    loop of those four pixels makes the two parents give q values 2pi
-    apart.  Where q also ends a cut edge, ``_cut_ends`` re-chooses p for
-    it, and the repair must override that."""
+    level-up edges and p, the one orphan, moves down, while q keeps its
+    level and takes (7, 9) as its parent, across an edge where k turns.  A
+    residue on the loop of those four pixels makes the two parents give q
+    values 2pi apart.  Where q also ends a cut edge that is not its parent
+    edge, q is still no orphan, and the repair re-parents it all the same."""
     n = 16
     frame = np.zeros((n, n))
     frame[7:9, 8:10] = [[0.0, -2.0], [-1.0, 2.0]]
@@ -510,17 +529,17 @@ def test_repair_re_parents_a_pixel_that_keeps_its_level():
     seed = (4, 4)
     tree = Aperture(mask).derived(_cut_free_tree, 4 * n + 4)
     p, q = 8 * n + 8, 8 * n + 9
-    assert _parent_steps(tree.up, n)[q] == -1 and tree.up[1].ravel()[q]
+    assert parents_of(tree)[q] == p and tree.depth.flat[q - n] == tree.depth.flat[p]
     for q_ends_a_cut in (False, True):
         cuts = no_cuts(n, n)
         cuts.cut_right[8, 7] = True  # (8, 7) - p
         cuts.cut_down[7, 8] = True  # (7, 8) - p
         if q_ends_a_cut:
             cuts.cut_down[8, 9] = True  # q - (9, 9)
-        ends, steps = _cut_ends(tree, cuts)
-        chosen = dict(zip(ends.tolist(), steps.tolist()))
-        assert chosen[p] == 0
-        assert chosen.get(q) == (-1 if q_ends_a_cut else None)
+        orphans = _orphans(tree, cuts)
+        assert orphans.tolist() == [p]
+        late, gone, moved, parents = _repair(tree, cuts, orphans)
+        assert p in late and dict(zip(moved, parents))[q] == q - n
         assert path_of(frame, mask, cuts, seed) == "repaired"
         assert_same(frame, mask, cuts, seed)
         assert flood_unwrap(frame, mask, cuts, seed).values[8, 9] == 2.0 - TWO_PI

@@ -21,7 +21,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 
 from phasestack.core import TWO_PI, check_frame, wrap
-from phasestack.unwrap import BranchCutMap, Surface, _parent_steps, _Tree, default_seed
+from phasestack.unwrap import BranchCutMap, Surface, _Tree, default_seed
 
 
 def mask_is_connected_reference(mask: np.ndarray) -> bool:
@@ -74,13 +74,16 @@ def bfs_tree_reference(ok_right: np.ndarray, ok_down: np.ndarray, seed: int) -> 
         bounds.append(1 + int(np.searchsorted(found_at, bounds[-1])))
     d = np.full((h, w), -1, dtype=np.int32)
     d.ravel()[order] = np.repeat(np.arange(len(bounds) - 1, dtype=np.int32), np.diff(bounds))
-    up = np.zeros((4, h, w), dtype=bool)
-    np.logical_and(ok_right, d[:, :-1] == d[:, 1:] - 1, out=up[0, :, 1:])
-    np.logical_and(ok_down, d[:-1, :] == d[1:, :] - 1, out=up[1, 1:, :])
-    np.logical_and(ok_right, d[:, 1:] == d[:, :-1] - 1, out=up[2, :, :-1])
-    np.logical_and(ok_down, d[1:, :] == d[:-1, :] - 1, out=up[3, :-1, :])
-    up_at = pos[order + _parent_steps(up, w)[order]]
-    return _Tree(order, pos, tuple(bounds), d, up, up_at)
+    # Each pixel's parent is its first open neighbour one level up in the
+    # priority left, above, right, below: the first direction is written
+    # last.  The seed's is itself.
+    index = np.arange(n).reshape(h, w)
+    parent = index.copy()
+    np.copyto(parent[:-1, :], index[1:, :], where=ok_down & (d[1:, :] == d[:-1, :] - 1))
+    np.copyto(parent[:, :-1], index[:, 1:], where=ok_right & (d[:, 1:] == d[:, :-1] - 1))
+    np.copyto(parent[1:, :], index[:-1, :], where=ok_down & (d[:-1, :] == d[1:, :] - 1))
+    np.copyto(parent[:, 1:], index[:, :-1], where=ok_right & (d[:, :-1] == d[:, 1:] - 1))
+    return _Tree(order, pos, tuple(bounds), d, pos[parent.ravel()[order]])
 
 
 def _k_increments(frame: np.ndarray):

@@ -16,18 +16,6 @@ chosen cluster records:
 
 and writes them to ``BENCH_denoise.json``.
 
-The committed ``BENCH_denoise.json`` is the record of the change that added
-``circular_mean_rows``, measured before two later changes:
-
-- ``circular_mean_frame`` then computed its cos and sin in blocks on
-  ``core.map_blocks``' threads, so that ``oracle_s`` times the threaded
-  oracle; the oracle is now plain numpy on one thread.
-- Both kernels then read a piston-shifted stack that
-  ``prepare_for_clustering`` returned.  That stack is no longer made:
-  ``circular_mean_rows`` now reads the stack as it is and shifts each
-  member itself, and the oracle shifts its gather, so a new run times the
-  shift in both columns.
-
 Run from the repository root:
 
     PYTHONPATH=src python tools/bench_denoise.py [--out BENCH_denoise.json]

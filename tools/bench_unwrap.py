@@ -36,8 +36,15 @@ one thread, as perfbench sets it.  Two kinds of rows:
   - ``combine``: the ``combine`` stage time that ``run_conventional``
     itself reports (the running weighted mean is inline in the pipeline),
     one call of it per pass
-  - ``paths``: frames integrated on the cached (kept) tree, repaired, or searched
-    in full; a tree without ``unwrap._repair`` searches every frame
+  - ``paths``: frames integrated on the cached (kept) tree, repaired, or
+    searched in full, as each tree counts them: a frame is ``repaired`` when
+    ``flood_unwrap`` calls ``unwrap._repair`` and it returns a patch, and
+    ``full`` when it returns None.  A tree that calls the repair only for
+    orphans (pixels whose edge to their kept parent is cut) counts every
+    frame with an orphan as repaired; an older tree called it only where a
+    cut end lost every level-up neighbour, and patched the other cut ends
+    in the cached path.  A tree without ``unwrap._repair`` searches every
+    frame
   - a tree with ``unwrap.Aperture`` gets one of the stack's mask, built
     outside the timing and passed to every call, as the pipeline does
   - ``ms_per_frame_by_path``: the median frame time of each path
@@ -47,14 +54,15 @@ one thread, as perfbench sets it.  Two kinds of rows:
     coefficients, in frame order, and ``conventional_sha256`` of
     ``run_conventional``'s final surface, the same in every round
 - ``ratio`` (the cluster stack at every N): ``ROUNDS`` processes per tree,
-  the trees alternating as in the flood rows.  In each, ``run_clustered``
-  and ``run_conventional`` with ``PipelineParams(cut=0.5, min_samples=None,
-  min_fraction=0.04)``, each the minimum wall time of ``ROUTE_REPEATS``
-  calls after ``read_stack``, and the ratio clustered / conventional.  The
-  row holds the quartiles over rounds of ``clustered_s``,
-  ``conventional_s`` and that ratio, beside the paper's 0.77 (about 23%
-  less time), and from the first round the unwrap stage times and the
-  hash of each route's surface.
+  the trees alternating as in the flood rows.  In each, after
+  ``read_stack``, one untimed call of ``run_clustered`` and of
+  ``run_conventional`` with ``PipelineParams(cut=0.5, min_samples=None,
+  min_fraction=0.04)`` gives the unwrap stage times and the hash of each
+  route's surface; then ``ROUTE_REPEATS`` timed calls of each.  The row
+  holds the quartiles of ``clustered_s`` and ``conventional_s`` over every
+  timed call of every round, and ``clustered_over_conventional``, the
+  ratio of their medians, beside the paper's 0.77 (about 23% less time);
+  the other fields are the first round's.
 
 The summary says whether every hash is equal between the trees and gives
 each flood row's quartiles per tree, and each ratio row's as ``routes``.
@@ -89,9 +97,10 @@ CLUSTER_SIZES = (250, 500, 1000, 2000)
 FLOOD_CLUSTER_N = 1000
 REPEATS = 5
 ROUNDS = 3
-ROUTE_REPEATS = 2
+ROUTE_REPEATS = 3
 PAPER_RATIO = 0.77
-RATIO_TIMES = ("clustered_s", "conventional_s", "clustered_over_conventional")
+ROUTE_TIMES = ("clustered_s", "conventional_s")
+RATIO_TIMES = (*ROUTE_TIMES, "clustered_over_conventional")
 STEPS = ("shift", "check", "residues", "cuts", "flood", "fit", "combine")
 TIMES = tuple(f"{step}_ms_per_frame" for step in STEPS)
 HERE = Path(__file__).resolve()
@@ -185,19 +194,11 @@ def ratio_worker(path: str, repeats: int) -> dict:
     stack = read_stack(path)
     out = {}
     for name, route in (("clustered", run_clustered), ("conventional", run_conventional)):
-        best = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            report = route(stack, params)
-            seconds = time.perf_counter() - t0
-            if best is None or seconds < best[0]:
-                best = (seconds, report)
-        seconds, report = best
-        out[f"{name}_s"] = seconds
+        report = route(stack, params)
         out[f"{name}_unwrap_s"] = report.stage_times_ms["unwrap"] / 1e3
         out[f"{name}_unwraps"] = report.unwrap_call_count
         out[f"{name}_sha256"] = surface_hash([report.surface])
-    out["clustered_over_conventional"] = out["clustered_s"] / out["conventional_s"]
+        out[f"{name}_s"] = harness.call_s(lambda: route(stack, params), repeats)
     out["paper_ratio"] = PAPER_RATIO
     return out
 
@@ -205,11 +206,13 @@ def ratio_worker(path: str, repeats: int) -> dict:
 def merge_rounds(kind: str, runs: list) -> dict:
     """One row from the rounds of one tree: for a flood row, the per-pass
     times of every round pooled into quartiles and the median of each
-    path's time over rounds; for a ratio row, the quartiles over rounds of
-    each route's time and of their ratio; every other field from the first
-    round."""
+    path's time over rounds; for a ratio row, each route's times of every
+    round pooled into quartiles, and the ratio of their medians; every
+    other field from the first round."""
     if kind == "ratio":
-        return harness.merge_rounds(runs, over_rounds=RATIO_TIMES)
+        row = harness.merge_rounds(runs, pooled=ROUTE_TIMES)
+        row["clustered_over_conventional"] = row["clustered_s"][1] / row["conventional_s"][1]
+        return row
     row = harness.merge_rounds(runs, pooled=TIMES)
     row["ms_per_frame_by_path"] = {
         p: statistics.median(r["ms_per_frame_by_path"][p] for r in runs)
@@ -290,7 +293,8 @@ def main(argv=None) -> None:
                     "routes": ROUTE_REPEATS},
         "times": "flood rows: [q1, median, q3] over every pass of every round, ms per frame; "
                  "pooled: the same over every conventional-256 seed; "
-                 "ratio rows and routes: [q1, median, q3] over rounds, s and clustered / conventional",
+                 "ratio rows and routes: [q1, median, q3] over every call of every round, s, "
+                 "and the ratio of the medians, clustered / conventional",
         "environment": harness.environment(blas_threads="1"),
         "summary": summary,
         "runs": rows,
