@@ -11,11 +11,12 @@ near-zero resultants (antipodal cancellation) leave the mean undefined.
 Two frame-stack kernels compute it per pixel.  ``circular_mean_frame`` is the
 float64 reference: axis-0 means of the cos and sin of a whole (k, h, w) stack.
 ``circular_mean_rows``, which the pipeline calls, reads a cluster's rows of the
-stack (float32 or float64) in place, piston-shifts each member in float64 and
-takes float32 cos and sin of its deviation from the first member on
-``core.map_blocks``' threads; the calling thread sums them in float64 in frame
-order, so its bits do not depend on the worker count or block size.  Its error
-against the reference is bounded in its docstring.  BLAS is not involved.
+stack (float32 or float64) in place.  On ``core.map_blocks``' threads it folds
+each member's deviation from the first, piston-shifted, member once in
+float64, takes its float32 cos and sin, and sums them in float64 over fixed
+runs of members; the calling thread adds the runs' sums in run order, so its
+bits do not depend on the worker count or block size.  Its error against the
+reference is bounded in its docstring.  BLAS is not involved.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, as_frames, fold, map_blocks, turns, wrap
+from .core import TWO_PI, as_frames, check_frame, fold, map_blocks, turns, wrap
 from .preprocess import center_pixel, piston_shift
 
 #: Resultant lengths at or below this are treated as an undefined mean.  It
@@ -32,6 +33,10 @@ from .preprocess import center_pixel, piston_shift
 #: an exact cancellation (such as a and wrap(a + pi)) is undefined on both
 #: frame kernels.
 RESULTANT_EPS = 1e-6
+
+#: Members per run of ``circular_mean_rows``: each run is summed on its
+#: own, and the runs' sums are added in run order.
+_RUN = 4
 
 
 @dataclass
@@ -105,13 +110,18 @@ def circular_mean_rows(frames: np.ndarray, rows, mask: np.ndarray, anchor=None):
 
     The fast kernel behind the pipeline's denoise step; its oracle is
     ``circular_mean_frame(piston_shift(frames[rows], mask, anchor), mask)``.
-    Each block of members is gathered into scratch and shifted into float64
-    by ``piston_shift``, which checks every member.  A member's deviation
-    from the first shifted member, ``d = s - ref``, is folded into (-pi, pi]
-    as ``d - 2*pi*turns(d)``; cos and sin of ``float32(d)`` are computed in
-    float32 and summed in float64, frame by frame from zero; the mean is
-    ``wrap(atan2(S, C) + ref)``, computed as ``core.fold``, since atan2 plus
-    ``ref`` lies in [-2pi, 2pi].
+    ``ref`` is the first member, piston-shifted.  Each member f is
+    range-checked and its invalid pixels zeroed as ``piston_shift`` does,
+    and its deviation from ``ref`` is folded once, in float64:
+    ``d = fold((f - f[anchor]) - ref)``.  The members fall into runs of
+    ``_RUN`` in member order, which depend on nothing but their count.  On
+    ``core.map_blocks``' threads, the cos and sin of each ``float32(d)``
+    are computed in float32 and each run's are summed in float64 (one
+    ``np.add.reduce``), into scratch the calling thread allocated; the
+    calling thread adds the runs' sums in run order.  So the bits do not
+    depend on the worker count or block size.  The mean is
+    ``wrap(atan2(S, C) + ref)``, computed as ``core.fold``, since atan2
+    plus ``ref`` lies in [-2pi, 2pi].
 
     Parameters
     ----------
@@ -134,11 +144,16 @@ def circular_mean_rows(frames: np.ndarray, rows, mask: np.ndarray, anchor=None):
         that ``piston_shift`` rejects (a value at a valid pixel that is not
         finite or lies outside (-pi, pi]).
 
-    Error against the oracle: rounding d to float32 moves each unit vector
-    by at most pi * 2**-24, and numpy's float32 sin and cos (under 1.5 ulp)
-    move it by at most 1.5 * sqrt(2) * 2**-24; the float64 steps add about
-    k * 1e-16.  So the mean vector differs by at most delta = 3.2e-7 (for k
-    below 10**7), the resultant by at most delta, and the mean by at most
+    Error against the oracle: ``(f - f[anchor]) - ref`` lies in [-3pi, 3pi]
+    and is rounded once, as the oracle's ``s - ref`` is; ``fold`` is exact
+    there (Sterbenz), so d is within 2**-50 of an angle congruent to the
+    exact deviation, and |d| <= pi + 2**-50.  (Where it rounds onto -3pi,
+    the fold gives -pi, not pi: the same angle, and only its cos and sin
+    are used.)  Rounding d to float32 moves each unit vector by at most
+    pi * 2**-24, and numpy's float32 sin and cos (under 1.5 ulp) move it by
+    at most 1.5 * sqrt(2) * 2**-24; the float64 steps add about k * 1e-16.
+    So the mean vector differs by at most delta = 3.2e-7 (for k below
+    10**7), the resultant by at most delta, and the mean by at most
     asin(delta / R), about delta / R, where the resultant R exceeds delta.
     The error scales with the members' spread around the first one:
     members with the same shifted values give d = 0 exactly, so the mean is
@@ -156,40 +171,44 @@ def circular_mean_rows(frames: np.ndarray, rows, mask: np.ndarray, anchor=None):
         raise ValueError("circular_mean_rows: frame/mask shape mismatch")
     if rows.min() < 0 or rows.max() >= len(frames):
         raise ValueError("circular_mean_rows: row index out of range")
-    anchor = center_pixel(mask.shape) if anchor is None else anchor
-    ref = piston_shift(frames[rows[0]], mask, anchor)  # checks the anchor
+    i, j = center_pixel(mask.shape) if anchor is None else anchor
+    ref = piston_shift(frames[rows[0]], mask, (i, j))  # checks the mask and the anchor
+    invalid = None if mask.all() else ~mask
 
-    def cos_sin(block, buf):
+    def run_sums(runs, buf):
         # Two halves of the block's scratch: `raw` holds the members, in the
         # stack's dtype, then 2*pi times d's turns, then the float32 cos and
-        # sin of d; `d` the shifted members, then d.
-        n = len(buf)
-        d, raw = buf.reshape(2, n, *mask.shape)
-        members = raw.reshape(-1).view(frames.dtype)[: d.size].reshape(d.shape)
-        # "clip": no buffered copy of `members`; the rows are checked above
-        np.take(frames, rows[block], axis=0, out=members, mode="clip")
-        # piston_shift checks every member.  Two calls keep the float64
-        # temporary of its fold to half a block, so the blocks in flight
-        # stay within their scratch and a few frames.
-        for part in (slice(0, n // 2), slice(n // 2, n)):
-            piston_shift(members[part], mask, anchor, out=d[part])
+        # sin of d; `d` holds d, then the runs' sums.
+        members = rows[runs.start * _RUN : runs.stop * _RUN]
+        n = len(members)
+        halves = buf.reshape(2, -1, *mask.shape)
+        d, raw = halves[:, :n]
+        sums = halves[0, : 2 * len(buf)].reshape(len(buf), 2, *mask.shape)
+        f = raw.reshape(-1).view(frames.dtype)[: d.size].reshape(d.shape)
+        # "clip": no buffered copy of `f`; the rows are checked above
+        np.take(frames, members, axis=0, out=f, mode="clip")
+        check_frame(f, mask)
+        np.subtract(f, f[:, i, j, None, None], out=d, dtype=np.float64)
+        if invalid is not None:  # keeps NaN or garbage out of the fold
+            np.copyto(d, 0.0, where=invalid)
         np.subtract(d, ref, out=d)
-        np.subtract(d, np.multiply(turns(d), TWO_PI, out=raw), out=d)
+        np.subtract(d, np.multiply(turns(d), TWO_PI, out=raw), out=d)  # the fold
         cs = raw.reshape(n, -1).view(np.float32).reshape(n, 2, *mask.shape)
         c, s = cs[:, 0], cs[:, 1]
         c[...] = d
         np.sin(c, out=s)
         np.cos(c, out=c)
-        return c, s
+        for r, run in enumerate(sums):
+            np.add.reduce(cs[r * _RUN : (r + 1) * _RUN], axis=0, dtype=np.float64, out=run)
+        return sums
 
-    x = np.zeros(mask.shape)
-    y = np.zeros(mask.shape)
-    for c, s in map_blocks(cos_sin, len(rows), ref.nbytes, scratch=(2, *mask.shape)):
-        for cj, sj in zip(c, s):
-            x += cj
-            y += sj
-    x /= len(rows)
-    y /= len(rows)
+    xy = np.zeros((2, *mask.shape))
+    n_runs = -(-len(rows) // _RUN)
+    for sums in map_blocks(run_sums, n_runs, _RUN * ref.nbytes, scratch=(2 * _RUN, *mask.shape)):
+        for run in sums:
+            xy += run
+    xy /= len(rows)
+    x, y = xy
     resultant = np.hypot(x, y)
     out_mask = mask & (resultant > RESULTANT_EPS)
     mean_frame = np.zeros(mask.shape)

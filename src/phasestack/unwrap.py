@@ -257,7 +257,7 @@ def _bfs_tree(ok_right: np.ndarray, ok_down: np.ndarray, seed: int) -> _Tree:
     np.copyto(t[2, :, 1:], index[:, :-1], where=ok_right)
     np.copyto(t[3, 1:, :], index[:-1, :], where=ok_down)
     del t, index
-    order, bounds, up_at = breadth_first_levels(table, [seed])
+    order, bounds, up_at = breadth_first_levels(table, [seed], parents=True)
     del table  # 32 bytes a pixel, freed before the tree's arrays are built
 
     pos = np.empty(n, dtype=np.intp)

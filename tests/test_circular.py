@@ -1,8 +1,10 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from circular_reference import circular_mean_rows_reference
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -295,6 +297,28 @@ class TestCircularMeanRows:
         for g, e in zip(got, want):
             assert g.tobytes() == e.tobytes()
 
+    def test_stress_more_workers_than_cores(self, monkeypatch):
+        """8 threads, a short switch interval and one run of members per
+        block: every run's sums are still its own when the calling thread
+        adds them, so the bits are those of one worker."""
+        rng = np.random.default_rng(8)
+        frames = wrap(rng.normal(0.0, 2.0, size=(60, 6, 9)))
+        rows = rng.permutation(60)[:57]
+        mask = rng.random((6, 9)) > 0.2
+        mask[3, 4] = True  # the anchor
+        monkeypatch.setattr(core, "WORKERS", 1)
+        want = circular_mean_rows(frames, rows, mask)
+        monkeypatch.setattr(core, "WORKERS", 8)
+        monkeypatch.setattr(core, "BLOCK_BYTES", 8 * frames[0].size)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                got = circular_mean_rows(frames, rows, mask)
+                assert all(g.tobytes() == e.tobytes() for g, e in zip(got, want))
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_invalid_pixels_do_not_reach_valid_ones(self):
         rng = np.random.default_rng(3)
         frames = wrap(rng.normal(0.0, 1.0, size=(6, 5, 5)))
@@ -375,6 +399,89 @@ class TestCircularMeanRows:
     def test_bad_input_rejected(self, frames, rows, mask):
         with pytest.raises(ValueError):
             circular_mean_rows(frames, rows, mask)
+
+
+# Bound on the mean-vector distance between circular_mean_rows and its
+# reference: each is within DELTA of the float64 oracle.
+DELTA_REFERENCE = 2 * DELTA
+
+# Values at the edges of the single fold: pi, the first values inside +-pi,
+# zeros of both signs, the smallest normals and +-pi/2.
+EXTREMES = (math.pi, np.nextafter(-math.pi, 0.0), 0.0, -0.0, 2.0**-1022, -(2.0**-1022),
+            math.pi / 2, -math.pi / 2, np.nextafter(math.pi, 0.0), 1.0)
+
+
+@st.composite
+def extreme_stacks(draw):
+    """(frames, rows, mask, anchor): every value one of ``EXTREMES``, NaN at
+    the invalid pixels, float64 or float32 (each value rounded to the
+    float32 nearest it inside (-pi, pi])."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 12))
+    h, w = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    frames = np.asarray(EXTREMES)[rng.integers(len(EXTREMES), size=(k, h, w))]
+    if draw(st.booleans()):
+        frames = frames.astype(np.float32)
+        wrap(frames, out=frames)
+    anchor = (draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1)))
+    mask = rng.random((h, w)) > 0.2
+    mask[anchor] = True
+    frames[:, ~mask] = np.nan
+    return frames, rng.permutation(k), mask, anchor
+
+
+def assert_within_reference_bound(frames, rows, mask, anchor):
+    """circular_mean_rows within DELTA_REFERENCE of its reference: mean
+    vector, resultant, mask (where the reference's resultant is decided)
+    and mean."""
+    mean, resultant, out_mask = circular_mean_rows(frames, rows, mask, anchor)
+    r_mean, r_resultant, r_mask = circular_mean_rows_reference(frames, rows, mask, anchor)
+    vec = np.hypot(resultant * np.cos(mean) - r_resultant * np.cos(r_mean),
+                   resultant * np.sin(mean) - r_resultant * np.sin(r_mean))
+    both = out_mask & r_mask
+    assert np.all(vec[both] <= DELTA_REFERENCE + 1e-15)
+    assert np.all(np.abs(resultant - r_resultant)[mask] <= DELTA_REFERENCE)
+    decided = np.abs(r_resultant - RESULTANT_EPS) > DELTA_REFERENCE
+    assert np.array_equal(out_mask[decided], r_mask[decided])
+    bound = np.arcsin(np.minimum(1.0, DELTA_REFERENCE / r_resultant[both])) + 1e-12
+    assert np.all(np.abs(wrapped_diff(mean[both], r_mean[both])) <= bound)
+    assert np.all(mean[~out_mask] == 0.0)
+
+
+class TestCircularMeanRowsAgainstReference:
+    """The single-fold kernel with sums on the workers against the kernel
+    it replaced (``tests/circular_reference.py``)."""
+
+    @given(row_stacks())
+    def test_within_bound_of_reference(self, case):
+        assert_within_reference_bound(*case)
+
+    @given(extreme_stacks())
+    def test_extremes_within_bound_of_reference(self, case):
+        assert_within_reference_bound(*case)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_deviation_that_rounds_onto_minus_three_pi(self, block_pool, dtype):
+        """A member at nextafter(-pi, 0) whose anchor holds pi, against a
+        ref of pi: in float64 (f - f[anchor]) - ref rounds onto -3pi, which
+        the fold takes to -pi, the angle the reference folds to pi.  Only
+        cos and sin of it are used, so the mean stays within the bound."""
+        low = np.nextafter(dtype(-math.pi), dtype(0.0))
+        high = -low if dtype is np.float32 else dtype(math.pi)  # float32(pi) > pi
+        frames = np.zeros((3, 2, 2), dtype=dtype)
+        frames[:, 0, 1] = frames[:, 1, 0] = 0.5
+        frames[0, 0, 0] = frames[2, 0, 0] = high  # ref = high at (0, 0)
+        frames[1, 0, 0], frames[1, 1, 1] = low, high
+        mask = np.ones((2, 2), dtype=bool)
+        block_pool(1, (2, 2))
+        if dtype is np.float64:
+            u = np.float64(low) - np.float64(high)
+            assert u - np.float64(high) <= -3 * math.pi
+            assert core.fold(np.array([u - high]))[0] == -math.pi
+        assert_within_reference_bound(frames, [0, 1, 2], mask, (1, 1))
+        mean, resultant, _ = circular_mean_rows(frames, [0, 1, 2], mask, (1, 1))
+        assert abs(resultant[0, 0] - 1 / 3) <= DELTA
+        assert abs(wrapped_diff(mean[0, 0], high)) <= 3 * DELTA
 
 
 class TestCircularRmsError:

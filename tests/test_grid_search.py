@@ -205,7 +205,7 @@ def graphs(draw):
 @given(graphs())
 def test_levels_of_any_graph(case):
     table, starts = case
-    order, bounds, _ = breadth_first_levels(table, starts)
+    order, bounds = breadth_first_levels(table, starts)
     dist = levels_reference(table, starts)
     assert order.size == np.unique(order).size == bounds[-1]
     assert np.array_equal(np.sort(order), np.flatnonzero(dist >= 0))
@@ -216,11 +216,14 @@ def test_levels_of_any_graph(case):
 
 @given(graphs())
 def test_parents_of_any_graph(case):
-    """A start is its own parent.  Every other node's parent sits one level
-    up and reaches it, by the lowest row of any node one level up that
-    does, and is the earliest such node in order."""
+    """The parents' decode changes no order or bound.  A start is its own
+    parent.  Every other node's parent sits one level up and reaches it, by
+    the lowest row of any node one level up that does, and is the earliest
+    such node in order."""
     table, starts = case
-    order, bounds, up_at = breadth_first_levels(table, starts)
+    order, bounds, up_at = breadth_first_levels(table, starts, parents=True)
+    plain = breadth_first_levels(table, starts)
+    assert np.array_equal(plain[0], order) and plain[1] == bounds
     dist = levels_reference(table, starts)
     assert up_at.shape == order.shape
     assert np.array_equal(up_at[: len(starts)], np.arange(len(starts)))
