@@ -18,6 +18,7 @@ count.
 
 from __future__ import annotations
 
+import bisect
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -198,6 +199,7 @@ def agglomerate(d: np.ndarray) -> Dendrogram:
     size = [1] * n
     nn = np.full(n, -1)
     nd = np.full(n, np.inf)
+    retired = []  # sorted
 
     def rescan(i: int) -> None:
         j = i + 1 + int(work[i, i + 1 :].argmin())
@@ -218,21 +220,31 @@ def agglomerate(d: np.ndarray) -> Dendrogram:
         merges.append((cluster_id[p], cluster_id[q], h))
 
         # Lance-Williams update for average linkage; slot p keeps the merge
-        # (entries of p, q and retired slots come out inf)
+        # (entries of p, q and retired slots come out inf).  Row q is never
+        # read again, only column q.
         sp, sq = size[p], size[q]
-        row = (sp * work[p] + sq * work[q]) / (sp + sq)
+        if sp == sq == 1:
+            row = (work[p] + work[q]) / 2  # the bits of (1 * a + 1 * b) / (1 + 1)
+        else:
+            row = (sp * work[p] + sq * work[q]) / (sp + sq)
         work[p] = work[:, p] = row
-        work[q] = work[:, q] = np.inf
+        work[:, q] = np.inf
         size[p] = sp + sq
         cluster_id[p] = n + step
 
         # slots whose neighbour was merged rescan; the slots below p compare
-        # their cache with the merged cluster, the lower slot winning a tie
+        # their cache with the merged cluster, the lower slot winning a tie.
+        # The merged row averages two distances a cache is at most, so it
+        # undercuts one only by a tie or by rounding: test that first.
         stale = np.flatnonzero((nn == p) | (nn == q)).tolist()
         nn[q], nd[q] = -1, np.inf
-        closer = (row[:p] < nd[:p]) | ((row[:p] == nd[:p]) & (p < nn[:p]))
-        nn[:p][closer] = p
-        nd[:p][closer] = row[:p][closer]
+        bisect.insort(retired, q)
+        head = row[:p]
+        # inf > inf is False at a retired slot, as at a live one the row ties
+        if np.count_nonzero(head > nd[:p]) < p - bisect.bisect_left(retired, p):
+            closer = (head < nd[:p]) | ((head == nd[:p]) & (p < nn[:p]))
+            nn[:p][closer] = p
+            nd[:p][closer] = head[closer]
         for i in stale:
             rescan(i)
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -155,6 +156,27 @@ def anchor_for(mask: np.ndarray):
     return default_seed(mask)
 
 
+def physical_memory_bytes() -> int:
+    """The machine's physical memory, in bytes."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_classify_fits(n: int, shape: tuple, pool_levels: int) -> None:
+    """Raise ValueError when classifying ``n`` frames of ``shape`` would
+    hold more bytes than the machine's physical memory: the float64 pooled
+    stack and ``d`` (n x n), then ``d`` and ``agglomerate``'s copy of it."""
+    h, w = shape
+    for _ in range(pool_levels):
+        h, w = h // 2, w // 2
+    need = 8 * (n * n + max(n * h * w, n * n))
+    have = physical_memory_bytes()
+    if need > have:
+        raise ValueError(
+            f"run_clustered: classifying {n} frames would hold {need} bytes, "
+            f"more than the {have} bytes of physical memory"
+        )
+
+
 @contextmanager
 def _timed(times: dict, stage: str):
     """Add the wall time of the block, in ms, to times[stage]."""
@@ -178,6 +200,7 @@ def _measure(stack: PhaseStack, params: PipelineParams, method: str) -> SurfaceR
 
     with _timed(times, "preprocess"):
         if classify:
+            _check_classify_fits(n, stack.shape, params.pool_levels)
             pooled, pooled_mask = prepare_for_clustering(
                 stack.frames, stack.mask, params.pool_levels, anchor
             )
@@ -264,7 +287,9 @@ def run_clustered(stack: PhaseStack, params: PipelineParams) -> SurfaceReport:
     ``params.classify`` False, one part of all frames.
 
     Raises NoClusterError (with the cluster census attached) when no
-    cluster reaches the minimum sampling number.
+    cluster reaches the minimum sampling number, and ValueError, before
+    any work, when classifying would hold more bytes than the machine's
+    physical memory.
     """
     return _measure(stack, params, "clustered" if params.classify else "no-classify")
 

@@ -75,17 +75,20 @@ def _border_sinks(mask: np.ndarray) -> np.ndarray:
     padded by one ring of nodes beyond the lattice, which are sinks too.
 
     Interior invalid holes are not sinks: a cut ending at one would not
-    stop integration paths from circling around it.
+    stop integration paths from circling around it.  The invalid pixels of
+    a row or column run that starts at the border are border-connected, and
+    on an aperture such as a disk they are all of them; only when other
+    invalid pixels remain does a search, 8-connected through invalid
+    pixels, start from those runs.
     """
     g = ~mask
-    invalid = np.flatnonzero(g)
-    if invalid.size:  # keep the invalid pixels 8-connected to the border through invalid ones
-        border = np.zeros_like(g)
-        border[[0, -1], :] = border[:, [0, -1]] = True
-        reached = breadth_first_levels(neighbour_table(g, STEPS_8), np.flatnonzero(border[g]))[0]
-        g = np.zeros_like(g)
-        g.ravel()[invalid[reached]] = True
-    g = np.pad(g, 1, constant_values=True)
+    runs = (np.logical_and.accumulate(g, axis=0) | np.logical_and.accumulate(g[::-1], axis=0)[::-1]
+            | np.logical_and.accumulate(g, axis=1)
+            | np.logical_and.accumulate(g[:, ::-1], axis=1)[:, ::-1])
+    if (runs != g).any():
+        reached = breadth_first_levels(neighbour_table(g, STEPS_8), np.flatnonzero(runs[g]))[0]
+        runs.ravel()[np.flatnonzero(g)[reached]] = True
+    g = np.pad(runs, 1, constant_values=True)
     sinks = g[:-1, :-1] | g[:-1, 1:] | g[1:, :-1] | g[1:, 1:]
     sinks.flags.writeable = False  # an aperture shares it between calls
     return sinks
@@ -279,9 +282,10 @@ class Aperture:
     """A read-only copy of a mask, validated once (2-D bool, at least one
     valid pixel), and what is derived from it alone, each built on first
     use and kept, read-only, as long as the aperture is: the valid count,
-    border sinks, the cut-free tree of each seed and
-    (``zernike``'s) the factored fit design of each set of modes.  It
-    changes no output.
+    border sinks, the cut-free tree of each seed and (``zernike``'s) the
+    Zernike fit of each set of modes, on the moments path (centre, radius,
+    the modes' Gram and its inverse, their column and row values) or the
+    SVD path (the design and its pseudo-inverse).  It changes no output.
     """
 
     mask: np.ndarray

@@ -5,9 +5,15 @@ Z1 = rho*cos(theta), tilt-y Z2 = rho*sin(theta), and power (defocus)
 Z3 = 2*rho^2 - 1.  The unit disk is the mask's bounding circle centered
 at the mask centroid, so rho <= 1 on every valid pixel.
 
-``zernike_fit_remove`` factors the design of the fitted mask by one thin
-SVD, kept by an ``unwrap.Aperture`` that holds that mask, so fits of many
-surfaces on one aperture cost two matrix-vector products each.
+Each mode is a function of the column plus a function of the row, so
+``zernike_fit_remove`` solves the normal equations from the masked
+surface's column and row sums, with the modes' k x k Gram inverted once
+per mask (the moments path).  A mask whose Gram is too ill-conditioned
+for that solve to stay within ``FIT_TOL`` of a least-squares one, or that
+the design rejects, takes the SVD path instead: its design factored by
+one thin SVD.  Either factorization is kept by an ``unwrap.Aperture``
+that holds the fitted mask, so fits of many surfaces on one aperture
+build it once.
 """
 
 from __future__ import annotations
@@ -93,42 +99,147 @@ def _check_modes(modes) -> tuple:
 _RANK_DEFICIENT = "zernike_fit_remove: rank-deficient design (collinear valid pixels)"
 
 
-def _factor(m: np.ndarray, modes: tuple) -> tuple:
-    """(center, radius, design, pinv) of the bool mask ``m`` and these modes.
+#: The stated bound of the fit against a least-squares solve: coefficients
+#: within FIT_TOL * max(max|coef|, max|v|), residuals within
+#: FIT_TOL * (1 + max|v|) rad (README "Conventions").
+FIT_TOL = 1e-12
 
-    The pseudo-inverse comes from one thin SVD of the design, ranked by
-    numpy's default least-squares cutoff (a singular value counts when it
-    exceeds eps * max(M, N) times the largest).  Read-only, because an
-    aperture shares it between fits.
-    """
+#: The largest Gram condition number the moments path takes, read off the
+#: Gram's eigenvalues.  The Gram's condition number is the design's
+#: squared, so solving through it loses about cond(Gram) * eps (Bjorck
+#: 1996, section 2.2).  Measured, the moments path came within
+#: 3.2 * eps * cond(Gram) of lstsq, so this limit (17.6) leaves a factor of
+#: about 80 below FIT_TOL.
+MAX_GRAM_COND = FIT_TOL / (2**8 * np.finfo(float).eps)
+
+
+def _read_only(*arrays) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@dataclass(frozen=True)
+class _SvdFit:
+    """The design of a mask and its pseudo-inverse, from one thin SVD of
+    the design, ranked by numpy's default least-squares cutoff (a singular
+    value counts when it exceeds eps * max(M, N) times the largest)."""
+
+    center: tuple
+    radius: float
+    design: np.ndarray
+    pinv: np.ndarray
+
+    def remove(self, values: np.ndarray, m: np.ndarray) -> tuple:
+        """(residual, coefficients): ``pinv @ v`` and ``v - design @ coef``,
+        v gathered once and the residual scattered into zeros."""
+        vm = values[m]
+        coef = self.pinv @ vm
+        residual = np.zeros(values.shape)
+        residual[m] = vm - self.design @ coef
+        return residual, coef
+
+
+def _svd_fit(m: np.ndarray, modes: tuple) -> _SvdFit:
     center, radius, design = _design(m, modes)
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     if np.count_nonzero(s > np.finfo(float).eps * max(design.shape) * s[0]) < len(s):
         raise ValueError(_RANK_DEFICIENT)
     pinv = np.ascontiguousarray((vt.T / s) @ u.T)
-    design.flags.writeable = pinv.flags.writeable = False
-    return center, radius, design, pinv
+    _read_only(design, pinv)
+    return _SvdFit(center, radius, design, pinv)
+
+
+@dataclass(frozen=True)
+class _MomentsFit:
+    """The modes of a mask split as ``cols[:, c] + rows[:, r]`` at pixel
+    (r, c), their Gram over the mask and its inverse."""
+
+    center: tuple
+    radius: float
+    gram: np.ndarray
+    inverse: np.ndarray
+    cols: np.ndarray  # k x w
+    rows: np.ndarray  # k x h
+    outside: np.ndarray  # ~mask
+
+    def remove(self, values: np.ndarray, m: np.ndarray) -> tuple:
+        """(residual, coefficients) from the masked copy's two axis sums:
+        the design's transpose times v is cols @ (column sums) + rows @
+        (row sums), and the fitted surface is a row plus a column."""
+        residual = np.where(m, values, 0.0)
+        coef = self.inverse @ (self.cols @ residual.sum(axis=0) + self.rows @ residual.sum(axis=1))
+        residual -= (coef @ self.rows)[:, None]
+        residual -= coef @ self.cols
+        residual[self.outside] = 0.0
+        return residual, coef
+
+
+def _moments_fit(m: np.ndarray, modes: tuple) -> _MomentsFit | None:
+    """The moments path's fit of ``m``, or None where the SVD path must
+    fit it: fewer than 10 valid pixels, a zero radius, or a Gram whose
+    condition number exceeds ``MAX_GRAM_COND``.  The centre and radius are
+    ``_design``'s bits: the centroid from integer moments, and the radius
+    from each row's outermost valid columns, where (c - cx)**2 peaks."""
+    h, w = m.shape
+    col_count, row_count = m.sum(axis=0), m.sum(axis=1)
+    n = int(row_count.sum())
+    if n < 10:
+        return None
+    cy, cx = (row_count @ np.arange(h)) / n, (col_count @ np.arange(w)) / n
+    r = np.flatnonzero(row_count)
+    first, last = m[r].argmax(axis=1), w - 1 - m[r, ::-1].argmax(axis=1)
+    ry2 = (r - cy) ** 2
+    radius = float(np.sqrt(np.maximum(ry2 + (first - cx) ** 2, ry2 + (last - cx) ** 2).max()))
+    if radius == 0.0:
+        return None
+    dx, dy = (np.arange(w) - cx) / radius, (np.arange(h) - cy) / radius
+    by_axis = {
+        "piston": (np.ones(w), np.zeros(h)),
+        "tilt_x": (dx, np.zeros(h)),
+        "tilt_y": (np.zeros(w), dy),
+        "power": (2.0 * dx * dx - 1.0, 2.0 * dy * dy),
+    }
+    cols = np.array([by_axis[name][0] for name in modes])
+    rows = np.array([by_axis[name][1] for name in modes])
+    cross = (rows @ m) @ cols.T  # sum over the mask of rows[:, r] cols[:, c]^T
+    gram = (cols * col_count) @ cols.T + (rows * row_count) @ rows.T + cross + cross.T
+    low, high = np.linalg.eigvalsh(gram)[[0, -1]]
+    if not (low > 0.0 and high <= MAX_GRAM_COND * low):
+        return None
+    inverse = np.linalg.inv(gram)
+    outside = ~m
+    _read_only(gram, inverse, cols, rows, outside)
+    return _MomentsFit((float(cy), float(cx)), radius, gram, inverse, cols, rows, outside)
+
+
+def _factor(m: np.ndarray, modes: tuple):
+    """The fit of the bool mask ``m`` and these modes: the moments path
+    where it holds ``FIT_TOL``, else the SVD path, which raises the
+    design's errors.  Read-only, because an aperture shares it between
+    fits."""
+    return _moments_fit(m, modes) or _svd_fit(m, modes)
 
 
 def zernike_fit_remove(surface, mask=None, modes=MODES, *, aperture: Aperture | None = None):
     """Fit the selected modes over valid pixels and subtract them.
 
     Returns (residual, fit); residual is a Surface when a Surface was
-    passed in, otherwise a plain array.  Raises on a rank-deficient
-    design (e.g., all valid pixels collinear).  The coefficients are
-    ``pinv @ v`` and the residual ``v - design @ coef``, within the bounds
-    in README "Conventions" of a least-squares solve.  The factorization
-    is kept by ``aperture`` when it holds the fitted mask.
+    passed in, otherwise a plain array, +0.0 off the mask.  Raises on
+    fewer than 10 valid pixels, a degenerate geometry or a rank-deficient
+    design (e.g., all valid pixels collinear).  The fit is built once per
+    mask and modes (``_factor``): on the moments path, from the masked
+    surface's row and column sums and the inverse of the modes' Gram; on
+    the SVD path, for a Gram too ill-conditioned for that, ``pinv @ v``
+    and ``v - design @ coef``.  Either is within ``FIT_TOL`` of a
+    least-squares solve (README "Conventions").  The build is kept by
+    ``aperture`` when it holds the fitted mask.
     """
     values, m = _values_mask(surface, mask)
     modes = _check_modes(modes)
     kept = aperture is not None and np.array_equal(aperture.mask, m)
-    center, radius, design, pinv = aperture.derived(_factor, modes) if kept else _factor(m, modes)
-    vm = values[m]
-    coef = pinv @ vm
-    fit = ZernikeFit(modes=modes, coefficients=coef, center=center, radius=radius)
-    residual = np.zeros(values.shape)
-    residual[m] = vm - design @ coef
+    factored = aperture.derived(_factor, modes) if kept else _factor(m, modes)
+    residual, coef = factored.remove(values, m)
+    fit = ZernikeFit(modes=modes, coefficients=coef, center=factored.center, radius=factored.radius)
     if isinstance(surface, Surface):
         return Surface(values=residual, mask=m, warning=surface.warning), fit
     return residual, fit

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from phasestack import core
+from phasestack import core, zernike
 
 settings.register_profile(
     "default",
@@ -31,15 +31,15 @@ def block_pool(request, monkeypatch):
 
 
 @pytest.fixture
-def svd_calls(monkeypatch) -> list:
-    """The shape of every ``np.linalg.svd`` call the test makes: one per
-    Zernike factorization."""
-    calls = []
-    real = np.linalg.svd
+def fit_builds(monkeypatch) -> list:
+    """The fit each Zernike per-mask build (``zernike._factor``) of the test
+    returns, in order."""
+    builds = []
+    real = zernike._factor
 
-    def svd(*args, **kwargs):
-        calls.append(args[0].shape)
-        return real(*args, **kwargs)
+    def factor(*args):
+        builds.append(real(*args))
+        return builds[-1]
 
-    monkeypatch.setattr(np.linalg, "svd", svd)
-    return calls
+    monkeypatch.setattr(zernike, "_factor", factor)
+    return builds

@@ -64,6 +64,16 @@ class TestRunCommand:
         assert doc["frame_count"] == 6
         assert doc["unwrap_call_count"] == len(doc["cluster_sizes_chosen"])
 
+    def test_classify_beyond_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        from phasestack import pipeline
+
+        stack = synth(tmp_path, frames=6, seed=1)
+        capsys.readouterr()
+        monkeypatch.setattr(pipeline, "physical_memory_bytes", lambda: 1000)
+        assert main(["run", str(stack)]) == 2
+        err = capsys.readouterr().err
+        assert "classifying 6 frames would hold" in err and "1000 bytes of physical memory" in err
+
     def test_no_classify_flag(self, tmp_path, capsys):
         stack = synth(tmp_path, frames=4, seed=2)
         rc = main(["run", str(stack), "--no-classify"])

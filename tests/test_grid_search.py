@@ -14,6 +14,7 @@ from collections import deque
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -163,6 +164,36 @@ def test_tree_on_the_disk_matches_scipy():
 def test_sinks_and_connectivity_match_scipy(mask):
     assert np.array_equal(_border_sinks(mask), border_sinks_reference(mask))
     assert mask_is_connected(mask) == mask_is_connected_reference(mask)
+
+
+def winding(h, w):
+    """A disk whose outside is joined by an invalid channel that turns two
+    corners to an invalid pocket inside, and an interior hole: the pocket
+    is border-connected although no row or column run from the border
+    reaches it."""
+    mask = circular_aperture((h, w))
+    mask[h // 2, 2 : w // 2] = False  # from the outside, inward
+    mask[h // 2 - 4 : h // 2, w // 2] = False  # turns up
+    mask[h // 2 - 4, w // 2 : w // 2 + 5] = False  # turns right, into the pocket
+    mask[h // 2 + 5, w // 2 + 5] = False  # a hole
+    return mask
+
+
+@pytest.mark.parametrize("mask, searched", [
+    (circular_aperture((256, 256)), False),
+    (circular_aperture((40, 31), margin=2), False),
+    (winding(40, 40), True),
+])
+def test_sinks_search_only_past_the_border_runs(monkeypatch, mask, searched):
+    calls = []
+
+    def levels(*args, **kwargs):
+        calls.append(args)
+        return breadth_first_levels(*args, **kwargs)
+
+    monkeypatch.setattr(sys.modules["phasestack.unwrap"], "breadth_first_levels", levels)
+    assert np.array_equal(_border_sinks(mask), border_sinks_reference(mask))
+    assert bool(calls) == searched
 
 
 def test_empty_and_single_pixel_masks():

@@ -3,6 +3,7 @@ import math
 import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from zernike_reference import FIT_TOL, zernike_fit_remove_reference
 
-from phasestack import core, pipeline
+from phasestack import core, pipeline, zernike
 from phasestack.cluster import ClusterSet, NoClusterError
 from phasestack.core import PhaseStack, circular_aperture, detect_residues, wrap
 from phasestack.pipeline import (
@@ -27,6 +28,8 @@ from phasestack.synth import CONTAMINANT, TrialSpec, make_trial, peaks_surface
 from phasestack.unwrap import Aperture, flood_unwrap, unwrap
 from phasestack.wphs import read_stack, write_stack
 from phasestack.zernike import zernike_fit_remove
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def record_apertures(monkeypatch) -> list:
@@ -126,6 +129,25 @@ class TestRunClustered:
         stack, _ = family_trial(n=1)
         with pytest.raises(ValueError, match="need at least 2 frames"):
             run_clustered(stack, PipelineParams())
+
+    def test_classify_beyond_memory_raises_before_pooling(self, monkeypatch):
+        """The guard reads the memory figure; nothing is allocated to test it.
+        8 frames of 32x32 pool to 16x16: 8 * (8 * 8 + 8 * 16 * 16) bytes."""
+        stack, _ = family_trial(n=8)
+        need = 8 * (8 * 8 + 8 * 16 * 16)
+        pooled = []
+        real = pipeline.prepare_for_clustering
+        monkeypatch.setattr(pipeline, "prepare_for_clustering",
+                            lambda *a, **k: pooled.append(1) or real(*a, **k))
+        monkeypatch.setattr(pipeline, "physical_memory_bytes", lambda: need - 1)
+        with pytest.raises(ValueError, match=f"classifying 8 frames would hold {need} bytes"):
+            run_clustered(stack, PipelineParams())
+        assert not pooled
+        monkeypatch.setattr(pipeline, "physical_memory_bytes", lambda: need)
+        run_clustered(stack, PipelineParams())
+        assert pooled
+        run_conventional(stack, PipelineParams())  # classifies nothing
+        run_clustered(stack, PipelineParams(classify=False))
 
     def test_identical_frames_single_cluster(self):
         truth = peaks_surface(32, 6.0)
@@ -245,12 +267,12 @@ class TestOnePipeline:
         assert np.abs(rep.surface.values - oracle.values).max() <= bound
 
     @pytest.mark.parametrize("route, classify", [(run_conventional, True), (run_clustered, False)])
-    def test_walled_off_parts_fit_on_their_reached_mask(self, monkeypatch, svd_calls, route, classify):
+    def test_walled_off_parts_fit_on_their_reached_mask(self, monkeypatch, fit_builds, route, classify):
         """A part whose flood walls off pixels is fitted on the mask it
-        reached, through a factorization of that mask: no lstsq is called,
-        each part stays within FIT_TOL of the oracle, the part's aperture is
-        factored once however many parts reach all of it, and each walled-off
-        part's reached mask once."""
+        reached, through a fit built for that mask: no lstsq is called,
+        each part stays within FIT_TOL of the oracle, the part's aperture's
+        fit is built once however many parts reach all of it, and each
+        walled-off part's reached mask's once."""
         mask = circular_aperture((48, 48))
         stack, _ = family_trial(seed=8, n=8, grid=48, snr=5.0, jitter=30.0)
         stack = PhaseStack(frames=np.where(mask, stack.frames, 0.0), mask=mask)
@@ -282,15 +304,28 @@ class TestOnePipeline:
             bound = FIT_TOL * (1.0 + np.abs(s.values[s.mask]).max())
             assert np.array_equal(residual.mask, s.mask)
             assert np.abs(residual.values - want.values).max() <= bound
-        assert len(svd_calls) == (not all(walled)) + sum(walled)
+        assert len(fit_builds) == (not all(walled)) + sum(walled)
+
+    @pytest.mark.parametrize("workload", ["cluster-n1000", "conventional-256"])
+    def test_perfbench_fits_take_the_moments_path(self, monkeypatch, fit_builds, workload):
+        """Every part of both perfbench recipes (seed 0) is fitted through
+        the moments path, walled-off parts included."""
+        monkeypatch.syspath_prepend(str(ROOT / "tools"))
+        import harness
+
+        stack = harness.trial(workload)
+        route = run_clustered if harness.WORKLOADS[workload].route == "clustered" else run_conventional
+        rep = route(stack, PipelineParams(cut=0.5, min_samples=None, min_fraction=0.04))
+        assert rep.fits and fit_builds
+        assert all(isinstance(b, zernike._MomentsFit) for b in fit_builds)
 
     @pytest.mark.parametrize("seed", [0, 2])
-    def test_walled_off_parts_in_a_row_keep_the_aperture_factored(self, monkeypatch, svd_calls, seed):
-        """Two walled-off parts in a row do not make the aperture factored
-        again: one factorization of the aperture per run, plus one per
-        walled-off part.  (These stacks made 6 and 8 factorizations for 5
-        and 7 distinct masks when the factorizations were kept in a
-        two-entry cache keyed on the mask.)"""
+    def test_walled_off_parts_in_a_row_keep_the_aperture_factored(self, monkeypatch, fit_builds, seed):
+        """Two walled-off parts in a row do not make the aperture's fit
+        built again: one build for the aperture per run, plus one per
+        walled-off part.  (These stacks made 6 and 8 builds for 5 and 7
+        distinct masks when the builds were kept in a two-entry cache keyed
+        on the mask.)"""
         mask = circular_aperture((32, 32))
         stack, _ = family_trial(seed, n=8, grid=32, snr=5.0, jitter=30.0)
         stack = PhaseStack(frames=np.where(mask, stack.frames, 0.0), mask=mask)
@@ -305,7 +340,7 @@ class TestOnePipeline:
         assert len(reached) == len(rep.fits) == 8
         walled = sum(not np.array_equal(m, mask) for m in reached)
         assert walled >= 2
-        assert len(svd_calls) == 1 + walled
+        assert len(fit_builds) == 1 + walled
 
     @pytest.mark.parametrize("route, params, trial", [
         (run_conventional, PipelineParams(), dict(n=8, snr=5.0, jitter=30.0)),

@@ -1,20 +1,25 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from zernike_reference import FIT_TOL, zernike_fit_remove_copy_form, zernike_fit_remove_reference
 
+from phasestack import zernike
 from phasestack.core import circular_aperture
 from phasestack.unwrap import Aperture, Surface
 from phasestack.zernike import (
     DEFAULT_WAVELENGTH_NM,
+    MAX_GRAM_COND,
     MODES,
     ZernikeFit,
     _factor,
     _mode_values,
+    _MomentsFit,
+    _SvdFit,
     phase_to_height,
     rmse,
     zernike_fit_remove,
@@ -23,6 +28,19 @@ from phasestack.zernike import (
 
 def disk_mask(n):
     return circular_aperture((n, n))
+
+
+def annulus(shape, inner):
+    """The circular aperture less the disk of ``inner`` times its radius."""
+    h, w = shape
+    r = np.arange(h)[:, None] - (h - 1) / 2.0
+    c = np.arange(w)[None, :] - (w - 1) / 2.0
+    return circular_aperture(shape) & (r * r + c * c >= (inner * min(h, w) / 2.0) ** 2)
+
+
+def svd_path():
+    """Every fit made inside takes the SVD path."""
+    return mock.patch.object(zernike, "MAX_GRAM_COND", 0.0)
 
 
 def fit_remove_fancy_index(values, m, modes=MODES):
@@ -157,18 +175,32 @@ class TestFitRemove:
         assert np.abs(recon - values)[mask].max() < 1e-9
 
 
+KINDS = ("disk", "hole", "scattered", "annulus", "off_centre", "strip", "collinear", "few", "random")
+
+
 @st.composite
 def fit_masks(draw):
     """Masks of every shape the fit must handle or reject: disks, disks
-    with holes, strips, collinear pixels, fewer than 10 pixels, noise."""
+    with holes, disks less scattered pixels (a walled-off part), annuli,
+    disks off the grid's centre, strips, collinear pixels, fewer than 10
+    pixels, noise."""
     h, w = draw(st.integers(2, 24)), draw(st.integers(2, 24))
-    kind = draw(st.sampled_from(["disk", "hole", "strip", "collinear", "few", "random"]))
+    kind = draw(st.sampled_from(KINDS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if kind in ("disk", "hole"):
+    if kind in ("disk", "hole", "scattered"):
         mask = circular_aperture((h, w), margin=draw(st.integers(0, 2)))
         if kind == "hole":
             r, c = rng.integers(0, h), rng.integers(0, w)
             mask[r : r + rng.integers(1, 5), c : c + rng.integers(1, 5)] = False
+        elif kind == "scattered":
+            lost = draw(st.integers(1, 6))
+            mask[rng.integers(0, h, lost), rng.integers(0, w, lost)] = False
+    elif kind == "annulus":
+        mask = annulus((h, w), draw(st.floats(0.1, 0.95)))
+    elif kind == "off_centre":
+        r = np.arange(h)[:, None] - draw(st.floats(0.0, h - 1))
+        c = np.arange(w)[None, :] - draw(st.floats(0.0, w - 1))
+        mask = r * r + c * c <= draw(st.floats(1.0, 12.0)) ** 2
     elif kind == "strip":
         mask = np.zeros((h, w), dtype=bool)
         r = rng.integers(0, h)
@@ -198,10 +230,12 @@ def fit_or_error(fit_remove, values, mask, modes):
 
 
 class TestCachedFactorization:
-    """zernike_fit_remove against the lstsq oracle of zernike_reference."""
+    """zernike_fit_remove, on either path, against the lstsq oracle of
+    zernike_reference."""
 
     @given(fit_masks(), st.integers(1, len(MODES)), st.integers(0, 2**32 - 1),
            st.floats(-3.0, 3.0))
+    @example(disk_mask(256), len(MODES), 0, 0.0)
     def test_within_bound_of_lstsq(self, mask, n_modes, seed, log_scale):
         modes = MODES[:n_modes]
         values = np.random.default_rng(seed).normal(0.0, 10.0**log_scale, size=mask.shape)
@@ -215,7 +249,7 @@ class TestCachedFactorization:
         c_max = np.abs(want_fit.coefficients).max()
         assert np.abs(fit.coefficients - want_fit.coefficients).max() <= FIT_TOL * max(c_max, v_max)
         assert np.abs(residual - want_residual).max() <= FIT_TOL * (1.0 + v_max)
-        assert not residual[~mask].any()
+        assert not np.signbit(residual[~mask]).any() and not residual[~mask].any()  # +0.0
         assert (fit.modes, fit.center, fit.radius) == (
             want_fit.modes, want_fit.center, want_fit.radius)
 
@@ -239,7 +273,7 @@ class TestCachedFactorization:
         with pytest.raises(ValueError, match="nonempty subset"):
             zernike_fit_remove(np.zeros((16, 16)), disk_mask(16), ("piston", "coma"))
 
-    def test_mask_edited_in_place_gets_a_fresh_factorization(self, svd_calls):
+    def test_mask_edited_in_place_gets_a_fresh_factorization(self, fit_builds):
         mask = disk_mask(21)
         aperture = Aperture(mask)
         values = np.random.default_rng(1).normal(size=(21, 21))
@@ -252,28 +286,39 @@ class TestCachedFactorization:
             v_max = np.abs(values[mask]).max()
             assert np.abs(got - want).max() <= FIT_TOL * (1.0 + v_max)
             assert fit.center == want_fit.center
-        assert len(svd_calls) == 3  # the aperture once, the edited mask once per call
+        assert len(fit_builds) == 3  # the aperture once, the edited mask once per call
         assert aperture.mask[10, 10]
 
-    def test_one_factorization_per_aperture_and_modes(self, svd_calls):
+    def test_one_factorization_per_aperture_and_modes(self, fit_builds):
         values = np.random.default_rng(3).normal(size=(16, 16))
         aperture = Aperture(disk_mask(16))
         want = zernike_fit_remove(values, disk_mask(16))
-        assert len(svd_calls) == 1
+        assert len(fit_builds) == 1
         for _ in range(3):
             got = zernike_fit_remove(values, disk_mask(16), aperture=aperture)
             assert got[0].tobytes() == want[0].tobytes()
         zernike_fit_remove(values, disk_mask(16), MODES[:3], aperture=aperture)
         zernike_fit_remove(values, disk_mask(16), MODES[:3], aperture=aperture)
-        assert len(svd_calls) == 1 + 2
+        assert len(fit_builds) == 1 + 2
         zernike_fit_remove(values, disk_mask(16), MODES[:3])
-        assert len(svd_calls) == 1 + 2 + 1  # a call without the aperture factors its mask
+        assert len(fit_builds) == 1 + 2 + 1  # a call without the aperture builds for its mask
 
     def test_kept_factorization_is_read_only(self):
         aperture = Aperture(disk_mask(16))
         zernike_fit_remove(np.zeros((16, 16)), disk_mask(16), aperture=aperture)
-        _, _, design, pinv = aperture.derived(_factor, MODES)
-        for a in (design, pinv):
+        kept = aperture.derived(_factor, MODES)
+        assert isinstance(kept, _MomentsFit)
+        for a in (kept.gram, kept.inverse, kept.cols, kept.rows, kept.outside):
+            with pytest.raises(ValueError):
+                a[0, 0] = 0
+
+    def test_kept_svd_factorization_is_read_only(self):
+        mask = annulus((16, 16), 0.9)
+        aperture = Aperture(mask)
+        zernike_fit_remove(np.zeros((16, 16)), mask, aperture=aperture)
+        kept = aperture.derived(_factor, MODES)
+        assert isinstance(kept, _SvdFit)
+        for a in (kept.design, kept.pinv):
             with pytest.raises(ValueError):
                 a[0, 0] = 0.0
 
@@ -291,9 +336,42 @@ class TestCachedFactorization:
         assert np.abs(residual.values - want.values).max() <= FIT_TOL * (1.0 + v_max)
 
 
+class TestConditioningLimit:
+    """A mask takes the moments path exactly when its design's condition
+    number, squared, is at most MAX_GRAM_COND, and either path holds
+    FIT_TOL."""
+
+    def test_limit_is_derived_from_the_bound(self):
+        assert FIT_TOL == 1e-12
+        assert MAX_GRAM_COND == FIT_TOL / (2**8 * np.finfo(float).eps)
+
+    @given(st.integers(24, 64), st.integers(24, 64), st.floats(0.5, 0.85),
+           st.integers(1, len(MODES)), st.integers(0, 2**32 - 1))
+    def test_both_sides_of_the_limit(self, h, w, inner, n_modes, seed):
+        mask, modes = annulus((h, w), inner), MODES[-n_modes:]  # power last: the ill-conditioned mode
+        design = zernike._design(mask, modes)[2]
+        cond = np.linalg.cond(design) ** 2
+        if abs(cond / MAX_GRAM_COND - 1.0) < 1e-6:
+            return  # the two eigenvalue routines may disagree this close
+        kind = _MomentsFit if cond <= MAX_GRAM_COND else _SvdFit
+        assert isinstance(_factor(mask, modes), kind)
+        values = np.random.default_rng(seed).normal(0.0, 1.0, size=mask.shape)
+        (residual, fit), (want, want_fit) = (
+            zernike_fit_remove(values, mask, modes), zernike_fit_remove_reference(values, mask, modes))
+        v_max = np.abs(values[mask]).max()
+        c_max = np.abs(want_fit.coefficients).max()
+        assert np.abs(fit.coefficients - want_fit.coefficients).max() <= FIT_TOL * max(c_max, v_max)
+        assert np.abs(residual - want).max() <= FIT_TOL * (1.0 + v_max)
+
+    @pytest.mark.parametrize("inner, kind", [(0.6, _MomentsFit), (0.8, _SvdFit)])
+    def test_annuli_either_side(self, inner, kind):
+        assert isinstance(_factor(annulus((64, 64), inner), MODES), kind)
+
+
 class TestSingleGather:
-    """zernike_fit_remove's residual, scattered into zeros from one gather
-    of the valid values, against the copy-subtract-zero form: the same bits."""
+    """zernike_fit_remove's SVD-path residual, scattered into zeros from one
+    gather of the valid values, against the copy-subtract-zero form: the
+    same bits."""
 
     @given(fit_masks(), st.integers(1, len(MODES)), st.integers(0, 2**32 - 1))
     def test_bits_of_the_copy_form(self, mask, n_modes, seed):
@@ -303,7 +381,8 @@ class TestSingleGather:
         values[~mask] = rng.choice([np.nan, np.inf, -0.0, 1e300], size=int((~mask).sum()))
         modes = MODES[:n_modes]
         want = fit_or_error(zernike_fit_remove_copy_form, values, mask, modes)
-        got = fit_or_error(zernike_fit_remove, values, mask, modes)
+        with svd_path():
+            got = fit_or_error(zernike_fit_remove, values, mask, modes)
         if isinstance(want, str):
             assert got == want
             return
@@ -322,7 +401,8 @@ class TestSingleGather:
         reached[rng.integers(0, 33, lost), rng.integers(0, 33, lost)] = False
         values = np.where(reached, rng.normal(0.0, 5.0, size=(33, 33)), 0.0)
         surface = Surface(values=values, mask=reached, warning=None)
-        got, fit = zernike_fit_remove(surface, aperture=aperture)
+        with svd_path():
+            got, fit = zernike_fit_remove(surface, aperture=aperture)
         want, want_fit = zernike_fit_remove_copy_form(surface, aperture=aperture)
         assert got.values.tobytes() == want.values.tobytes()
         assert np.array_equal(got.mask, want.mask)

@@ -7,10 +7,10 @@ boolean mask, checks the mask and the modes with the kernel's own helpers
 (so both raise the same ``ValueError``s) and takes the same arguments as
 the kernel it checks.
 
-``zernike_fit_remove_copy_form``: the kernel's own factorization with the
-residual formed as it was before the single gather: a copy of the values,
-the fit subtracted on the mask, zeros written off it.  The kernel must give
-its bits.
+``zernike_fit_remove_copy_form``: the kernel's SVD-path factorization with
+the residual formed as it was before the single gather: a copy of the
+values, the fit subtracted on the mask, zeros written off it.  The kernel's
+SVD path must give its bits.
 """
 
 from __future__ import annotations
@@ -20,19 +20,19 @@ import numpy as np
 from phasestack.unwrap import Surface
 from phasestack.zernike import (
     _RANK_DEFICIENT,
+    FIT_TOL,
     MODES,
     ZernikeFit,
     _check_modes,
     _design,
-    _factor,
+    _svd_fit,
     _values_mask,
 )
 
-# The cached factorization against this oracle: coefficients within
-# FIT_TOL of max(max|coef|, max|v|), residuals within FIT_TOL * (1 + max|v|)
-# rad.  The largest seen over the zernike suites and the 256x256 disk of
-# BENCH_fit.json is under 2e-13 and 1e-14 of those scales.
-FIT_TOL = 1e-12
+# The kernel against this oracle, on either path: coefficients within
+# FIT_TOL (1e-12) of max(max|coef|, max|v|), residuals within
+# FIT_TOL * (1 + max|v|) rad.
+__all__ = ["FIT_TOL", "zernike_fit_remove_copy_form", "zernike_fit_remove_reference"]
 
 
 def zernike_fit_remove_reference(surface, mask=None, modes=MODES):
@@ -56,11 +56,11 @@ def zernike_fit_remove_copy_form(surface, mask=None, modes=MODES, *, aperture=No
     values, m = _values_mask(surface, mask)
     modes = _check_modes(modes)
     kept = aperture is not None and np.array_equal(aperture.mask, m)
-    center, radius, design, pinv = aperture.derived(_factor, modes) if kept else _factor(m, modes)
-    coef = pinv @ values[m]
-    fit = ZernikeFit(modes=modes, coefficients=coef, center=center, radius=radius)
+    f = aperture.derived(_svd_fit, modes) if kept else _svd_fit(m, modes)
+    coef = f.pinv @ values[m]
+    fit = ZernikeFit(modes=modes, coefficients=coef, center=f.center, radius=f.radius)
     residual = values.copy()
-    residual[m] -= design @ coef
+    residual[m] -= f.design @ coef
     residual[~m] = 0.0
     if isinstance(surface, Surface):
         return Surface(values=residual, mask=m, warning=surface.warning), fit

@@ -1,178 +1,176 @@
-"""Fit-layer benchmark: ``zernike_fit_remove`` cold and warm against the
-``lstsq`` oracle, the parts the flood did not fully reach, and the unwrap
-with a new ``Aperture`` per frame and with one reused.
+"""Fit-layer benchmark: ``zernike_fit_remove`` cold, warm and its per-mask
+build, against a ``lstsq`` oracle, for this tree and for another one (such
+as the parent commit).
 
 Builds perfbench's conventional-256 recipe (``harness.trial``: 60 frames of
 the 256x256 peaks surface at 5 dB in a circular aperture, two tilt
 families with 30 rad jitter, no contaminants), piston-shifts it as
-``run_conventional`` does and unwraps every frame from the center pixel.  On seed 0 it records:
+``run_conventional`` does and unwraps every frame from the center pixel.
+Each tree runs in ``ROUNDS`` rounds of fresh processes, with that tree's
+``src`` as ``PYTHONPATH``, the trees alternating which runs first.  Per
+tree it records, on seed 0:
 
-- ``cold_fit_s``: per-fit time of ``zernike_fit_remove(surface, modes=MODES,
-  aperture=Aperture(mask))`` with a new aperture for each fit (build + fit)
-- ``warm_fit_s``: per-fit time of the same call with one aperture reused,
-  as the pipeline does within a run: the aperture stays factored, and a
-  surface the flood did not fully reach is fitted on its own reached mask,
-  factored for that fit
-- ``oracle_fit_s``: per-fit time of ``tests/zernike_reference.py``'s
-  ``zernike_fit_remove_reference``, one ``lstsq`` per call
-- ``build_s``: one factorization of the aperture, build + fit minus a warm
-  fit of the same fully reached surface
-- ``max_abs_dresidual_rad`` and ``max_rel_dcoef``: the largest |residual
-  difference| from the oracle over every reached pixel, and the largest
-  |coefficient difference| over the largest |coefficient| of the same fit
-- ``cuts_flood_cold_s`` and ``cuts_flood_warm_s``: per-frame time of
-  ``place_branch_cuts`` plus ``flood_unwrap``, with a new ``Aperture`` for
-  each frame and with one reused (mask facts and flood tree derived once;
-  residues are detected outside the timing)
+- ``cold_fit_ms``: per-fit time of ``zernike_fit_remove(surface,
+  modes=MODES, aperture=Aperture(mask))`` with a new aperture for each fit
+  (build + fit)
+- ``warm_fit_ms``: the same call with one aperture reused, as the pipeline
+  does within a run; a surface the flood did not fully reach is fitted on
+  its own reached mask, built for that fit
+- ``build_ms``: one per-mask build, ``zernike._factor(mask, MODES)``, of
+  the aperture
+- ``oracle_fit_ms``: one ``np.linalg.lstsq`` of the design per fit
+- ``max_dresidual`` and ``max_dcoef``: the largest residual difference
+  from the oracle over FIT_TOL's scale 1 + max|v|, and the largest
+  coefficient difference over max(max|coef|, max|v|), over the 60 fits
+- ``census``: the per-mask builds (``zernike._factor``) of
+  ``run_conventional`` on seeds ``CENSUS_SEEDS`` and of ``run_clustered``
+  on the cluster-n1000 recipe (seed 0), one per run for the stack's
+  aperture and one per part fitted on a mask of its own, and how many of
+  them took the moments path
+- ``residuals_sha256`` (the warm fits' residuals and coefficients, which
+  differ between paths) and ``reached_masks_sha256`` (the unwrap's, which
+  no fit path may change)
 
-Each time is the median of ``REPEATS`` passes over the 60 surfaces, the
-fit passes alternating.  Over seeds 0-9 (``UNREACHED_SEEDS``) it counts the
-surfaces the flood did not fully reach and their lost pixels, and times
-their fits both ways: ``parent_s``, the oracle's ``lstsq`` (the fit such
-parts took before every fit went through a factorization), and
-``change_s``, a cold ``zernike_fit_remove`` (a reached mask is new, so its
-fit includes the build); medians over the parts of the per-part medians of
-``REPEATS`` calls.  It writes everything to ``BENCH_fit.json``.
+Each ``*_ms`` is [q1, median, q3] over every pass (``REPEATS`` a round)
+of every round.  Run from the repository root, optionally with the
+``src`` of the tree to compare with, labelled ``parent`` (for example a
+``git archive`` of the parent commit):
 
-Run from the repository root:
-
-    PYTHONPATH=src python tools/bench_fit.py [--out BENCH_fit.json]
+    PYTHONPATH=src python tools/bench_fit.py [--other PATH/src] [--out BENCH_fit.json]
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import statistics
-import sys
-import time
+from pathlib import Path
 
 import numpy as np
 
 import harness
 
-sys.path.insert(0, str(harness.ROOT / "tests"))
-from zernike_reference import zernike_fit_remove_reference  # noqa: E402
-
-from phasestack.core import detect_residues  # noqa: E402
-from phasestack.preprocess import center_pixel, piston_shift  # noqa: E402
-from phasestack.unwrap import Aperture, flood_unwrap, place_branch_cuts  # noqa: E402
-from phasestack.zernike import MODES, zernike_fit_remove  # noqa: E402
-
 REPEATS = 7
-UNREACHED_SEEDS = range(10)
+ROUNDS = 3
+CENSUS_SEEDS = range(10)
+PARAMS = dict(cut=0.5, min_samples=None, min_fraction=0.04)
+HERE = Path(__file__).resolve()
 
 
-def frames(seed: int):
-    """Piston-shifted frames, mask and seed pixel of the recipe."""
-    stack = harness.trial("conventional-256", seed)
-    mask = stack.mask
-    pixel = center_pixel(stack.shape)  # valid on the disk: the pipeline's anchor
-    return piston_shift(stack.frames, mask, pixel), mask, pixel
+def oracle_fit(surface):
+    """(residual, coefficients) of one ``lstsq`` of the reached mask's design."""
+    from phasestack.zernike import MODES, _design
+
+    m = surface.mask
+    design = _design(m, MODES)[2]
+    coef = np.linalg.lstsq(design, surface.values[m], rcond=None)[0]
+    residual = np.zeros(m.shape)
+    residual[m] = surface.values[m] - design @ coef
+    return residual, coef
 
 
-def unwrapped(shifted, mask, pixel):
-    charges = [detect_residues(f, mask) for f in shifted]
+def path_of(build) -> str:
+    return "moments" if hasattr(build, "inverse") else "svd"
+
+
+def census() -> dict:
+    """The path of every build the pipeline makes on the census recipes."""
+    from phasestack import zernike
+    from phasestack.pipeline import PipelineParams, run_clustered, run_conventional
+
+    paths, real = [], zernike._factor
+
+    def recorded(*args):
+        build = real(*args)
+        paths.append(path_of(build))
+        return build
+
+    zernike._factor = recorded
+    try:
+        for seed in CENSUS_SEEDS:
+            run_conventional(harness.trial("conventional-256", seed), PipelineParams(**PARAMS))
+        conventional, paths[:] = list(paths), []
+        run_clustered(harness.trial("cluster-n1000"), PipelineParams(**PARAMS))
+    finally:
+        zernike._factor = real
+    return {
+        "conventional-256": {"seeds": list(CENSUS_SEEDS), "builds": len(conventional),
+                             "moments": conventional.count("moments")},
+        "cluster-n1000": {"seeds": [0], "builds": len(paths), "moments": paths.count("moments")},
+    }
+
+
+def worker() -> dict:
+    """The measurements of the tree on the import path."""
+    from phasestack import zernike
+    from phasestack.core import detect_residues
+    from phasestack.preprocess import center_pixel, piston_shift
+    from phasestack.unwrap import Aperture, flood_unwrap, place_branch_cuts
+    from phasestack.zernike import MODES, zernike_fit_remove
+
+    stack = harness.trial("conventional-256")
+    mask, pixel = stack.mask, center_pixel(stack.shape)
+    shifted = piston_shift(stack.frames, mask, pixel)
     surfaces = [
-        flood_unwrap(f, mask, place_branch_cuts(c, mask), pixel) for f, c in zip(shifted, charges)
+        flood_unwrap(f, mask, place_branch_cuts(detect_residues(f, mask), mask), pixel)
+        for f in shifted
     ]
-    return charges, surfaces
+    kept = Aperture(mask)
+    items = [(s,) for s in surfaces]
+    warm = [zernike_fit_remove(s, modes=MODES, aperture=kept) for s in surfaces]
 
+    d_residual = d_coef = 0.0
+    for s, (got, got_fit) in zip(surfaces, warm):
+        want, want_coef = oracle_fit(s)
+        v_max = np.abs(s.values[s.mask]).max()
+        d_residual = max(d_residual, float(np.abs(got.values - want).max() / (1.0 + v_max)))
+        scale = max(np.abs(want_coef).max(), v_max)
+        d_coef = max(d_coef, float(np.abs(got_fit.coefficients - want_coef).max() / scale))
 
-def per_call(fn, items) -> float:
-    t0 = time.perf_counter()
-    for item in items:
-        fn(item)
-    return (time.perf_counter() - t0) / len(items)
-
-
-def oracle_fit(s):
-    return zernike_fit_remove_reference(s, modes=MODES)
-
-
-def fit_through(aperture_of):
-    """``zernike_fit_remove`` through the aperture ``aperture_of()`` gives."""
-    return lambda s: zernike_fit_remove(s, modes=MODES, aperture=aperture_of())
+    return {
+        "cold_fit_ms": harness.pass_ms(
+            lambda s: zernike_fit_remove(s, modes=MODES, aperture=Aperture(mask)), items, REPEATS),
+        "warm_fit_ms": harness.pass_ms(
+            lambda s: zernike_fit_remove(s, modes=MODES, aperture=kept), items, REPEATS),
+        "oracle_fit_ms": harness.pass_ms(oracle_fit, items, REPEATS),
+        "build_ms": [t * 1e3 for t in harness.call_s(lambda: zernike._factor(mask, MODES), REPEATS)],
+        "aperture_path": path_of(zernike._factor(mask, MODES)),
+        "fully_reached_frames": sum(bool(np.array_equal(s.mask, mask)) for s in surfaces),
+        "max_dresidual": d_residual,
+        "max_dcoef": d_coef,
+        "residuals_sha256": harness.sha256_of(
+            [a for r, f in warm for a in (r.values, f.coefficients)]),
+        "reached_masks_sha256": harness.sha256_of([s.mask for s in surfaces]),
+        "census": census(),
+    }
 
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--other", type=Path, help="src directory of the tree to compare with")
     parser.add_argument("--out", default="BENCH_fit.json")
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    shifted, mask, pixel = frames(0)
-    charges, surfaces = unwrapped(shifted, mask, pixel)
-    kept = Aperture(mask)
-    fit, cold_fit = fit_through(lambda: kept), fit_through(lambda: Aperture(mask))
-    full = next(s for s in surfaces if np.array_equal(s.mask, mask))
-
-    cold_t, warm_t, oracle_t, build_t = [], [], [], []
-    for _ in range(REPEATS):
-        cold_t.append(per_call(cold_fit, surfaces))
-        oracle_t.append(per_call(oracle_fit, surfaces))
-        warm_t.append(per_call(fit, surfaces))
-        build_t.append(per_call(cold_fit, [full]) - per_call(fit, [full]))
-
-    d_residual = d_coef = 0.0
-    for s in surfaces:
-        (want, want_fit), (got, got_fit) = oracle_fit(s), fit(s)
-        d_residual = max(d_residual, float(np.abs(got.values - want.values).max()))
-        dc = np.abs(got_fit.coefficients - want_fit.coefficients).max()
-        d_coef = max(d_coef, float(dc / np.abs(want_fit.coefficients).max()))
-
-    def cuts_flood(aperture_of):
-        def one(i):
-            aperture = aperture_of()
-            cuts = place_branch_cuts(charges[i], mask, aperture=aperture)
-            flood_unwrap(shifted[i], mask, cuts, pixel, aperture=aperture)
-
-        return one
-
-    flood_cold_t, flood_warm_t = [], []
-    for _ in range(REPEATS):
-        flood_cold_t.append(per_call(cuts_flood(lambda: Aperture(mask)), range(len(shifted))))
-        flood_warm_t.append(per_call(cuts_flood(lambda: kept), range(len(shifted))))
-
-    by_seed, parent_t, change_t = {}, [], []
-    for seed in UNREACHED_SEEDS:
-        seed_surfaces = unwrapped(*frames(seed))[1] if seed else surfaces
-        parts = [s for s in seed_surfaces if not np.array_equal(s.mask, mask)]
-        by_seed[seed] = [int(mask.sum() - s.mask.sum()) for s in parts]
-        for s in parts:
-            parent_t.append(statistics.median(per_call(oracle_fit, [s]) for _ in range(REPEATS)))
-            change_t.append(statistics.median(per_call(cold_fit, [s]) for _ in range(REPEATS)))
-
-    flood_cold_s, flood_warm_s = statistics.median(flood_cold_t), statistics.median(flood_warm_t)
-    doc = {
-        "benchmark": "fit: zernike_fit_remove cold and warm vs the lstsq oracle; parts the "
-        "flood did not fully reach; place_branch_cuts + flood_unwrap with a new Aperture per "
-        "frame and with one reused",
+    if args.worker:
+        print(json.dumps(worker()))
+        return
+    trees = harness.trees(args.other)
+    runs = harness.alternate(trees, lambda name, src: harness.run_tree(src, [HERE, "--worker"]), ROUNDS)
+    times = ("cold_fit_ms", "warm_fit_ms", "oracle_fit_ms", "build_ms")
+    rows = {name: harness.merge_rounds(r, pooled=times) for name, r in runs.items()}
+    same = {
+        key: len({run[key] for r in runs.values() for run in r}) == 1
+        for key in ("residuals_sha256", "reached_masks_sha256")
+    }
+    harness.write_json(args.out, {
+        "benchmark": "fit: zernike_fit_remove cold, warm and its per-mask build vs a lstsq oracle",
         "recipe": "conventional-256 (60 x 256x256 circular aperture, 5 dB, 2 families, seed 0)",
         "repeats": REPEATS,
-        "environment": harness.environment(blas_threads=os.environ.get("OPENBLAS_NUM_THREADS", "default")),
-        "valid_px": int(mask.sum()),
-        "fully_reached_frames": sum(bool(np.array_equal(s.mask, mask)) for s in surfaces),
-        "cold_fit_s": statistics.median(cold_t),
-        "warm_fit_s": statistics.median(warm_t),
-        "oracle_fit_s": statistics.median(oracle_t),
-        "build_s": statistics.median(build_t),
-        "max_abs_dresidual_rad": d_residual,
-        "max_rel_dcoef": d_coef,
-        "unreached_parts": {
-            "seeds": list(UNREACHED_SEEDS),
-            "px_lost_by_seed": by_seed,
-            "count": len(parent_t),
-            "parent_s": statistics.median(parent_t),
-            "change_s": statistics.median(change_t),
-            "parent_range_s": [min(parent_t), max(parent_t)],
-            "change_range_s": [min(change_t), max(change_t)],
-        },
-        "cuts_flood_cold_s": flood_cold_s,
-        "cuts_flood_warm_s": flood_warm_s,
-        "aperture_saving_s": flood_cold_s - flood_warm_s,
-    }
-    print(json.dumps(doc, indent=2))
-    harness.write_json(args.out, doc)
+        "rounds": ROUNDS,
+        "times": "[q1, median, q3] over every pass of every round, ms per fit or build",
+        "environment": harness.environment(blas_threads="1"),
+        "same_across_trees": same,
+        "trees": rows,
+    })
 
 
 if __name__ == "__main__":
