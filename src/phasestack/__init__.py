@@ -10,8 +10,6 @@ binary stack file format.
 
 from .circular import (
     RESULTANT_EPS,
-    CircularSummary,
-    circular_mean,
     circular_mean_frame,
     circular_mean_rows,
     circular_rms_error,
@@ -30,10 +28,8 @@ from .core import (
     PhaseStack,
     circular_aperture,
     detect_residues,
-    mask_is_connected,
     residue_count,
     wrap,
-    wrapped_diff,
 )
 from .pipeline import (
     ComparisonReport,
@@ -44,7 +40,7 @@ from .pipeline import (
     run_conventional,
     snr_from_min_fraction,
 )
-from .preprocess import avg_pool2, piston_shift, prepare_for_clustering
+from .preprocess import piston_shift, prepare_for_clustering
 from .synth import (
     CONTAMINANT,
     TrialSpec,
@@ -73,8 +69,6 @@ from .zernike import (
 
 __all__ = [
     "RESULTANT_EPS",
-    "CircularSummary",
-    "circular_mean",
     "circular_mean_frame",
     "circular_mean_rows",
     "circular_rms_error",
@@ -89,10 +83,8 @@ __all__ = [
     "PhaseStack",
     "circular_aperture",
     "detect_residues",
-    "mask_is_connected",
     "residue_count",
     "wrap",
-    "wrapped_diff",
     "ComparisonReport",
     "PipelineParams",
     "SurfaceReport",
@@ -100,7 +92,6 @@ __all__ = [
     "run_clustered",
     "run_conventional",
     "snr_from_min_fraction",
-    "avg_pool2",
     "piston_shift",
     "prepare_for_clustering",
     "CONTAMINANT",

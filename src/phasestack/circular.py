@@ -1,4 +1,5 @@
-"""Circular (directional) statistics over angle samples and frame stacks.
+"""Circular (directional) statistics of wrapped frames: the per-pixel
+circular mean of a stack, and the RMS of a wrapped difference.
 
 The circular mean maps each angle onto the unit circle, averages the
 resulting vectors, and takes the direction of the mean vector:
@@ -21,8 +22,6 @@ reference is bounded in its docstring.  BLAS is not involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import TWO_PI, as_frames, check_frame, fold, map_blocks, turns, wrap
@@ -37,41 +36,6 @@ RESULTANT_EPS = 1e-6
 #: Members per run of ``circular_mean_rows``: each run is summed on its
 #: own, and the runs' sums are added in run order.
 _RUN = 4
-
-
-@dataclass
-class CircularSummary:
-    """Circular mean of a sample of angles.
-
-    mean is NaN when the resultant length is below RESULTANT_EPS.
-    """
-
-    mean: float
-    resultant_length: float
-    sample_count: int
-
-    @property
-    def defined(self) -> bool:
-        return self.resultant_length > RESULTANT_EPS
-
-
-def circular_mean(samples) -> CircularSummary:
-    """Circular mean and resultant length of a 1-D sample of angles."""
-    samples = np.asarray(samples, dtype=np.float64).ravel()
-    if samples.size == 0:
-        raise ValueError("circular_mean: empty sample")
-    if not np.all(np.isfinite(samples)):
-        raise ValueError("circular_mean: samples must be finite")
-    x = np.cos(samples).mean()
-    y = np.sin(samples).mean()
-    r = float(np.hypot(x, y))
-    if r <= RESULTANT_EPS:
-        return CircularSummary(mean=float("nan"), resultant_length=r, sample_count=samples.size)
-    return CircularSummary(
-        mean=float(wrap(np.arctan2(y, x))),
-        resultant_length=r,
-        sample_count=samples.size,
-    )
 
 
 def circular_mean_frame(frames: np.ndarray, mask: np.ndarray):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .cluster import NoClusterError, agglomerate, pairwise_distances
 from .core import detect_residues, residue_count
-from .pipeline import WEIGHTINGS, PipelineParams, anchor_for, compare
+from .pipeline import WEIGHTINGS, PipelineParams, _check_classify_fits, anchor_for, compare
 from .pipeline import run_clustered, run_conventional
 from .preprocess import prepare_for_clustering
 from .synth import TrialSpec, make_trial, peaks_surface
@@ -223,6 +223,7 @@ def _cmd_inspect(args) -> int:
         "dendrogram": None,
     }
     if n >= 2:
+        _check_classify_fits(n, stack.shape, args.pool_levels)
         pooled, pooled_mask = prepare_for_clustering(
             stack.frames, stack.mask, args.pool_levels, anchor_for(stack.mask)
         )

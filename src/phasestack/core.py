@@ -12,11 +12,12 @@ Conventions used throughout the package:
   may hold any value, even NaN (writers store zeros there).
 * Pixel (r, c) means row r, column c; rows increase downward.
 
-Graph searches on the pixel grid (connectivity here; the unwrap trees and
-border sinks in ``unwrap``) are one level-synchronous breadth-first search
-of a neighbour table, ``breadth_first_levels``, in numpy, which also picks
-each node's parent by the table's row order when asked to (the unwrap
-trees): the package imports nothing outside numpy and the standard library.
+Graph searches on the pixel grid (the unwrap trees, whose reach tells the
+flood whether a mask is 4-connected, and the border sinks in ``unwrap``)
+are one level-synchronous breadth-first search of a neighbour table,
+``breadth_first_levels``, in numpy, which also picks each node's parent by
+the table's row order when asked to (the unwrap trees): the package imports
+nothing outside numpy and the standard library.
 
 Whole-stack kernels (``wphs.read_stack``, ``preprocess.prepare_for_clustering``
 and ``circular.circular_mean_rows``) stream the frames through ``map_blocks``:
@@ -63,8 +64,7 @@ BLOCK_BYTES = 2**20
 #: Threads of ``map_blocks``: one per CPU this process may run on.
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-#: Unit steps (row, column) to the 4 and to the 8 neighbours of a pixel.
-STEPS_4 = ((0, -1), (-1, 0), (0, 1), (1, 0))
+#: Unit steps (row, column) to the 8 neighbours of a pixel.
 STEPS_8 = tuple((dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if dr or dc)
 
 
@@ -187,11 +187,6 @@ def map_blocks(fn, n_frames: int, frame_bytes: int, scratch: tuple | None = None
         finally:
             for future in pending:
                 future.cancel()
-
-
-def wrapped_diff(a, b):
-    """Smallest-magnitude difference wrap(a - b), always in (-pi, pi]."""
-    return wrap(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))
 
 
 def turns(d: np.ndarray) -> np.ndarray:
@@ -328,13 +323,6 @@ def breadth_first_levels(table: np.ndarray, starts, parents: bool = False) -> tu
     level = np.repeat(np.arange(f.size - 1), f[1:])  # of each parent
     up_at = (mark[order[f[0]:]] - np.take(used, level)) % f[level] + np.take(bounds, level)
     return order, bounds, np.concatenate([np.arange(f[0]), up_at])
-
-
-def mask_is_connected(mask: np.ndarray) -> bool:
-    """True when the valid region forms a single 4-connected component."""
-    table = neighbour_table(np.asarray(mask, dtype=bool), STEPS_4)
-    n = table.shape[1] - 1
-    return n > 0 and breadth_first_levels(table, [n // 2])[0].size == n  # from the middle: fewer levels
 
 
 def circular_aperture(shape: tuple[int, int], margin: int = 0) -> np.ndarray:

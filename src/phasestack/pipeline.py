@@ -164,7 +164,8 @@ def physical_memory_bytes() -> int:
 def _check_classify_fits(n: int, shape: tuple, pool_levels: int) -> None:
     """Raise ValueError when classifying ``n`` frames of ``shape`` would
     hold more bytes than the machine's physical memory: the float64 pooled
-    stack and ``d`` (n x n), then ``d`` and ``agglomerate``'s copy of it."""
+    stack and ``d`` (n x n), then ``d`` and ``agglomerate``'s copy of it.
+    ``run_clustered`` and the CLI's ``inspect`` call it before pooling."""
     h, w = shape
     for _ in range(pool_levels):
         h, w = h // 2, w // 2
@@ -172,7 +173,7 @@ def _check_classify_fits(n: int, shape: tuple, pool_levels: int) -> None:
     have = physical_memory_bytes()
     if need > have:
         raise ValueError(
-            f"run_clustered: classifying {n} frames would hold {need} bytes, "
+            f"classifying {n} frames would hold {need} bytes, "
             f"more than the {have} bytes of physical memory"
         )
 

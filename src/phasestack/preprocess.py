@@ -1,5 +1,5 @@
-"""Pre-processing ahead of pattern classification: piston shift and
-2x2 average pooling.
+"""Pre-processing ahead of pattern classification: piston shift and, in
+``prepare_for_clustering``, masked 2x2 average pooling.
 
 Pooling averages the wrapped values arithmetically, exactly as a stock
 average-pooling layer would; circular averaging here would change the
@@ -66,43 +66,19 @@ def piston_shift(
     return fold(out, out=out)
 
 
-def avg_pool2(frames: np.ndarray, mask: np.ndarray):
-    """2x2 average pooling of a wrapped frame or (n, h, w) stack under a mask.
-
-    Each output pixel is the arithmetic mean of the valid pixels in its
-    2x2 block (re-wrapped into (-pi, pi]); it is invalid only when all
-    four inputs are invalid.  A trailing odd row or column is dropped.
-
-    Returns
-    -------
-    (pooled_frames, pooled_mask) with frame dims (floor(h/2), floor(w/2))
-
-    Raises
-    ------
-    ValueError
-        If the pooled result would be smaller than 4x4 (over-pooled;
-        repeated pooling destroys the pattern features).
-    """
-    frames = np.asarray(frames, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    check_frame(frames, mask)
-    counts = _pool_counts(mask)
-    return _pool2(np.where(mask, frames, 0.0), counts), counts > 0
-
-
 def _pool_counts(mask: np.ndarray) -> np.ndarray:
     """Valid pixels per 2x2 block of ``mask``; rejects an over-pooled size."""
     h, w = mask.shape
     ho, wo = h // 2, w // 2
     if ho < 4 or wo < 4:
-        raise ValueError(f"avg_pool2: pooled size {ho}x{wo} is below the 4x4 minimum")
+        raise ValueError(f"prepare_for_clustering: pooled size {ho}x{wo} is below the 4x4 minimum")
     return mask[: 2 * ho, : 2 * wo].reshape(ho, 2, wo, 2).sum(axis=(1, 3))
 
 
 def _pool2(frames: np.ndarray, counts: np.ndarray, out: np.ndarray | None = None):
-    """avg_pool2's frames, without the input check, of frames that hold 0.0
-    at every invalid pixel (as piston_shift and _pool2 leave them), given
-    the mask's ``_pool_counts``; written to ``out`` when given."""
+    """One 2x2 pooling pass of frames that hold 0.0 at every invalid pixel
+    (as piston_shift and _pool2 leave them), given the mask's
+    ``_pool_counts``; written to ``out`` when given."""
     ho, wo = counts.shape
     f = frames[..., : 2 * ho, : 2 * wo]
     # (top pair) + (bottom pair), the order of numpy's sum over the two
@@ -121,6 +97,13 @@ def prepare_for_clustering(
     anchor: tuple[int, int] | None = None,
 ):
     """Piston-shift every frame, then pool ``pool_levels`` times.
+
+    Each pass is a 2x2 average pooling under the mask: each pooled pixel is
+    the arithmetic mean of the valid pixels in its 2x2 block, re-wrapped
+    into (-pi, pi], and is invalid only when all four are invalid.  A
+    trailing odd row or column is dropped, and a pass whose result would be
+    smaller than 4x4 is rejected (repeated pooling destroys the pattern
+    features).
 
     Returns (pooled_frames, pooled_mask): the float64 copies the classifier
     reads.  With ``pool_levels=0`` they are the piston-shifted frames.  Each

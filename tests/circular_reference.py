@@ -1,6 +1,11 @@
-"""Reference denoise kernel: ``circular_mean_rows`` as it was before each
-member was folded once and summed on the worker that computed it.
+"""Reference circular statistics for the tests.
 
+``wrapped_diff`` is the wrapped difference of two phases, and
+``circular_mean`` the circular mean and resultant length of one pixel's
+samples: the scalar oracle of the frame kernels, pixel by pixel.
+
+``circular_mean_rows_reference`` is ``circular_mean_rows`` as it was before
+each member was folded once and summed on the worker that computed it.
 Each block of members is piston-shifted by ``piston_shift`` (one fold),
 its deviation from the first shifted member folded again, and the float32
 cos and sin of every member added into the float64 sums frame by frame on
@@ -10,11 +15,29 @@ and is within ``DELTA`` = 3.2e-7 of the float64 oracle, as that kernel is.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from phasestack.circular import RESULTANT_EPS
-from phasestack.core import TWO_PI, as_frames, fold, map_blocks, turns
+from phasestack.core import TWO_PI, as_frames, fold, map_blocks, turns, wrap
 from phasestack.preprocess import center_pixel, piston_shift
+
+
+def wrapped_diff(a, b):
+    """Smallest-magnitude difference wrap(a - b), always in (-pi, pi]."""
+    return wrap(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))
+
+
+def circular_mean(samples) -> tuple[float, float]:
+    """(mean, resultant length) of a 1-D sample of angles: the direction and
+    length of the mean of their unit vectors.  The mean is NaN where the
+    resultant is at most ``RESULTANT_EPS``, as the frame kernels leave it
+    undefined there."""
+    samples = np.asarray(samples, dtype=np.float64).ravel()
+    x, y = np.cos(samples).mean(), np.sin(samples).mean()
+    r = float(np.hypot(x, y))
+    return (float(wrap(np.arctan2(y, x))) if r > RESULTANT_EPS else math.nan), r
 
 
 def circular_mean_rows_reference(frames: np.ndarray, rows, mask: np.ndarray, anchor=None):

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from phasestack.core import TWO_PI, check_frame, wrapped_diff
+from circular_reference import wrapped_diff
+
+from phasestack.core import TWO_PI, check_frame
 
 
 def detect_residues_reference(frame: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:

@@ -4,79 +4,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from circular_reference import circular_mean_rows_reference
+from circular_reference import circular_mean, circular_mean_rows_reference, wrapped_diff
 from hypothesis import given
 from hypothesis import strategies as st
 
 from phasestack.circular import (
     RESULTANT_EPS,
-    circular_mean,
     circular_mean_frame,
     circular_mean_rows,
     circular_rms_error,
 )
 from phasestack import core
-from phasestack.core import circular_aperture, wrap, wrapped_diff
+from phasestack.core import circular_aperture, wrap
 from phasestack.preprocess import piston_shift
-
-
-class TestCircularMean:
-    def test_single_sample(self):
-        s = circular_mean([1.2])
-        assert s.mean == pytest.approx(1.2, abs=1e-12)
-        assert s.resultant_length == pytest.approx(1.0, abs=1e-12)
-        assert s.sample_count == 1
-        assert s.defined
-
-    def test_straddles_branch_cut(self):
-        # arithmetic mean of {pi-0.1, -(pi-0.1)} is 0; circular mean is pi
-        s = circular_mean([math.pi - 0.1, -(math.pi - 0.1)])
-        assert abs(wrapped_diff(s.mean, math.pi)) < 1e-12
-        assert s.resultant_length == pytest.approx(math.cos(0.1), abs=1e-12)
-
-    def test_plain_average_when_concentrated(self):
-        s = circular_mean([0.1, 0.3])
-        assert s.mean == pytest.approx(0.2, abs=1e-12)
-
-    def test_antipodal_pair_undefined(self):
-        s = circular_mean([0.0, math.pi])
-        assert not s.defined
-        assert math.isnan(s.mean)
-        assert s.resultant_length <= RESULTANT_EPS
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            circular_mean([])
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            circular_mean([0.0, math.nan])
-
-    @given(
-        st.lists(st.floats(min_value=-0.5, max_value=0.5), min_size=2, max_size=12),
-        st.floats(min_value=-math.pi, max_value=math.pi),
-    )
-    def test_rotation_equivariance(self, base, shift):
-        a = circular_mean(base)
-        b = circular_mean([wrap(v + shift) for v in base])
-        assert a.defined and b.defined
-        assert abs(wrapped_diff(b.mean, a.mean + shift)) < 1e-10
-
-    @given(st.floats(min_value=-math.pi + 1e-6, max_value=math.pi),
-           st.integers(min_value=1, max_value=20))
-    def test_identical_samples_have_unit_resultant(self, v, k):
-        s = circular_mean([v] * k)
-        assert s.resultant_length == pytest.approx(1.0, abs=1e-9)
-        assert abs(wrapped_diff(s.mean, v)) < 1e-9
-
-    def test_von_mises_concentration(self):
-        # kappa=4 draws hug the center; the mean estimator should land close
-        rng = np.random.default_rng(99)
-        center = 2.0
-        draws = wrap(center + rng.vonmises(0.0, 4.0, size=1000))
-        s = circular_mean(draws)
-        assert abs(wrapped_diff(s.mean, center)) < 0.05
-        assert 0.7 < s.resultant_length < 0.95
 
 
 def circular_mean_frame_expression(frames, mask):
@@ -132,9 +72,9 @@ class TestCircularMeanFrame:
         mean, resultant, _ = circular_mean_frame(frames, mask)
         for i in range(3):
             for j in range(3):
-                s = circular_mean(frames[:, i, j])
-                assert mean[i, j] == pytest.approx(s.mean, abs=1e-12)
-                assert resultant[i, j] == pytest.approx(s.resultant_length, abs=1e-12)
+                m, r = circular_mean(frames[:, i, j])
+                assert mean[i, j] == pytest.approx(m, abs=1e-12)
+                assert resultant[i, j] == pytest.approx(r, abs=1e-12)
 
     def test_undefined_pixels_dropped_from_mask(self):
         mask = np.ones((2, 2), dtype=bool)
@@ -399,6 +339,55 @@ class TestCircularMeanRows:
     def test_bad_input_rejected(self, frames, rows, mask):
         with pytest.raises(ValueError):
             circular_mean_rows(frames, rows, mask)
+
+
+def mean_of_samples(samples):
+    """(mean, resultant) of ``circular_mean_rows`` at pixel (0, 0) of a
+    (k, 2, 2) stack that holds the samples there and 0.0 at the anchor
+    pixel (1, 1), so that the piston shift leaves them as they are."""
+    frames = np.zeros((len(samples), 2, 2))
+    frames[:, 0, 0] = samples
+    mean, resultant, _ = circular_mean_rows(frames, range(len(samples)), np.ones((2, 2), dtype=bool))
+    return mean[0, 0], resultant[0, 0]
+
+
+class TestCircularMeanOfSamples:
+    """What a circular mean of angle samples is, on the pipeline's kernel."""
+
+    def test_single_sample_comes_back(self):
+        assert mean_of_samples([1.2]) == (1.2, 1.0)
+
+    def test_straddles_branch_cut(self):
+        # arithmetic mean of {pi-0.1, -(pi-0.1)} is 0; circular mean is pi
+        mean, resultant = mean_of_samples([math.pi - 0.1, -(math.pi - 0.1)])
+        assert abs(wrapped_diff(mean, math.pi)) <= 2 * DELTA
+        assert resultant == pytest.approx(math.cos(0.1), abs=DELTA)
+
+    def test_plain_average_when_concentrated(self):
+        assert mean_of_samples([0.1, 0.3])[0] == pytest.approx(0.2, abs=2 * DELTA)
+
+    @given(
+        st.lists(st.floats(min_value=-0.5, max_value=0.5), min_size=2, max_size=12),
+        st.floats(min_value=-math.pi, max_value=math.pi),
+    )
+    def test_rotation_equivariance(self, base, shift):
+        # resultants of at least cos(0.5) > 0.87: each mean is within 2 DELTA
+        a, _ = mean_of_samples(base)
+        b, _ = mean_of_samples(wrap(np.add(base, shift)))
+        assert abs(wrapped_diff(b, a + shift)) <= 4 * DELTA
+
+    @given(st.floats(min_value=-math.pi + 1e-6, max_value=math.pi),
+           st.integers(min_value=1, max_value=20))
+    def test_identical_samples_have_unit_resultant(self, v, k):
+        assert mean_of_samples([v] * k) == (wrap(v), 1.0)
+
+    def test_von_mises_concentration(self):
+        # kappa=4 draws hug the center; the mean estimator should land close
+        rng = np.random.default_rng(99)
+        center = 2.0
+        mean, resultant = mean_of_samples(wrap(center + rng.vonmises(0.0, 4.0, size=1000)))
+        assert abs(wrapped_diff(mean, center)) < 0.05
+        assert 0.7 < resultant < 0.95
 
 
 # Bound on the mean-vector distance between circular_mean_rows and its

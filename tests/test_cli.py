@@ -74,6 +74,14 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "classifying 6 frames would hold" in err and "1000 bytes of physical memory" in err
 
+    def test_over_pooling_names_prepare_for_clustering(self, tmp_path, capsys):
+        stack = synth(tmp_path, frames=3, seed=1)  # 32x32: 4 passes leave 2x2
+        capsys.readouterr()
+        assert main(["run", str(stack), "--pool-levels", "4"]) == 2
+        assert capsys.readouterr().err == (
+            "error: prepare_for_clustering: pooled size 2x2 is below the 4x4 minimum\n"
+        )
+
     def test_no_classify_flag(self, tmp_path, capsys):
         stack = synth(tmp_path, frames=4, seed=2)
         rc = main(["run", str(stack), "--no-classify"])
@@ -157,6 +165,30 @@ class TestInspectCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["valid_pixels"] == 32 * 32 - 16
         assert doc["dendrogram"]["leaf_count"] == 4
+
+    def test_classify_beyond_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        from phasestack import pipeline
+
+        stack = synth(tmp_path, frames=6, seed=1)
+        capsys.readouterr()
+        monkeypatch.setattr(pipeline, "physical_memory_bytes", lambda: 1000)
+        assert main(["inspect", str(stack)]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert "classifying 6 frames would hold" in captured.err
+        assert "1000 bytes of physical memory" in captured.err
+
+    def test_memory_guard_reads_the_pool_levels(self, tmp_path, capsys, monkeypatch):
+        """6 frames of 32x32 pooled twice to 8x8: 8 * (6 * 6 + 6 * 8 * 8) bytes."""
+        from phasestack import pipeline
+
+        stack = str(synth(tmp_path, frames=6, seed=1))
+        need = 8 * (6 * 6 + 6 * 8 * 8)
+        monkeypatch.setattr(pipeline, "physical_memory_bytes", lambda: need)
+        assert main(["inspect", stack, "--pool-levels", "2"]) == 0
+        assert main(["inspect", stack]) == 2  # one pass: 16x16
+        monkeypatch.setattr(pipeline, "physical_memory_bytes", lambda: need - 1)
+        assert main(["inspect", stack, "--pool-levels", "2"]) == 2
 
 
 class TestExitCodes:

@@ -17,10 +17,8 @@ from phasestack.core import (
     circular_aperture,
     detect_residues,
     map_blocks,
-    mask_is_connected,
     residue_count,
     wrap,
-    wrapped_diff,
 )
 
 finite_floats = st.floats(
@@ -260,47 +258,12 @@ class TestMapBlocks:
         assert (threads == {caller}) == (core.WORKERS == 1)
 
 
-class TestWrappedDiff:
-    def test_small_difference(self):
-        assert wrapped_diff(0.5, 0.3) == pytest.approx(0.2, abs=1e-12)
-
-    def test_wraparound_difference(self):
-        a, b = np.pi - 0.1, -(np.pi - 0.1)
-        assert wrapped_diff(a, b) == pytest.approx(-0.2, abs=1e-12)
-
-    @given(finite_floats)
-    def test_identity(self, x):
-        assert wrapped_diff(x, x) == 0.0
-
-    @given(
-        st.floats(min_value=-3.14, max_value=3.14),
-        st.floats(min_value=-3.14, max_value=3.14),
-    )
-    def test_antisymmetric_in_magnitude(self, a, b):
-        assert abs(wrapped_diff(a, b)) <= np.pi
-        assert abs(wrapped_diff(a, b)) == pytest.approx(abs(wrapped_diff(b, a)), abs=1e-12)
-
-
 class TestMasks:
     def test_circular_aperture_shape_and_center(self):
         m = circular_aperture((33, 33))
         assert m.shape == (33, 33)
         assert m[16, 16]
         assert not m[0, 0]
-
-    def test_connected_disk(self):
-        assert mask_is_connected(circular_aperture((32, 32)))
-
-    def test_disconnected_mask(self):
-        m = np.zeros((8, 8), dtype=bool)
-        m[0, 0] = m[7, 7] = True
-        assert not mask_is_connected(m)
-
-    def test_diagonal_is_not_connected(self):
-        # 4-connectivity: diagonal neighbors are separate regions
-        m = np.zeros((4, 4), dtype=bool)
-        m[0, 0] = m[1, 1] = True
-        assert not mask_is_connected(m)
 
     def test_check_mask_rejects_empty(self):
         with pytest.raises(ValueError):

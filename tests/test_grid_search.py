@@ -1,10 +1,11 @@
-"""The numpy grid search (``core.breadth_first_levels``) and the three
-kernels built on it, against the scipy searches they replaced
+"""The numpy grid search (``core.breadth_first_levels``) and the kernels
+built on it, against the scipy searches they replaced
 (``unwrap_reference``): the breadth-first tree's levels, reach and parents,
-the border sinks and the connectivity of a mask.  The order within a level
-is not compared; everything that depends on it is.  Then the orphans of a
-cut map (``unwrap._orphans``) against their definition.  Last, the package
-imports and runs both routes without loading scipy.
+the border sinks, and the connectivity of a mask, which ``flood_unwrap``
+reads off the tree's reach.  The order within a level is not compared;
+everything that depends on it is.  Then the orphans of a cut map
+(``unwrap._orphans``) against their definition.  Last, the package imports
+and runs both routes without loading scipy.
 """
 
 import os
@@ -20,17 +21,29 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from unwrap_reference import bfs_tree_reference, border_sinks_reference, mask_is_connected_reference
 
-from phasestack.core import (
-    STEPS_4,
-    STEPS_8,
-    breadth_first_levels,
-    circular_aperture,
-    mask_is_connected,
-    neighbour_table,
+from phasestack.core import STEPS_8, breadth_first_levels, circular_aperture, neighbour_table
+from phasestack.unwrap import (
+    BranchCutMap,
+    _bfs_tree,
+    _border_sinks,
+    _cut_free_tree,
+    _orphans,
+    flood_unwrap,
 )
-from phasestack.unwrap import BranchCutMap, _bfs_tree, _border_sinks, _cut_free_tree, _orphans
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+STEPS_4 = ((0, -1), (-1, 0), (0, 1), (1, 0))
+
+
+def floods_whole(mask) -> bool:
+    """Whether ``flood_unwrap`` takes ``mask``: False where it rejects the
+    valid region as not 4-connected."""
+    try:
+        flood_unwrap(np.zeros(mask.shape), mask)
+    except ValueError as exc:
+        assert "not 4-connected" in str(exc)
+        return False
+    return True
 
 
 def split(h, w, rng, gap):
@@ -163,7 +176,25 @@ def test_tree_on_the_disk_matches_scipy():
 @given(masks(max_side=24))
 def test_sinks_and_connectivity_match_scipy(mask):
     assert np.array_equal(_border_sinks(mask), border_sinks_reference(mask))
-    assert mask_is_connected(mask) == mask_is_connected_reference(mask)
+    if mask.any():
+        assert floods_whole(mask) == mask_is_connected_reference(mask)
+
+
+def pixels(*at):
+    """An 8x8 mask valid at the pixels ``at`` only."""
+    mask = np.zeros((8, 8), dtype=bool)
+    mask[tuple(zip(*at))] = True
+    return mask
+
+
+@pytest.mark.parametrize("mask, connected", [
+    (circular_aperture((32, 32)), True),
+    (pixels((0, 0), (0, 1), (1, 1)), True),
+    (pixels((0, 0), (7, 7)), False),
+    (pixels((0, 0), (1, 1)), False),  # diagonal neighbours are separate regions
+])
+def test_flood_connectivity_is_4_connectivity(mask, connected):
+    assert floods_whole(mask) == mask_is_connected_reference(mask) == connected
 
 
 def winding(h, w):
@@ -198,11 +229,11 @@ def test_sinks_search_only_past_the_border_runs(monkeypatch, mask, searched):
 
 def test_empty_and_single_pixel_masks():
     empty = np.zeros((3, 4), dtype=bool)
-    assert not mask_is_connected(empty) and not mask_is_connected_reference(empty)
+    assert not mask_is_connected_reference(empty)
     assert np.array_equal(_border_sinks(empty), border_sinks_reference(empty))
     one = empty.copy()
     one[1, 2] = True
-    assert mask_is_connected(one) and mask_is_connected_reference(one)
+    assert floods_whole(one) and mask_is_connected_reference(one)
     assert np.array_equal(_border_sinks(one), border_sinks_reference(one))
 
 

@@ -23,7 +23,7 @@ from phasestack.pipeline import (
     run_conventional,
     snr_from_min_fraction,
 )
-from phasestack.preprocess import avg_pool2, center_pixel, piston_shift
+from phasestack.preprocess import center_pixel, piston_shift, prepare_for_clustering
 from phasestack.synth import CONTAMINANT, TrialSpec, make_trial, peaks_surface
 from phasestack.unwrap import Aperture, flood_unwrap, unwrap
 from phasestack.wphs import read_stack, write_stack
@@ -545,6 +545,11 @@ class TestFailurePolicy:
             run_conventional(stack, PipelineParams())
 
 
+def prepare_one(frame, mask):
+    """``prepare_for_clustering`` of a one-frame stack."""
+    return prepare_for_clustering(frame[None], mask)
+
+
 class TestInputContract:
     """What every step promises about its inputs: invalid pixels may hold
     any value, NaN included, and a frame/mask shape mismatch is a
@@ -582,7 +587,7 @@ class TestInputContract:
 
     @pytest.mark.parametrize(
         "step",
-        [piston_shift, avg_pool2, detect_residues, flood_unwrap, unwrap, zernike_fit_remove],
+        [piston_shift, prepare_one, detect_residues, flood_unwrap, unwrap, zernike_fit_remove],
     )
     def test_shape_mismatch_is_a_value_error(self, step):
         with pytest.raises(ValueError) as info:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from phasestack.core import circular_aperture, wrap
-from phasestack.preprocess import avg_pool2, center_pixel, piston_shift, prepare_for_clustering
+from phasestack.preprocess import center_pixel, piston_shift, prepare_for_clustering
 
 
 def full_mask(shape):
@@ -16,7 +16,7 @@ def reference_piston_shift(frame, mask, anchor):
     return np.where(mask, wrap(frame - frame[i, j]), 0.0)
 
 
-def reference_avg_pool2(frame, mask):
+def reference_pool2(frame, mask):
     h, w = frame.shape
     ho, wo = h // 2, w // 2
     f = np.where(mask, frame, 0.0)[: 2 * ho, : 2 * wo]
@@ -35,7 +35,7 @@ def reference_prepare(frames, mask, pool_levels, anchor):
     for _ in range(pool_levels):
         pooled_frames = []
         for f in pooled:
-            pf, pm = reference_avg_pool2(f, pooled_mask)
+            pf, pm = reference_pool2(f, pooled_mask)
             pooled_frames.append(pf)
         pooled, pooled_mask = np.stack(pooled_frames), pm
     return pooled, pooled_mask
@@ -89,11 +89,18 @@ class TestPistonShift:
         assert out[1, 1] == 0.0
 
 
-class TestAvgPool2:
+def pool_once(frame, mask):
+    """One pooling pass of one frame whose anchor (center) pixel holds 0.0,
+    so that the piston shift leaves it as it is."""
+    pooled, pmask = prepare_for_clustering(frame[None], mask, pool_levels=1)
+    return pooled[0], pmask
+
+
+class TestPooling:
     def test_plain_block_mean(self):
         frame = np.zeros((8, 8))
         frame[0:2, 0:2] = [[1.0, 2.0], [3.0, -3.0]]
-        pooled, pmask = avg_pool2(frame, full_mask((8, 8)))
+        pooled, pmask = pool_once(frame, full_mask((8, 8)))
         assert pooled.shape == (4, 4)
         assert pooled[0, 0] == pytest.approx(0.75, abs=1e-15)
         assert pmask.all()
@@ -103,7 +110,7 @@ class TestAvgPool2:
         frame[0:2, 0:2] = [[3.0, 3.1], [-3.0, 0.0]]
         mask = full_mask((8, 8))
         mask[1, 1] = False
-        pooled, pmask = avg_pool2(frame, mask)
+        pooled, pmask = pool_once(frame, mask)
         assert pooled[0, 0] == pytest.approx((3.0 + 3.1 - 3.0) / 3, abs=1e-12)
         assert pmask[0, 0]
 
@@ -111,7 +118,7 @@ class TestAvgPool2:
         frame = np.zeros((8, 8))
         mask = full_mask((8, 8))
         mask[0:2, 0:2] = False
-        pooled, pmask = avg_pool2(frame, mask)
+        pooled, pmask = pool_once(frame, mask)
         assert not pmask[0, 0]
         assert pooled[0, 0] == 0.0
         assert pmask[0, 1] and pmask[1, 0] and pmask[1, 1]
@@ -120,13 +127,15 @@ class TestAvgPool2:
         frame = np.zeros((9, 9))
         frame[0:2, 0:2] = [[0.0, 1.0], [2.0, 3.0]]
         frame[8, :] = 3.0  # trailing row content must not matter
-        pooled, _ = avg_pool2(frame, full_mask((9, 9)))
+        pooled, _ = pool_once(frame, full_mask((9, 9)))
         assert pooled.shape == (4, 4)
         assert pooled[0, 0] == pytest.approx(1.5)
 
-    def test_over_pooled_rejected(self):
-        with pytest.raises(ValueError):
-            avg_pool2(np.zeros((6, 6)), full_mask((6, 6)))
+    @pytest.mark.parametrize("size, levels, pooled", [(6, 1, "3x3"), (9, 2, "2x2"), (16, 3, "2x2")])
+    def test_over_pooled_rejected(self, size, levels, pooled):
+        message = f"prepare_for_clustering: pooled size {pooled} is below the 4x4 minimum"
+        with pytest.raises(ValueError, match=message):
+            prepare_for_clustering(np.zeros((1, size, size)), full_mask((size, size)), levels)
 
 
 class TestPrepareForClustering:
@@ -191,11 +200,11 @@ class TestStackOperationsMatchFrameLoop:
         frames = wrap(rng.uniform(-4.0, 4.0, size=(4, 17, 19)))
         mask = circular_aperture((17, 19))
         shifted = piston_shift(frames, mask, anchor=(8, 9))
-        pooled, pmask = avg_pool2(shifted, mask)
-        for f, s, p in zip(frames, shifted, pooled):
+        pooled, pmask = prepare_for_clustering(frames, mask, 1, anchor=(8, 9))
+        for i, (f, s) in enumerate(zip(frames, shifted)):
             assert np.array_equal(piston_shift(f, mask, anchor=(8, 9)), s)
-            pf, pm = avg_pool2(s, mask)
-            assert np.array_equal(pf, p) and np.array_equal(pm, pmask)
+            pf, pm = prepare_for_clustering(frames[i : i + 1], mask, 1, anchor=(8, 9))
+            assert np.array_equal(pf[0], pooled[i]) and np.array_equal(pm, pmask)
 
     def test_every_block_validated(self):
         frames = np.zeros((4100, 8, 8))  # more than one block of 8x8 frames

@@ -1,8 +1,10 @@
 """Reference flood integration: the breadth-first frontier loop that
 ``phasestack.unwrap.flood_unwrap`` must reproduce bit for bit; and the
-scipy graph searches that ``unwrap._bfs_tree``, ``unwrap._border_sinks``
-and ``core.mask_is_connected`` replaced with numpy ones, kept as their
-oracles.
+scipy graph searches that ``unwrap._bfs_tree`` and ``unwrap._border_sinks``
+replaced with numpy ones, kept as their oracles.  The scipy connectivity
+test, ``mask_is_connected_reference``, is the oracle of the flood's "not
+4-connected" check, which reads connectivity off its tree's reach; the
+tests also use it as a fact an ``unwrap.Aperture`` derives from its mask.
 
 The loop expands one breadth-first level at a time.  Within a level it
 tries the four step directions in the fixed order right, down, left, up,
