@@ -156,7 +156,9 @@ def circular_mean_rows(frames: np.ndarray, rows, mask: np.ndarray, anchor=None):
         if invalid is not None:  # keeps NaN or garbage out of the fold
             np.copyto(d, 0.0, where=invalid)
         np.subtract(d, ref, out=d)
-        np.subtract(d, np.multiply(turns(d), TWO_PI, out=raw), out=d)  # the fold
+        np.copyto(raw, turns(d))  # the fold, each pass in one dtype
+        raw *= TWO_PI
+        d -= raw
         cs = raw.reshape(n, -1).view(np.float32).reshape(n, 2, *mask.shape)
         c, s = cs[:, 0], cs[:, 1]
         c[...] = d

@@ -203,9 +203,15 @@ def turns(d: np.ndarray) -> np.ndarray:
 
 def fold(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """wrap(d) bit for bit (-0.0 gives +0.0) for float64 ``d`` in [-2pi, 2pi],
-    unchecked: d + 2pi * ([d <= -pi] - [d > pi]).  ``out`` may be ``d``."""
-    n = (d <= -_PI).view(np.int8) - (d > _PI).view(np.int8)
-    return np.add(d, TWO_PI * n, out=out)
+    unchecked: d + 2pi * ([d <= -pi] - [d > pi]).  ``out`` may be ``d``.
+
+    The int8 count is cast to float64 once and scaled in place, so no
+    pass mixes dtypes (``TWO_PI * n`` of the int8 ``n`` ran in numpy's
+    buffered casting loop); the bits are the same.
+    """
+    n = ((d <= -_PI).view(np.int8) - (d > _PI).view(np.int8)).astype(np.float64)
+    n *= TWO_PI
+    return np.add(d, n, out=out)
 
 
 def as_frames(values) -> np.ndarray:
@@ -408,7 +414,7 @@ def detect_residues(frame: np.ndarray, mask: np.ndarray | None = None) -> np.nda
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         loop_valid = mask[:-1, :-1] & mask[:-1, 1:] & mask[1:, :-1] & mask[1:, 1:]
-        charges[~loop_valid] = 0
+        charges *= loop_valid.view(np.int8)
     return charges
 
 

@@ -222,9 +222,14 @@ def _measure(stack: PhaseStack, params: PipelineParams, method: str) -> SurfaceR
         else:
             parts = [[i] for i in range(n)]
 
-    # running per-pixel weighted mean of the part surfaces
+    # running per-pixel weighted mean of the part surfaces; the weights of
+    # the parts that reached the whole aperture are counted, and added to
+    # den at once: every term is a small whole number, so the sum is exact
+    # in any order
     num = np.zeros(stack.shape)
     den = np.zeros(stack.shape)
+    whole = 0
+    n_valid = aperture.derived(np.count_nonzero)
     kept, fits = [], []
     unwraps = 0
     for members in parts:
@@ -254,13 +259,19 @@ def _measure(stack: PhaseStack, params: PipelineParams, method: str) -> SurfaceR
             # the residual is 0.0 off its mask, so it adds nothing there
             w = len(members) if params.cluster_weighting == "by-size" else 1
             num += residual.values if w == 1 else w * residual.values
-            den += residual.mask if w == 1 else w * residual.mask
+            # the reached mask lies inside the aperture: equal when as large
+            if np.count_nonzero(residual.mask) == n_valid:
+                whole += w
+            else:
+                den += residual.mask if w == 1 else w * residual.mask
         kept.append(members)
         fits.append(fit)
     if not kept:
         raise ValueError(f"{method}: every part was dropped: {'; '.join(warnings)}")
 
     with _timed(times, "combine"):
+        if whole:
+            den += whole * aperture.mask
         mask = den > 0
         values = np.where(mask, num / np.where(mask, den, 1.0), 0.0)
         surface = Surface(values=values, mask=mask, warning=None)

@@ -62,7 +62,9 @@ def piston_shift(
         )
     out = np.subtract(frames, frames[..., i, j, None, None], out=out, dtype=np.float64)
     # zeroed to keep NaN or garbage at invalid pixels in the fold's range
-    np.copyto(out, 0.0, where=~mask)  # a third of the time of out[..., ~mask] = 0.0
+    invalid = ~mask
+    if invalid.any():
+        np.copyto(out, 0.0, where=invalid)  # a third of the time of out[..., ~mask] = 0.0
     return fold(out, out=out)
 
 
@@ -75,17 +77,20 @@ def _pool_counts(mask: np.ndarray) -> np.ndarray:
     return mask[: 2 * ho, : 2 * wo].reshape(ho, 2, wo, 2).sum(axis=(1, 3))
 
 
-def _pool2(frames: np.ndarray, counts: np.ndarray, out: np.ndarray | None = None):
+def _pool2(frames: np.ndarray, divisors: np.ndarray, out: np.ndarray | None = None):
     """One 2x2 pooling pass of frames that hold 0.0 at every invalid pixel
     (as piston_shift and _pool2 leave them), given the mask's
-    ``_pool_counts``; written to ``out`` when given."""
-    ho, wo = counts.shape
+    ``_pool_counts`` as float64 and at least 1 (an all-invalid block stays
+    0.0); written to ``out`` when given.  The divisors are float64, built
+    once per level, so the division runs in one dtype, not through numpy's
+    casting loop, with the bits of dividing by the integer counts."""
+    ho, wo = divisors.shape
     f = frames[..., : 2 * ho, : 2 * wo]
     # (top pair) + (bottom pair), the order of numpy's sum over the two
     # block axes: pair sums along each row, then row pairs added.
     pairs = f[..., 0::2] + f[..., 1::2]
     sums = pairs[..., 0::2, :] + pairs[..., 1::2, :]
-    sums /= np.maximum(counts, 1)  # an all-invalid block stays 0.0
+    sums /= divisors
     # means of phases in (-pi, pi] stay in [-2pi, 2pi], where the fold is wrap
     return fold(sums, out=sums if out is None else out)
 
@@ -118,15 +123,16 @@ def prepare_for_clustering(
     frames = as_frames(frames)
     if frames.ndim != 3:
         raise ValueError("prepare_for_clustering: frames must be an (n, h, w) stack")
-    counts, pooled_mask = [], mask
+    divisors, pooled_mask = [], mask
     for _ in range(pool_levels):
-        counts.append(_pool_counts(pooled_mask))
-        pooled_mask = counts[-1] > 0
+        counts = _pool_counts(pooled_mask)
+        pooled_mask = counts > 0
+        divisors.append(np.maximum(counts, 1).astype(np.float64))
     pooled = np.empty((len(frames), *pooled_mask.shape))
 
     def prepare(block, buf=None):
         out = piston_shift(frames[block], mask, anchor, out=pooled[block] if buf is None else buf)
-        for level, c in enumerate(counts, 1):
+        for level, c in enumerate(divisors, 1):
             out = _pool2(out, c, out=pooled[block] if level == pool_levels else None)
 
     scratch = frames.shape[1:] if pool_levels else None

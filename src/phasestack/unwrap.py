@@ -152,10 +152,13 @@ def place_branch_cuts(
     charges = np.asarray(charges)
     if charges.ndim != 2:
         raise ValueError("place_branch_cuts: charges must be 2-D")
-    outside = (charges != 0) & (charges != 1) & (charges != -1)
-    if outside.any():
-        index = tuple(int(i) for i in np.argwhere(outside)[0])
-        raise ValueError(f"place_branch_cuts: charge {charges[index]} at {index} is not -1, 0 or +1")
+    # an integer map within [-1, 1] by its min and max needs no element-wise
+    # test; any other map gets the one that names the first bad charge
+    if charges.dtype.kind not in "biu" or (charges.size and not -1 <= charges.min() <= charges.max() <= 1):
+        outside = (charges != 0) & (charges != 1) & (charges != -1)
+        if outside.any():
+            index = tuple(int(i) for i in np.argwhere(outside)[0])
+            raise ValueError(f"place_branch_cuts: charge {charges[index]} at {index} is not -1, 0 or +1")
     hh, ww = charges.shape
     mask = np.ones((hh + 1, ww + 1), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if mask.shape != (hh + 1, ww + 1):
@@ -167,7 +170,7 @@ def place_branch_cuts(
     grid[1:-1, 1:-1] = charges
     starts = np.flatnonzero(grid != 0).tolist()  # far faster on bools than on int8
     signs = grid.view(np.uint8).ravel()[starts].tolist()
-    grid[sinks] = _SINK
+    np.copyto(grid, _SINK, where=sinks)
     cells = bytearray(grid)
     # cut_down padded to (hh + 2) x width, then cut_right to (hh + 1) x width:
     # ring and path offsets are flat in one width
@@ -436,7 +439,11 @@ def flood_unwrap(
     The seed keeps its input value; every reached pixel gets its parent's
     value plus wrap(pixel - parent), that is, the pixel's own value plus
     2pi times k, where k is the parent's k minus ``turns(pixel - parent)``:
-    an integer count, exact because every valid value is in (-pi, pi].  The
+    an integer count, exact because every valid value is in (-pi, pi].  k
+    is held in float64, so each level's subtraction runs in one dtype.
+    That is exact: each step changes k by at most 1, so |k| never exceeds
+    the pixel count, far below 2**53; k starts at +0.0 and is never -0.0,
+    so the output has the bits an int64 k gave.  The
     tree is the breadth-first tree of the open edges (both ends valid, edge
     not cut): a pixel's parent is its first open neighbour one level up in
     the priority left, above, right, below, and k propagates down that tree
@@ -499,15 +506,18 @@ def flood_unwrap(
 
     order, bounds = tree.order, tree.bounds
     psi = frame.ravel()[order]
-    # the step from the parent adds wrap(diff) = diff - 2pi * turns(diff)
-    n = turns(psi - psi[up_at])
-    k = np.zeros(order.size, dtype=np.int64)
+    # the step from the parent adds wrap(diff) = diff - 2pi * turns(diff);
+    # n and k are whole numbers held in float64 (see the docstring)
+    n = turns(psi - psi[up_at]).astype(np.float64)
+    k = np.zeros(order.size)
     for start, stop in zip(bounds[1:-1], bounds[2:]):
         np.subtract(k[up_at[start:stop]], n[start:stop], out=k[start:stop])
     for i in late_at:  # in order of their new levels
         k[i] = k[up_at[i]] - n[i]
+    k *= TWO_PI
+    k += psi
     values = np.zeros((h, w))
-    values.ravel()[order] = psi + TWO_PI * k
+    values.ravel()[order] = k
     reached = tree.depth >= 0
     values.ravel()[gone] = 0.0
     reached.ravel()[gone] = False

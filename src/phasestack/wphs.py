@@ -114,7 +114,7 @@ def read_stack(path) -> PhaseStack:
                 f"{path}: mask has no valid pixels at offset {HEADER_SIZE}", offset=HEADER_SIZE
             )
         frames = np.empty((frame_count, height, width), dtype="<f4")
-        invalid = ~mask
+        invalid = None if mask.all() else ~mask
 
         def load(block):
             raw = frames[block]
@@ -123,7 +123,8 @@ def read_stack(path) -> PhaseStack:
             if got < raw.nbytes:  # the file shrank after the size check
                 off = start + got
                 raise StackFormatError(f"{path}: truncated at offset {off}", offset=off)
-            np.copyto(raw, 0.0, where=invalid)  # invalid pixels may hold anything
+            if invalid is not None:  # invalid pixels may hold anything
+                np.copyto(raw, 0.0, where=invalid)
             try:
                 wrap(raw, out=raw)  # float32 in place: rewrites only values outside
             except ValueError:

@@ -166,11 +166,12 @@ class _MomentsFit:
         """(residual, coefficients) from the masked copy's two axis sums:
         the design's transpose times v is cols @ (column sums) + rows @
         (row sums), and the fitted surface is a row plus a column."""
-        residual = np.where(m, values, 0.0)
+        residual = values.copy()  # zeroed by copyto: np.where took twice as long
+        np.copyto(residual, 0.0, where=self.outside)
         coef = self.inverse @ (self.cols @ residual.sum(axis=0) + self.rows @ residual.sum(axis=1))
         residual -= (coef @ self.rows)[:, None]
         residual -= coef @ self.cols
-        residual[self.outside] = 0.0
+        np.copyto(residual, 0.0, where=self.outside)
         return residual, coef
 
 
