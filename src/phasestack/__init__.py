@@ -8,12 +8,7 @@ lab, Goldstein branch-cut unwrapping, low-order Zernike metrics, and a
 binary stack file format.
 """
 
-from .circular import (
-    RESULTANT_EPS,
-    circular_mean_frame,
-    circular_mean_rows,
-    circular_rms_error,
-)
+from .circular import RESULTANT_EPS, circular_mean_frame, circular_mean_rows
 from .cluster import (
     ClusterSet,
     Dendrogram,
@@ -71,7 +66,6 @@ __all__ = [
     "RESULTANT_EPS",
     "circular_mean_frame",
     "circular_mean_rows",
-    "circular_rms_error",
     "ClusterSet",
     "Dendrogram",
     "NoClusterError",

@@ -181,12 +181,3 @@ def circular_mean_rows(frames: np.ndarray, rows, mask: np.ndarray, anchor=None):
     np.add(np.arctan2(y, x), ref, out=mean_frame, where=out_mask)
     return fold(mean_frame, out=mean_frame), resultant, out_mask
 
-
-def circular_rms_error(a: np.ndarray, b: np.ndarray, mask: np.ndarray | None = None) -> float:
-    """Root-mean-square of the wrapped difference between two phase arrays."""
-    d = wrap(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))
-    if mask is not None:
-        d = d[np.asarray(mask, dtype=bool)]
-    if d.size == 0:
-        raise ValueError("circular_rms_error: no valid pixels")
-    return float(np.sqrt(np.mean(d**2)))

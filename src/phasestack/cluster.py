@@ -307,18 +307,15 @@ def select_clusters(dendrogram: Dendrogram, cut: float, min_samples: int) -> Clu
             i = parent[i]
         return i
 
-    members: dict[int, list] = {i: [i] for i in range(n)}
+    # a leaf inside each cluster id: ids >= n are the earlier merges
+    leaf_of = list(range(n))
     norm = dendrogram.normalized_heights
     for t, (a, b, _h) in enumerate(dendrogram.merges):
         if norm[t] >= cut:
             break
-        # cluster ids >= n refer to earlier merges; map to any leaf inside
-        ra = find(a if a < n else members[a][0])
-        rb = find(b if b < n else members[b][0])
+        ra, rb = find(leaf_of[a]), find(leaf_of[b])
         parent[rb] = ra
-        members[n + t] = [ra]
-    else:
-        t = len(dendrogram.merges)
+        leaf_of.append(ra)
 
     groups: dict[int, list] = {}
     for leaf in range(n):

@@ -68,14 +68,13 @@ WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 
 STEPS_8 = tuple((dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if dr or dc)
 
 
-def wrap(x, out=None):
+def wrap(x):
     """Wrap phase values into (-pi, pi].
 
     Values already inside the interval come back unchanged (the correction
     term is exactly zero there), which keeps the operator idempotent.  The
     one exception is -0.0, which comes back as +0.0 (its correction term
-    is -0.0, and -0.0 - -0.0 is +0.0); only the float32 in-place path
-    below leaves it as it is.
+    is -0.0, and -0.0 - -0.0 is +0.0).
 
     Parameters
     ----------
@@ -83,19 +82,11 @@ def wrap(x, out=None):
         Phase in radians, finite and of magnitude at most ``WRAP_LIMIT``.
         Any real dtype; the arithmetic is float64 (float32 input gives the
         bits of its float64 copy).
-    out : optional float64 ndarray of ``x``'s shape to write the result to;
-        it may be ``x`` itself, at the cost of one temporary.  A float32 ``x``
-        may also be its own ``out`` (a stack as WPHS stores it): then only
-        the values outside (-pi, pi] are rewritten, each to the float32
-        nearest its wrapped value inside the interval (float32 of it, or one
-        step towards 0 where that rounds onto float32(+-pi)); values inside
-        are left as they are (-0.0 too), so an array already inside costs
-        only the range check.
 
     Returns
     -------
-    float64 array of ``x``'s shape (``out`` when given, a float for a
-    scalar), wrapped into (-pi, pi]; ``x`` itself in the float32 case.
+    float64 array of ``x``'s shape (a float for a scalar), wrapped into
+    (-pi, pi].
 
     Raises
     ------
@@ -106,22 +97,12 @@ def wrap(x, out=None):
     lo, hi = (x.min(), x.max()) if x.size else (0.0, 0.0)
     if not (-WRAP_LIMIT <= lo and hi <= WRAP_LIMIT):  # NaN fails both
         raise ValueError(f"wrap: input must be finite and of magnitude at most {WRAP_LIMIT:g}")
-    if out is x and x.dtype == np.float32:
-        if lo <= -_PI or hi > _PI:
-            outside = (x <= -_PI) | (x > _PI)
-            v = wrap(x[outside]).astype(np.float32)
-            edge = np.abs(v) > _PI  # rounded onto float32(+-pi)
-            v[edge] = np.nextafter(v[edge], np.float32(0.0))
-            x[outside] = v
-        return x
     # out = x - TWO_PI * rint(x / TWO_PI), with the quotient held in `out`
-    # unless that is x's own memory.
-    q = np.empty(x.shape) if out is None or np.may_share_memory(x, out) else out
-    np.divide(x, TWO_PI, out=q, dtype=np.float64)
-    np.rint(q, out=q)
-    np.multiply(q, TWO_PI, out=q)
-    out = q if out is None else out
-    np.subtract(x, q, out=out, dtype=np.float64)
+    out = np.empty(x.shape)
+    np.divide(x, TWO_PI, out=out, dtype=np.float64)
+    np.rint(out, out=out)
+    np.multiply(out, TWO_PI, out=out)
+    np.subtract(x, out, out=out, dtype=np.float64)
     # rint ties-to-even sends an exact +pi to itself but -pi-like results
     # onto the excluded boundary; fold them back to +pi.
     np.add(out, TWO_PI, out=out, where=out <= -np.pi)

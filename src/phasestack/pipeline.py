@@ -11,13 +11,13 @@ the stack in place and shifts each one itself, so no piston-shifted copy of
 the stack is held.  The unwrap count equals the number of parts, not
 frames.
 
-Every part has ``modes_removed`` fitted and removed before the parts
-enter a running weighted mean.  Piston must be among those modes: it
-aligns the arbitrary 2*pi*k offset that unwrapping leaves per part.  The
-fit is made on the mask the unwrap reached.  What depends on a part's
-mask alone is derived once in an ``unwrap.Aperture``: the stack's, shared
-by every part whose mask equals it, or one of the part's own.  Each is
-dropped when the run returns, so none outlives a measurement.
+Every part has piston, tilt and power fitted and removed before the
+parts enter a running weighted mean; removing piston aligns the arbitrary
+2*pi*k offset that unwrapping leaves per part.  The fit is made on the
+mask the unwrap reached.  What depends on a part's mask alone is derived
+once in an ``unwrap.Aperture``: the stack's, shared by every part whose
+mask equals it, or one of the part's own.  Each is dropped when the run
+returns, so none outlives a measurement.
 
 Failure policy: a part whose unwrap or fit raises ValueError is dropped
 with a warning naming its frames and the reason; the run raises
@@ -51,11 +51,10 @@ STAGES = ("preprocess", "classify", "denoise", "unwrap", "fit", "combine")
 @dataclass
 class PipelineParams:
     """Knobs of the measurement; the conventional route uses only
-    modes_removed and wavelength_nm.
+    wavelength_nm.
 
     Exactly one of min_samples / min_fraction may be set; min_fraction is
-    converted with ceil(fraction * N) at run time.  modes_removed must
-    include "piston", which aligns the parts before they are combined.
+    converted with ceil(fraction * N) at run time.
     """
 
     cut: float = 0.5
@@ -63,7 +62,6 @@ class PipelineParams:
     min_fraction: float | None = None
     pool_levels: int = 1
     cluster_weighting: str = "by-size"
-    modes_removed: tuple = MODES
     wavelength_nm: float = DEFAULT_WAVELENGTH_NM
     classify: bool = True
 
@@ -80,11 +78,6 @@ class PipelineParams:
             raise ValueError("pool_levels must be >= 0")
         if self.cluster_weighting not in WEIGHTINGS:
             raise ValueError(f"cluster_weighting must be one of {WEIGHTINGS}")
-        self.modes_removed = tuple(self.modes_removed)
-        if any(m not in MODES for m in self.modes_removed):
-            raise ValueError(f"modes_removed must be a subset of {MODES}")
-        if "piston" not in self.modes_removed:
-            raise ValueError("modes_removed must include 'piston' to align the parts")
         if self.wavelength_nm <= 0:
             raise ValueError("wavelength_nm must be positive")
 
@@ -130,15 +123,13 @@ class SurfaceReport:
             "cluster_sizes_abandoned": [int(v) for v in self.abandoned_sizes],
             "abandoned_frame_indices": [int(v) for v in self.abandoned_frames],
             "zernike_fits": [
-                {"modes": list(f.modes), "coefficients": [float(c) for c in f.coefficients]}
+                {"modes": list(MODES), "coefficients": [float(c) for c in f.coefficients]}
                 for f in self.fits
             ],
             "stage_times_ms": {k: float(v) for k, v in self.stage_times_ms.items()},
             "total_time_ms": self.total_time_ms,
             "warnings": list(self.warnings),
         }
-        if params is not None:
-            out["params"]["modes_removed"] = list(params.modes_removed)
         if with_surface:
             out["surface"] = {
                 "values": self.surface.values.tolist(),
@@ -249,7 +240,7 @@ def _measure(stack: PhaseStack, params: PipelineParams, method: str) -> SurfaceR
                 unwraps += 1
                 s = unwrap(frame, part.mask, seed=seed, aperture=part)
             with _timed(times, "fit"):
-                residual, fit = zernike_fit_remove(s, modes=params.modes_removed, aperture=part)
+                residual, fit = zernike_fit_remove(s, aperture=part)
         except ValueError as exc:
             warnings.append(f"frames {members} dropped: {exc}")
             continue
@@ -359,8 +350,6 @@ class ComparisonReport:
             "conventional_time_ms": self.conventional_time_ms,
             "errors": list(self.errors),
         }
-        if params is not None:
-            out["params"]["modes_removed"] = list(params.modes_removed)
         return out
 
 

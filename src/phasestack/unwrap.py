@@ -286,9 +286,9 @@ class Aperture:
     valid pixel), and what is derived from it alone, each built on first
     use and kept, read-only, as long as the aperture is: the valid count,
     border sinks, the cut-free tree of each seed and (``zernike``'s) the
-    Zernike fit of each set of modes, on the moments path (centre, radius,
-    the modes' Gram and its inverse, their column and row values) or the
-    SVD path (the design and its pseudo-inverse).  It changes no output.
+    Zernike fit, on the moments path (centre, radius, the modes' Gram and
+    its inverse, their column and row values) or the SVD path (the design
+    and its pseudo-inverse).  It changes no output.
     """
 
     mask: np.ndarray

@@ -35,7 +35,7 @@ import struct
 
 import numpy as np
 
-from .core import WRAP_LIMIT, PhaseStack, map_blocks, wrap
+from .core import _PI, WRAP_LIMIT, PhaseStack, map_blocks, wrap
 
 MAGIC = b"WPHS"
 VERSION = 1
@@ -50,6 +50,23 @@ class StackFormatError(ValueError):
     def __init__(self, message: str, offset: int | None = None):
         super().__init__(message)
         self.offset = offset
+
+
+def _wrap_in_place(x: np.ndarray) -> None:
+    """Wrap the float32 array ``x`` in place, as a stack is stored: each
+    value outside (-pi, pi] becomes the float32 nearest its ``wrap`` inside
+    the interval (float32 of it, or one step towards 0 where that rounds
+    onto float32(+-pi)); values inside are left as they are (-0.0 too), so
+    an array already inside costs one min and one max.  On a non-finite
+    value, or one beyond ``WRAP_LIMIT``, raises ``wrap``'s ValueError and
+    leaves ``x`` as it was."""
+    if -_PI < x.min() and x.max() <= _PI:  # NaN fails both
+        return
+    outside = ~((x > -_PI) & (x <= _PI))  # NaN too, for wrap to reject
+    v = wrap(x[outside]).astype(np.float32)
+    edge = np.abs(v) > _PI  # rounded onto float32(+-pi)
+    v[edge] = np.nextafter(v[edge], np.float32(0.0))
+    x[outside] = v
 
 
 def read_stack(path) -> PhaseStack:
@@ -126,7 +143,7 @@ def read_stack(path) -> PhaseStack:
             if invalid is not None:  # invalid pixels may hold anything
                 np.copyto(raw, 0.0, where=invalid)
             try:
-                wrap(raw, out=raw)  # float32 in place: rewrites only values outside
+                _wrap_in_place(raw)
             except ValueError:
                 first = int(np.argmax(~(np.abs(raw) <= WRAP_LIMIT)))  # NaN too
                 off = start + 4 * first

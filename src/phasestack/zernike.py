@@ -1,13 +1,14 @@
 """Low-order Zernike removal and surface figure metrics.
 
-Only the four modes the comparison needs: piston Z0 = 1, tilt-x
-Z1 = rho*cos(theta), tilt-y Z2 = rho*sin(theta), and power (defocus)
-Z3 = 2*rho^2 - 1.  The unit disk is the mask's bounding circle centered
-at the mask centroid, so rho <= 1 on every valid pixel.
+The four modes the comparison removes, always all four, in ``MODES``
+order: piston Z0 = 1, tilt-x Z1 = rho*cos(theta), tilt-y
+Z2 = rho*sin(theta), and power (defocus) Z3 = 2*rho^2 - 1.  The unit disk
+is the mask's bounding circle centered at the mask centroid, so rho <= 1
+on every valid pixel; ``_geometry`` finds both once per fit build.
 
 Each mode is a function of the column plus a function of the row, so
 ``zernike_fit_remove`` solves the normal equations from the masked
-surface's column and row sums, with the modes' k x k Gram inverted once
+surface's column and row sums, with the modes' 4 x 4 Gram inverted once
 per mask (the moments path).  A mask whose Gram is too ill-conditioned
 for that solve to stay within ``FIT_TOL`` of a least-squares one, or that
 the design rejects, takes the SVD path instead: its design factored by
@@ -41,9 +42,9 @@ def _values_mask(surface, mask):
 
 @dataclass
 class ZernikeFit:
-    """Least-squares coefficients (radians) and the disk mapping used."""
+    """Least-squares coefficients (radians) of ``MODES``, in that order,
+    and the disk mapping used."""
 
-    modes: tuple
     coefficients: np.ndarray
     center: tuple
     radius: float
@@ -53,47 +54,44 @@ class ZernikeFit:
         rr, cc = np.mgrid[0 : shape[0], 0 : shape[1]]
         dx = (cc - self.center[1]) / self.radius
         dy = (rr - self.center[0]) / self.radius
-        out = np.zeros(shape, dtype=np.float64)
-        for mode, coef in zip(self.modes, self.coefficients):
-            out += coef * _mode_values(mode, dx, dy)
-        return out
+        piston, tilt_x, tilt_y, power = self.coefficients
+        return piston + tilt_x * dx + tilt_y * dy + power * (2.0 * (dx * dx + dy * dy) - 1.0)
 
     def coefficient(self, mode: str) -> float:
-        return float(self.coefficients[self.modes.index(mode)])
+        return float(self.coefficients[MODES.index(mode)])
 
 
-def _mode_values(mode: str, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    if mode == "piston":
-        return np.ones_like(dx)
-    if mode == "tilt_x":
-        return dx
-    if mode == "tilt_y":
-        return dy
-    if mode == "power":
-        return 2.0 * (dx * dx + dy * dy) - 1.0
-    raise ValueError(f"unknown Zernike mode {mode!r}")
+def _geometry(m: np.ndarray):
+    """(column counts, row counts, centre, radius) of the mask ``m``.
 
-
-def _design(m: np.ndarray, modes: tuple):
-    """Centre, radius and (pixels x modes) design of the mask ``m``."""
-    rows, cols = np.nonzero(m)
-    if rows.size < 10:
+    The centre is the centroid, from integer moments; the radius is the
+    largest distance from it to a valid pixel, found from each row's
+    outermost valid columns, where (c - cx)**2 peaks.  Both are the bits of
+    the mean and the max over every valid pixel.  Raises on fewer than 10
+    valid pixels; ten distinct pixels are never all at their centroid, so
+    the radius is then positive.
+    """
+    h, w = m.shape
+    col_count, row_count = m.sum(axis=0), m.sum(axis=1)
+    n = int(row_count.sum())
+    if n < 10:
         raise ValueError("zernike_fit_remove: need at least 10 valid pixels")
-    cy, cx = rows.mean(), cols.mean()
-    radius = float(np.sqrt(((rows - cy) ** 2 + (cols - cx) ** 2).max()))
-    if radius == 0.0:
-        raise ValueError("zernike_fit_remove: degenerate mask geometry")
-    dx = (cols - cx) / radius
-    dy = (rows - cy) / radius
-    design = np.column_stack([_mode_values(name, dx, dy) for name in modes])
-    return (float(cy), float(cx)), radius, design
+    cy, cx = (row_count @ np.arange(h)) / n, (col_count @ np.arange(w)) / n
+    r = np.flatnonzero(row_count)
+    first, last = m[r].argmax(axis=1), w - 1 - m[r, ::-1].argmax(axis=1)
+    ry2 = (r - cy) ** 2
+    radius = float(np.sqrt(np.maximum(ry2 + (first - cx) ** 2, ry2 + (last - cx) ** 2).max()))
+    return col_count, row_count, (float(cy), float(cx)), radius
 
 
-def _check_modes(modes) -> tuple:
-    modes = tuple(modes)
-    if not modes or any(name not in MODES for name in modes):
-        raise ValueError(f"modes must be a nonempty subset of {MODES}")
-    return modes
+def _design(m: np.ndarray):
+    """Centre, radius and (pixels x modes) design of the mask ``m``."""
+    _, _, center, radius = _geometry(m)
+    rows, cols = np.nonzero(m)
+    dx = (cols - center[1]) / radius
+    dy = (rows - center[0]) / radius
+    design = np.column_stack([np.ones_like(dx), dx, dy, 2.0 * (dx * dx + dy * dy) - 1.0])
+    return center, radius, design
 
 
 _RANK_DEFICIENT = "zernike_fit_remove: rank-deficient design (collinear valid pixels)"
@@ -139,8 +137,8 @@ class _SvdFit:
         return residual, coef
 
 
-def _svd_fit(m: np.ndarray, modes: tuple) -> _SvdFit:
-    center, radius, design = _design(m, modes)
+def _svd_fit(m: np.ndarray) -> _SvdFit:
+    center, radius, design = _design(m)
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     if np.count_nonzero(s > np.finfo(float).eps * max(design.shape) * s[0]) < len(s):
         raise ValueError(_RANK_DEFICIENT)
@@ -158,8 +156,8 @@ class _MomentsFit:
     radius: float
     gram: np.ndarray
     inverse: np.ndarray
-    cols: np.ndarray  # k x w
-    rows: np.ndarray  # k x h
+    cols: np.ndarray  # 4 x w
+    rows: np.ndarray  # 4 x h
     outside: np.ndarray  # ~mask
 
     def remove(self, values: np.ndarray, m: np.ndarray) -> tuple:
@@ -175,33 +173,15 @@ class _MomentsFit:
         return residual, coef
 
 
-def _moments_fit(m: np.ndarray, modes: tuple) -> _MomentsFit | None:
+def _moments_fit(m: np.ndarray) -> _MomentsFit | None:
     """The moments path's fit of ``m``, or None where the SVD path must
-    fit it: fewer than 10 valid pixels, a zero radius, or a Gram whose
-    condition number exceeds ``MAX_GRAM_COND``.  The centre and radius are
-    ``_design``'s bits: the centroid from integer moments, and the radius
-    from each row's outermost valid columns, where (c - cx)**2 peaks."""
+    fit it: a Gram whose condition number exceeds ``MAX_GRAM_COND``.
+    Raises ``_geometry``'s error on fewer than 10 valid pixels."""
+    col_count, row_count, (cy, cx), radius = _geometry(m)
     h, w = m.shape
-    col_count, row_count = m.sum(axis=0), m.sum(axis=1)
-    n = int(row_count.sum())
-    if n < 10:
-        return None
-    cy, cx = (row_count @ np.arange(h)) / n, (col_count @ np.arange(w)) / n
-    r = np.flatnonzero(row_count)
-    first, last = m[r].argmax(axis=1), w - 1 - m[r, ::-1].argmax(axis=1)
-    ry2 = (r - cy) ** 2
-    radius = float(np.sqrt(np.maximum(ry2 + (first - cx) ** 2, ry2 + (last - cx) ** 2).max()))
-    if radius == 0.0:
-        return None
     dx, dy = (np.arange(w) - cx) / radius, (np.arange(h) - cy) / radius
-    by_axis = {
-        "piston": (np.ones(w), np.zeros(h)),
-        "tilt_x": (dx, np.zeros(h)),
-        "tilt_y": (np.zeros(w), dy),
-        "power": (2.0 * dx * dx - 1.0, 2.0 * dy * dy),
-    }
-    cols = np.array([by_axis[name][0] for name in modes])
-    rows = np.array([by_axis[name][1] for name in modes])
+    cols = np.array([np.ones(w), dx, np.zeros(w), 2.0 * dx * dx - 1.0])
+    rows = np.array([np.zeros(h), np.zeros(h), dy, 2.0 * dy * dy])
     cross = (rows @ m) @ cols.T  # sum over the mask of rows[:, r] cols[:, c]^T
     gram = (cols * col_count) @ cols.T + (rows * row_count) @ rows.T + cross + cross.T
     low, high = np.linalg.eigvalsh(gram)[[0, -1]]
@@ -210,37 +190,36 @@ def _moments_fit(m: np.ndarray, modes: tuple) -> _MomentsFit | None:
     inverse = np.linalg.inv(gram)
     outside = ~m
     _read_only(gram, inverse, cols, rows, outside)
-    return _MomentsFit((float(cy), float(cx)), radius, gram, inverse, cols, rows, outside)
+    return _MomentsFit((cy, cx), radius, gram, inverse, cols, rows, outside)
 
 
-def _factor(m: np.ndarray, modes: tuple):
-    """The fit of the bool mask ``m`` and these modes: the moments path
-    where it holds ``FIT_TOL``, else the SVD path, which raises the
-    design's errors.  Read-only, because an aperture shares it between
-    fits."""
-    return _moments_fit(m, modes) or _svd_fit(m, modes)
+def _factor(m: np.ndarray):
+    """The fit of the bool mask ``m``: the moments path where it holds
+    ``FIT_TOL``, else the SVD path, which raises the design's errors.
+    Read-only, because an aperture shares it between fits."""
+    return _moments_fit(m) or _svd_fit(m)
 
 
-def zernike_fit_remove(surface, mask=None, modes=MODES, *, aperture: Aperture | None = None):
-    """Fit the selected modes over valid pixels and subtract them.
+def zernike_fit_remove(surface, mask=None, *, aperture: Aperture | None = None):
+    """Fit piston, tilt and power (``MODES``) over valid pixels and
+    subtract them.
 
     Returns (residual, fit); residual is a Surface when a Surface was
     passed in, otherwise a plain array, +0.0 off the mask.  Raises on
-    fewer than 10 valid pixels, a degenerate geometry or a rank-deficient
-    design (e.g., all valid pixels collinear).  The fit is built once per
-    mask and modes (``_factor``): on the moments path, from the masked
-    surface's row and column sums and the inverse of the modes' Gram; on
-    the SVD path, for a Gram too ill-conditioned for that, ``pinv @ v``
-    and ``v - design @ coef``.  Either is within ``FIT_TOL`` of a
+    fewer than 10 valid pixels or a rank-deficient design (e.g., all
+    valid pixels collinear).  The fit is built once per mask
+    (``_factor``): on the moments path, from the masked surface's row and
+    column sums and the inverse of the modes' Gram; on the SVD path, for a
+    Gram too ill-conditioned for that, ``pinv @ v`` and
+    ``v - design @ coef``.  Either is within ``FIT_TOL`` of a
     least-squares solve (README "Conventions").  The build is kept by
     ``aperture`` when it holds the fitted mask.
     """
     values, m = _values_mask(surface, mask)
-    modes = _check_modes(modes)
     kept = aperture is not None and np.array_equal(aperture.mask, m)
-    factored = aperture.derived(_factor, modes) if kept else _factor(m, modes)
+    factored = aperture.derived(_factor) if kept else _factor(m)
     residual, coef = factored.remove(values, m)
-    fit = ZernikeFit(modes=modes, coefficients=coef, center=factored.center, radius=factored.radius)
+    fit = ZernikeFit(coefficients=coef, center=factored.center, radius=factored.radius)
     if isinstance(surface, Surface):
         return Surface(values=residual, mask=m, warning=surface.warning), fit
     return residual, fit

@@ -1,8 +1,9 @@
 """Reference circular statistics for the tests.
 
-``wrapped_diff`` is the wrapped difference of two phases, and
-``circular_mean`` the circular mean and resultant length of one pixel's
-samples: the scalar oracle of the frame kernels, pixel by pixel.
+``wrapped_diff`` is the wrapped difference of two phases,
+``circular_rms_error`` the RMS of that difference, and ``circular_mean``
+the circular mean and resultant length of one pixel's samples: the scalar
+oracle of the frame kernels, pixel by pixel.
 
 ``circular_mean_rows_reference`` is ``circular_mean_rows`` as it was before
 each member was folded once and summed on the worker that computed it.
@@ -27,6 +28,16 @@ from phasestack.preprocess import center_pixel, piston_shift
 def wrapped_diff(a, b):
     """Smallest-magnitude difference wrap(a - b), always in (-pi, pi]."""
     return wrap(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))
+
+
+def circular_rms_error(a, b, mask=None) -> float:
+    """Root-mean-square of the wrapped difference between two phase arrays."""
+    d = wrapped_diff(a, b)
+    if mask is not None:
+        d = d[np.asarray(mask, dtype=bool)]
+    if d.size == 0:
+        raise ValueError("circular_rms_error: no valid pixels")
+    return float(np.sqrt(np.mean(d**2)))
 
 
 def circular_mean(samples) -> tuple[float, float]:

@@ -15,8 +15,9 @@ import time
 
 import numpy as np
 import pytest
+from circular_reference import circular_rms_error
 
-from phasestack.circular import circular_mean_frame, circular_mean_rows, circular_rms_error
+from phasestack.circular import circular_mean_frame, circular_mean_rows
 from phasestack.core import detect_residues, residue_count, wrap
 from phasestack.pipeline import (
     PipelineParams,

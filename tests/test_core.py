@@ -61,16 +61,11 @@ class TestWrap:
         assert np.array_equal(out, x)
 
     def test_negative_zero(self):
-        # float64 (and float32 copied to float64) turn -0.0 into +0.0;
-        # only the float32 in-place path leaves it as stored
+        # float64 (and float32 copied to float64) turn -0.0 into +0.0
         x = np.array([-0.0, 1.0, -0.0])
-        y = x.copy()
-        for out in (wrap(x), wrap(y, out=y), wrap(x.astype(np.float32))):
+        for out in (wrap(x), wrap(x.astype(np.float32))):
             assert not np.signbit(out).any()
         assert not np.signbit(wrap(-0.0))
-        x32 = np.array([-0.0, 4.0, -0.0], dtype=np.float32)
-        assert wrap(x32, out=x32) is x32
-        assert np.signbit(x32[[0, 2]]).all() and x32[1] < 0
 
     @given(finite_floats)
     def test_idempotent(self, x):
@@ -136,34 +131,11 @@ class TestWrap:
         for got in (wrap(x), wrap(np.array([0.0, x]))[1]):
             assert -np.pi < got <= np.pi
 
-    def test_out_argument(self, rng):
-        x = rng.uniform(-40.0, 40.0, size=(3, 5))
-        want = wrap(x)
-        into = np.empty_like(x)
-        assert wrap(x, out=into) is into and into.tobytes() == want.tobytes()
-        from32 = x.astype(np.float32)
-        assert wrap(from32, out=into).tobytes() == wrap(from32.astype(np.float64)).tobytes()
-        assert wrap(x, out=x) is x and x.tobytes() == want.tobytes()  # in place
-
-    def test_float32_in_place_rewrites_only_values_outside(self, rng):
-        x = rng.uniform(-3.0, 3.0, size=(4, 6)).astype(np.float32)
-        x[0, :4] = [-0.0, np.nextafter(np.float32(np.pi), np.float32(0.0)), np.pi, -np.pi]
-        x[1, :3] = [3.2, 3 * np.pi, -40.0]
-        before = x.copy()
-        outside = np.abs(before.astype(np.float64)) > np.pi
-        assert outside.sum() == 5
-        assert wrap(x, out=x) is x and x.dtype == np.float32
-        assert x[~outside].tobytes() == before[~outside].tobytes()  # -0.0 kept
-        assert np.all(x > -np.float64(np.pi)) and np.all(x <= np.float64(np.pi))
-        want = wrap(before[outside].astype(np.float64))
-        assert np.all(np.abs(wrap(x[outside] - want)) <= 1.6e-7)
-        again = x.copy()
-        assert wrap(again, out=again).tobytes() == x.tobytes()  # idempotent
-        x[2, 2] = np.nan
-        held = x.copy()
-        with pytest.raises(ValueError):
-            wrap(x, out=x)
-        assert x.tobytes() == held.tobytes()
+    def test_float32_input_gives_the_bits_of_its_float64_copy(self, rng):
+        from32 = rng.uniform(-40.0, 40.0, size=(3, 5)).astype(np.float32)
+        got = wrap(from32)
+        assert got.dtype == np.float64
+        assert got.tobytes() == wrap(from32.astype(np.float64)).tobytes()
 
     def test_array_input(self):
         out = wrap(np.array([0.0, 3 * np.pi, -TWO_PI]))

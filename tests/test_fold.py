@@ -90,7 +90,8 @@ def piston_shift_wrap_form(frames, mask, anchor):
     i, j = anchor
     out = np.subtract(frames, frames[..., i, j, None, None], dtype=np.float64)
     np.copyto(out, 0.0, where=~mask)
-    return wrap(out, out=out)
+    out[...] = wrap(out)
+    return out
 
 
 def prepare_wrap_form(frames, mask, pool_levels, anchor):

@@ -270,7 +270,7 @@ class TestMomentsRemove:
            st.sampled_from(GARBAGE))
     def test_garbage_off_the_mask(self, h, w, seed, value):
         mask = circular_aperture((h, w))
-        fit = zernike._moments_fit(mask, zernike.MODES)
+        fit = zernike._moments_fit(mask)
         assert fit is not None
         values = np.random.default_rng(seed).normal(size=(h, w))
         values[~mask] = value

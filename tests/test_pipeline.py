@@ -85,9 +85,6 @@ class TestPipelineParams:
             dict(min_samples=None, min_fraction=1.0),
             dict(pool_levels=-1),
             dict(cluster_weighting="harmonic"),
-            dict(modes_removed=("piston", "coma")),
-            dict(modes_removed=()),
-            dict(modes_removed=("tilt_x", "tilt_y", "power")),
             dict(wavelength_nm=0.0),
         ],
     )
@@ -204,10 +201,10 @@ class TestRunClustered:
         d = rep.to_dict(params, seed=5)
         assert d["schema_version"] == 1
         assert d["params"]["cut"] == 0.99
-        assert d["params"]["modes_removed"] == ["piston", "tilt_x", "tilt_y", "power"]
+        assert "modes_removed" not in d["params"]
         assert d["seed"] == 5
         assert isinstance(d["zernike_fits"], list)
-        assert d["zernike_fits"][0]["modes"] == ["piston", "tilt_x", "tilt_y", "power"]
+        assert all(f["modes"] == ["piston", "tilt_x", "tilt_y", "power"] for f in d["zernike_fits"])
         assert "surface" not in d
         d2 = rep.to_dict(params, seed=5, with_surface=True)
         assert np.array(d2["surface"]["values"]).shape == (32, 32)
@@ -227,10 +224,10 @@ class TestRunConventional:
         truth = peaks_surface(32, 6.0)
         spec = TrialSpec(frame_count=4, grid=32, snr_db=math.inf, tilt_jitter=0.0)
         stack, _ = make_trial(truth, spec)
-        rep = run_conventional(stack, PipelineParams(modes_removed=("piston",)))
-        # piston-only removal: surface should match truth up to a constant
-        diff = (rep.surface.values - truth)[rep.surface.mask]
-        assert np.abs(diff - diff.mean()).max() < 1e-6
+        rep = run_conventional(stack, PipelineParams())
+        # the truth with piston, tilt and power removed, on the same mask
+        want, _ = zernike_fit_remove_reference(truth, rep.surface.mask)
+        assert np.abs(rep.surface.values - want)[rep.surface.mask].max() < 1e-6
 
 
 class TestOnePipeline:
@@ -257,12 +254,12 @@ class TestOnePipeline:
         params = PipelineParams(classify=False)
         shifted = piston_shift(stack.frames, stack.mask)
         surface = unwrap(shifted[0], stack.mask, seed=center_pixel(stack.shape))
-        expected, _ = zernike_fit_remove(surface, modes=params.modes_removed)
+        expected, _ = zernike_fit_remove(surface)
         rep = run_clustered(stack, params)
         assert np.array_equal(rep.surface.mask, expected.mask)
         assert np.array_equal(rep.surface.values, expected.values)
         # and within the fit's stated bound of the lstsq oracle
-        oracle, _ = zernike_fit_remove_reference(surface, modes=params.modes_removed)
+        oracle, _ = zernike_fit_remove_reference(surface)
         bound = FIT_TOL * (1.0 + np.abs(surface.values[surface.mask]).max())
         assert np.abs(rep.surface.values - oracle.values).max() <= bound
 

@@ -3,6 +3,7 @@ import pytest
 
 from phasestack.core import circular_aperture, wrap
 from phasestack.preprocess import center_pixel, piston_shift, prepare_for_clustering
+from phasestack.wphs import _wrap_in_place
 
 
 def full_mask(shape):
@@ -241,7 +242,7 @@ class TestPrepareBlocks:
         mask = circular_aperture((size, size), margin=1)
         frames = rng.uniform(-4.0, 4.0, size=(10, size, size)).astype(np.float32)
         frames[:, ~mask] = 0.0
-        wrap(frames, out=frames)  # float32 in range, as read_stack stores it
+        _wrap_in_place(frames)  # float32 in range, as read_stack stores it
         anchor = center_pixel((size, size))
         block_pool(3, (size, size))
         got = prepare_for_clustering(frames, mask, levels, anchor)

@@ -260,6 +260,45 @@ class TestReadStack:
         assert got[4:][edge].tolist() == [-below_pi, below_pi]
 
 
+class TestWrapInPlace:
+    """``_wrap_in_place``, read_stack's wrap of each block of float32 frames:
+    only the values outside (-pi, pi] are rewritten, each to the float32
+    nearest its wrap inside the interval."""
+
+    def test_rewrites_only_values_outside(self, rng):
+        x = rng.uniform(-3.0, 3.0, size=(4, 6)).astype(np.float32)
+        x[0, :4] = [-0.0, np.nextafter(np.float32(np.pi), np.float32(0.0)), np.pi, -np.pi]
+        x[1, :3] = [3.2, 3 * np.pi, -40.0]
+        before = x.copy()
+        outside = np.abs(before.astype(np.float64)) > np.pi
+        assert outside.sum() == 5
+        assert wphs._wrap_in_place(x) is None and x.dtype == np.float32
+        assert x[~outside].tobytes() == before[~outside].tobytes()  # -0.0 kept
+        assert np.all(x > -np.float64(np.pi)) and np.all(x <= np.float64(np.pi))
+        want = wrap(before[outside].astype(np.float64))
+        assert np.all(np.abs(wrap(x[outside] - want)) <= 1.6e-7)
+        again = x.copy()
+        wphs._wrap_in_place(again)
+        assert again.tobytes() == x.tobytes()  # idempotent
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e30])
+    def test_raises_wraps_error_and_leaves_the_array(self, rng, bad):
+        x = rng.uniform(-4.0, 4.0, size=(3, 5)).astype(np.float32)
+        x[2, 2] = bad
+        held = x.copy()
+        with pytest.raises(ValueError) as info:
+            wphs._wrap_in_place(x)
+        with pytest.raises(ValueError) as want:
+            wrap(held)
+        assert str(info.value) == str(want.value)
+        assert x.tobytes() == held.tobytes()
+
+    def test_negative_zero_kept(self):
+        x = np.array([-0.0, 4.0, -0.0], dtype=np.float32)
+        wphs._wrap_in_place(x)
+        assert np.signbit(x[[0, 2]]).all() and x[1] < 0
+
+
 class TestReadStackBlocks:
     """read_stack's blocks on 1 and 2 worker threads give the bits of a
     whole-stack expression, and report the first bad value in file order."""
@@ -292,18 +331,18 @@ class TestReadStackBlocks:
         path.write_bytes(build_file(frames=list(frames)))
         block_pool(3, (2, 2))
         finished = []
-        real_wrap = wphs.wrap
+        real_wrap = wphs._wrap_in_place
 
-        def slow_first_block(x, out=None):
+        def slow_first_block(x):
             first = int(round(float(x[0, 0, 0]) * 10))
             try:
                 if first == 0:
                     time.sleep(0.2)
-                return real_wrap(x, out=out)
+                return real_wrap(x)
             finally:
                 finished.append(first)
 
-        monkeypatch.setattr(wphs, "wrap", slow_first_block)
+        monkeypatch.setattr(wphs, "_wrap_in_place", slow_first_block)
         with pytest.raises(StackFormatError) as err:
             read_stack(path)
         assert err.value.offset == HEADER_SIZE + 4 + 4 * (4 * 1 + 2)

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from zernike_reference import FIT_TOL, zernike_fit_remove_copy_form, zernike_fit_remove_reference
+from zernike_reference import (
+    FIT_TOL,
+    geometry_reference,
+    zernike_fit_remove_copy_form,
+    zernike_fit_remove_reference,
+)
 
 from phasestack import zernike
 from phasestack.core import circular_aperture
@@ -17,7 +22,7 @@ from phasestack.zernike import (
     MODES,
     ZernikeFit,
     _factor,
-    _mode_values,
+    _geometry,
     _MomentsFit,
     _SvdFit,
     phase_to_height,
@@ -43,7 +48,7 @@ def svd_path():
     return mock.patch.object(zernike, "MAX_GRAM_COND", 0.0)
 
 
-def fit_remove_fancy_index(values, m, modes=MODES):
+def fit_remove_fancy_index(values, m):
     """The lstsq fit with rows, cols fancy indexing: the oracle for the
     reference's boolean-mask gather and scatter."""
     rows, cols = np.nonzero(m)
@@ -51,7 +56,7 @@ def fit_remove_fancy_index(values, m, modes=MODES):
     radius = float(np.sqrt(((rows - cy) ** 2 + (cols - cx) ** 2).max()))
     dx = (cols - cx) / radius
     dy = (rows - cy) / radius
-    design = np.column_stack([_mode_values(name, dx, dy) for name in modes])
+    design = np.column_stack([np.ones_like(dx), dx, dy, 2.0 * (dx * dx + dy * dy) - 1.0])
     coef = np.linalg.lstsq(design, values[rows, cols], rcond=None)[0]
     residual = values.copy()
     residual[rows, cols] -= design @ coef
@@ -66,9 +71,8 @@ class TestFitRemove:
         shape = tuple(rng.integers(8, 40, size=2))
         values = rng.normal(0.0, 3.0, size=shape)
         mask = rng.random(shape) > rng.uniform(0.1, 0.7)
-        modes = MODES[: 1 + seed % len(MODES)]
-        residual, fit = zernike_fit_remove_reference(values, mask, modes)
-        want_residual, want_coef = fit_remove_fancy_index(values, mask, modes)
+        residual, fit = zernike_fit_remove_reference(values, mask)
+        want_residual, want_coef = fit_remove_fancy_index(values, mask)
         assert fit.coefficients.tobytes() == want_coef.tobytes()
         assert residual.tobytes() == want_residual.tobytes()
 
@@ -131,14 +135,6 @@ class TestFitRemove:
         assert residual.warning == "w"
         assert np.array_equal(residual.mask, mask)
 
-    def test_piston_only_subset(self):
-        values = np.full((16, 16), 2.5)
-        values[0, 0] = 3.5
-        residual, fit = zernike_fit_remove(values, modes=("piston",))
-        assert fit.modes == ("piston",)
-        assert fit.coefficient("piston") == pytest.approx(values.mean(), abs=1e-9)
-        assert residual[0, 0] == pytest.approx(3.5 - values.mean(), abs=1e-9)
-
     def test_invalid_pixels_zeroed(self):
         values = np.ones((16, 16))
         mask = np.ones((16, 16), dtype=bool)
@@ -159,12 +155,6 @@ class TestFitRemove:
         mask[0:3, 0:3] = True
         with pytest.raises(ValueError, match="at least 10"):
             zernike_fit_remove(values, mask)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            zernike_fit_remove(np.zeros((16, 16)), modes=("piston", "coma"))
-        with pytest.raises(ValueError):
-            zernike_fit_remove(np.zeros((16, 16)), modes=())
 
     def test_fit_evaluate_matches_design_on_valid_pixels(self):
         rng = np.random.default_rng(8)
@@ -222,25 +212,86 @@ def fit_masks(draw):
     return mask
 
 
-def fit_or_error(fit_remove, values, mask, modes):
+@st.composite
+def thin_rings(draw):
+    """Rings a pixel or so wide, whole or cut by the grid's edge."""
+    h, w = draw(st.integers(4, 48)), draw(st.integers(4, 48))
+    cy, cx = draw(st.floats(-2.0, h + 1.0)), draw(st.floats(-2.0, w + 1.0))
+    inner, width = draw(st.floats(1.0, 30.0)), draw(st.floats(0.3, 1.5))
+    r2 = (np.arange(h)[:, None] - cy) ** 2 + (np.arange(w)[None, :] - cx) ** 2
+    return (r2 >= inner**2) & (r2 <= (inner + width) ** 2)
+
+
+@st.composite
+def near_lines(draw):
+    """Pixels rounded onto a line of any slope, plus up to two off it."""
+    h, w = draw(st.integers(2, 48)), draw(st.integers(2, 48))
+    slope, offset = draw(st.floats(-3.0, 3.0)), draw(st.floats(0.0, w - 1.0))
+    mask = np.zeros((h, w), dtype=bool)
+    r = np.arange(h)
+    c = np.rint(offset + slope * r).astype(int)
+    on = (c >= 0) & (c < w)
+    mask[r[on], c[on]] = True
+    for _ in range(draw(st.integers(0, 2))):
+        mask[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = True
+    return np.ascontiguousarray(mask.T) if draw(st.booleans()) else mask
+
+
+def fit_or_error(fit_remove, values, mask):
     try:
-        return fit_remove(values, mask, modes)
+        return fit_remove(values, mask)
     except ValueError as exc:
         return str(exc)
+
+
+class TestGeometry:
+    """_geometry's centre and radius, from the mask's counts and each row's
+    outermost valid columns, against the mean and max over every valid
+    pixel's np.nonzero indices: the same bits, and the same error on fewer
+    than 10 valid pixels."""
+
+    @staticmethod
+    def check(mask):
+        try:
+            (cy, cx), radius = geometry_reference(mask)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                _geometry(mask)
+            assert str(info.value) == str(exc)
+            return
+        col_count, row_count, center, got_radius = _geometry(mask)
+        assert np.array_equal(col_count, mask.sum(axis=0))
+        assert np.array_equal(row_count, mask.sum(axis=1))
+        assert np.array([*center, got_radius]).tobytes() == np.array([cy, cx, radius]).tobytes()
+        assert got_radius > 0.0
+
+    @given(fit_masks())
+    def test_fit_masks(self, mask):
+        self.check(mask)
+
+    @given(thin_rings())
+    def test_thin_rings(self, mask):
+        self.check(mask)
+
+    @given(near_lines())
+    def test_near_lines(self, mask):
+        self.check(mask)
+
+    @pytest.mark.parametrize("inner", [0.5, 0.8, 0.95, 0.99])
+    def test_annuli(self, inner):
+        self.check(annulus((128, 128), inner))
 
 
 class TestCachedFactorization:
     """zernike_fit_remove, on either path, against the lstsq oracle of
     zernike_reference."""
 
-    @given(fit_masks(), st.integers(1, len(MODES)), st.integers(0, 2**32 - 1),
-           st.floats(-3.0, 3.0))
-    @example(disk_mask(256), len(MODES), 0, 0.0)
-    def test_within_bound_of_lstsq(self, mask, n_modes, seed, log_scale):
-        modes = MODES[:n_modes]
+    @given(fit_masks(), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
+    @example(disk_mask(256), 0, 0.0)
+    def test_within_bound_of_lstsq(self, mask, seed, log_scale):
         values = np.random.default_rng(seed).normal(0.0, 10.0**log_scale, size=mask.shape)
-        want = fit_or_error(zernike_fit_remove_reference, values, mask, modes)
-        got = fit_or_error(zernike_fit_remove, values, mask, modes)
+        want = fit_or_error(zernike_fit_remove_reference, values, mask)
+        got = fit_or_error(zernike_fit_remove, values, mask)
         if isinstance(want, str) or isinstance(got, str):
             assert got == want  # the same check fails, with the same message
             return
@@ -250,8 +301,7 @@ class TestCachedFactorization:
         assert np.abs(fit.coefficients - want_fit.coefficients).max() <= FIT_TOL * max(c_max, v_max)
         assert np.abs(residual - want_residual).max() <= FIT_TOL * (1.0 + v_max)
         assert not np.signbit(residual[~mask]).any() and not residual[~mask].any()  # +0.0
-        assert (fit.modes, fit.center, fit.radius) == (
-            want_fit.modes, want_fit.center, want_fit.radius)
+        assert (fit.center, fit.radius) == (want_fit.center, want_fit.radius)
 
     @pytest.mark.parametrize("case", ["few", "collinear_row", "collinear_diagonal", "column"])
     def test_same_errors_as_lstsq(self, case):
@@ -264,14 +314,11 @@ class TestCachedFactorization:
             mask[np.arange(12), np.arange(12)[::-1]] = True
         else:
             mask[:, 4] = True
-        for modes in (MODES, ("tilt_x",)):
-            want = fit_or_error(zernike_fit_remove_reference, np.zeros((12, 12)), mask, modes)
-            if isinstance(want, str):
-                with pytest.raises(ValueError) as info:
-                    zernike_fit_remove(np.zeros((12, 12)), mask, modes)
-                assert str(info.value) == want
-        with pytest.raises(ValueError, match="nonempty subset"):
-            zernike_fit_remove(np.zeros((16, 16)), disk_mask(16), ("piston", "coma"))
+        want = fit_or_error(zernike_fit_remove_reference, np.zeros((12, 12)), mask)
+        assert isinstance(want, str)
+        with pytest.raises(ValueError) as info:
+            zernike_fit_remove(np.zeros((12, 12)), mask)
+        assert str(info.value) == want
 
     def test_mask_edited_in_place_gets_a_fresh_factorization(self, fit_builds):
         mask = disk_mask(21)
@@ -289,7 +336,7 @@ class TestCachedFactorization:
         assert len(fit_builds) == 3  # the aperture once, the edited mask once per call
         assert aperture.mask[10, 10]
 
-    def test_one_factorization_per_aperture_and_modes(self, fit_builds):
+    def test_one_factorization_per_aperture(self, fit_builds):
         values = np.random.default_rng(3).normal(size=(16, 16))
         aperture = Aperture(disk_mask(16))
         want = zernike_fit_remove(values, disk_mask(16))
@@ -297,16 +344,14 @@ class TestCachedFactorization:
         for _ in range(3):
             got = zernike_fit_remove(values, disk_mask(16), aperture=aperture)
             assert got[0].tobytes() == want[0].tobytes()
-        zernike_fit_remove(values, disk_mask(16), MODES[:3], aperture=aperture)
-        zernike_fit_remove(values, disk_mask(16), MODES[:3], aperture=aperture)
-        assert len(fit_builds) == 1 + 2
-        zernike_fit_remove(values, disk_mask(16), MODES[:3])
-        assert len(fit_builds) == 1 + 2 + 1  # a call without the aperture builds for its mask
+        assert len(fit_builds) == 1 + 1
+        zernike_fit_remove(values, disk_mask(16))
+        assert len(fit_builds) == 1 + 1 + 1  # a call without the aperture builds for its mask
 
     def test_kept_factorization_is_read_only(self):
         aperture = Aperture(disk_mask(16))
         zernike_fit_remove(np.zeros((16, 16)), disk_mask(16), aperture=aperture)
-        kept = aperture.derived(_factor, MODES)
+        kept = aperture.derived(_factor)
         assert isinstance(kept, _MomentsFit)
         for a in (kept.gram, kept.inverse, kept.cols, kept.rows, kept.outside):
             with pytest.raises(ValueError):
@@ -316,7 +361,7 @@ class TestCachedFactorization:
         mask = annulus((16, 16), 0.9)
         aperture = Aperture(mask)
         zernike_fit_remove(np.zeros((16, 16)), mask, aperture=aperture)
-        kept = aperture.derived(_factor, MODES)
+        kept = aperture.derived(_factor)
         assert isinstance(kept, _SvdFit)
         for a in (kept.design, kept.pinv):
             with pytest.raises(ValueError):
@@ -345,19 +390,20 @@ class TestConditioningLimit:
         assert FIT_TOL == 1e-12
         assert MAX_GRAM_COND == FIT_TOL / (2**8 * np.finfo(float).eps)
 
-    @given(st.integers(24, 64), st.integers(24, 64), st.floats(0.5, 0.85),
-           st.integers(1, len(MODES)), st.integers(0, 2**32 - 1))
-    def test_both_sides_of_the_limit(self, h, w, inner, n_modes, seed):
-        mask, modes = annulus((h, w), inner), MODES[-n_modes:]  # power last: the ill-conditioned mode
-        design = zernike._design(mask, modes)[2]
+    @given(st.integers(24, 64), st.integers(24, 64), st.floats(0.5, 0.85), st.integers(0, 2**32 - 1))
+    @example(64, 64, 0.6, 0)  # the moments path
+    @example(64, 64, 0.8, 0)  # the SVD path
+    def test_both_sides_of_the_limit(self, h, w, inner, seed):
+        mask = annulus((h, w), inner)
+        design = zernike._design(mask)[2]
         cond = np.linalg.cond(design) ** 2
         if abs(cond / MAX_GRAM_COND - 1.0) < 1e-6:
             return  # the two eigenvalue routines may disagree this close
         kind = _MomentsFit if cond <= MAX_GRAM_COND else _SvdFit
-        assert isinstance(_factor(mask, modes), kind)
+        assert isinstance(_factor(mask), kind)
         values = np.random.default_rng(seed).normal(0.0, 1.0, size=mask.shape)
         (residual, fit), (want, want_fit) = (
-            zernike_fit_remove(values, mask, modes), zernike_fit_remove_reference(values, mask, modes))
+            zernike_fit_remove(values, mask), zernike_fit_remove_reference(values, mask))
         v_max = np.abs(values[mask]).max()
         c_max = np.abs(want_fit.coefficients).max()
         assert np.abs(fit.coefficients - want_fit.coefficients).max() <= FIT_TOL * max(c_max, v_max)
@@ -365,7 +411,7 @@ class TestConditioningLimit:
 
     @pytest.mark.parametrize("inner, kind", [(0.6, _MomentsFit), (0.8, _SvdFit)])
     def test_annuli_either_side(self, inner, kind):
-        assert isinstance(_factor(annulus((64, 64), inner), MODES), kind)
+        assert isinstance(_factor(annulus((64, 64), inner)), kind)
 
 
 class TestSingleGather:
@@ -373,16 +419,15 @@ class TestSingleGather:
     gather of the valid values, against the copy-subtract-zero form: the
     same bits."""
 
-    @given(fit_masks(), st.integers(1, len(MODES)), st.integers(0, 2**32 - 1))
-    def test_bits_of_the_copy_form(self, mask, n_modes, seed):
+    @given(fit_masks(), st.integers(0, 2**32 - 1))
+    def test_bits_of_the_copy_form(self, mask, seed):
         rng = np.random.default_rng(seed)
         values = rng.normal(0.0, 3.0, size=mask.shape)
         values[rng.random(mask.shape) < 0.2] = -0.0
         values[~mask] = rng.choice([np.nan, np.inf, -0.0, 1e300], size=int((~mask).sum()))
-        modes = MODES[:n_modes]
-        want = fit_or_error(zernike_fit_remove_copy_form, values, mask, modes)
+        want = fit_or_error(zernike_fit_remove_copy_form, values, mask)
         with svd_path():
-            got = fit_or_error(zernike_fit_remove, values, mask, modes)
+            got = fit_or_error(zernike_fit_remove, values, mask)
         if isinstance(want, str):
             assert got == want
             return
@@ -459,11 +504,10 @@ class TestPhaseToHeight:
 
 class TestZernikeFitObject:
     def test_coefficient_lookup_and_evaluate_shape(self):
-        fit = ZernikeFit(modes=MODES, coefficients=np.array([1.0, 0.0, 0.0, 0.0]),
-                         center=(2.0, 2.0), radius=2.0)
+        fit = ZernikeFit(coefficients=np.array([1.0, 0.0, 0.0, 0.0]), center=(2.0, 2.0), radius=2.0)
         out = fit.evaluate((5, 5))
         assert out.shape == (5, 5)
         assert np.allclose(out, 1.0)
-        assert fit.coefficient("piston") == 1.0
+        assert [fit.coefficient(mode) for mode in MODES] == [1.0, 0.0, 0.0, 0.0]
         with pytest.raises(ValueError):
             fit.coefficient("coma")

@@ -11,13 +11,13 @@ Each tree runs in ``ROUNDS`` rounds of fresh processes, with that tree's
 tree it records, on seed 0:
 
 - ``cold_fit_ms``: per-fit time of ``zernike_fit_remove(surface,
-  modes=MODES, aperture=Aperture(mask))`` with a new aperture for each fit
-  (build + fit)
+  aperture=Aperture(mask))`` with a new aperture for each fit (build + fit)
 - ``warm_fit_ms``: the same call with one aperture reused, as the pipeline
   does within a run; a surface the flood did not fully reach is fitted on
   its own reached mask, built for that fit
-- ``build_ms``: one per-mask build, ``zernike._factor(mask, MODES)``, of
-  the aperture
+- ``build_ms``: one per-mask build, ``zernike._factor(mask)``, of the
+  aperture (``zernike._factor(mask, MODES)`` on a tree whose builders
+  still take the modes; ``builder_args`` reads which)
 - ``oracle_fit_ms``: one ``np.linalg.lstsq`` of the design per fit
 - ``max_dresidual`` and ``max_dcoef``: the largest residual difference
   from the oracle over FIT_TOL's scale 1 + max|v|, and the largest
@@ -28,8 +28,11 @@ tree it records, on seed 0:
   aperture and one per part fitted on a mask of its own, and how many of
   them took the moments path
 - ``residuals_sha256`` (the warm fits' residuals and coefficients, which
-  differ between paths) and ``reached_masks_sha256`` (the unwrap's, which
-  no fit path may change)
+  differ between paths), ``geometry_sha256`` (their centres and radii) and
+  ``reached_masks_sha256`` (the unwrap's, which no fit path may change)
+
+``same_across_trees`` says, for each hash and the census, whether every
+run of both trees gave the same.
 
 Each ``*_ms`` is [q1, median, q3] over every pass (``REPEATS`` a round)
 of every round.  Run from the repository root, optionally with the
@@ -42,6 +45,7 @@ of every round.  Run from the repository root, optionally with the
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 from pathlib import Path
 
@@ -56,12 +60,21 @@ PARAMS = dict(cut=0.5, min_samples=None, min_fraction=0.04)
 HERE = Path(__file__).resolve()
 
 
+def builder_args(build) -> tuple:
+    """What a private per-mask builder (``zernike._design``, ``_factor``)
+    takes after the mask: ``(MODES,)`` on a tree whose fit removes a chosen
+    subset of the modes, nothing on one that always removes all four."""
+    from phasestack.zernike import MODES
+
+    return (MODES,) if "modes" in inspect.signature(build).parameters else ()
+
+
 def oracle_fit(surface):
     """(residual, coefficients) of one ``lstsq`` of the reached mask's design."""
-    from phasestack.zernike import MODES, _design
+    from phasestack.zernike import _design
 
     m = surface.mask
-    design = _design(m, MODES)[2]
+    design = _design(m, *builder_args(_design))[2]
     coef = np.linalg.lstsq(design, surface.values[m], rcond=None)[0]
     residual = np.zeros(m.shape)
     residual[m] = surface.values[m] - design @ coef
@@ -105,7 +118,7 @@ def worker() -> dict:
     from phasestack.core import detect_residues
     from phasestack.preprocess import center_pixel, piston_shift
     from phasestack.unwrap import Aperture, flood_unwrap, place_branch_cuts
-    from phasestack.zernike import MODES, zernike_fit_remove
+    from phasestack.zernike import zernike_fit_remove
 
     stack = harness.trial("conventional-256")
     mask, pixel = stack.mask, center_pixel(stack.shape)
@@ -115,8 +128,9 @@ def worker() -> dict:
         for f in shifted
     ]
     kept = Aperture(mask)
+    build, args = zernike._factor, builder_args(zernike._factor)
     items = [(s,) for s in surfaces]
-    warm = [zernike_fit_remove(s, modes=MODES, aperture=kept) for s in surfaces]
+    warm = [zernike_fit_remove(s, aperture=kept) for s in surfaces]
 
     d_residual = d_coef = 0.0
     for s, (got, got_fit) in zip(surfaces, warm):
@@ -128,17 +142,18 @@ def worker() -> dict:
 
     return {
         "cold_fit_ms": harness.pass_ms(
-            lambda s: zernike_fit_remove(s, modes=MODES, aperture=Aperture(mask)), items, REPEATS),
+            lambda s: zernike_fit_remove(s, aperture=Aperture(mask)), items, REPEATS),
         "warm_fit_ms": harness.pass_ms(
-            lambda s: zernike_fit_remove(s, modes=MODES, aperture=kept), items, REPEATS),
+            lambda s: zernike_fit_remove(s, aperture=kept), items, REPEATS),
         "oracle_fit_ms": harness.pass_ms(oracle_fit, items, REPEATS),
-        "build_ms": [t * 1e3 for t in harness.call_s(lambda: zernike._factor(mask, MODES), REPEATS)],
-        "aperture_path": path_of(zernike._factor(mask, MODES)),
+        "build_ms": [t * 1e3 for t in harness.call_s(lambda: build(mask, *args), REPEATS)],
+        "aperture_path": path_of(build(mask, *args)),
         "fully_reached_frames": sum(bool(np.array_equal(s.mask, mask)) for s in surfaces),
         "max_dresidual": d_residual,
         "max_dcoef": d_coef,
         "residuals_sha256": harness.sha256_of(
             [a for r, f in warm for a in (r.values, f.coefficients)]),
+        "geometry_sha256": harness.sha256_of([np.array([*f.center, f.radius]) for _, f in warm]),
         "reached_masks_sha256": harness.sha256_of([s.mask for s in surfaces]),
         "census": census(),
     }
@@ -158,8 +173,8 @@ def main(argv=None) -> None:
     times = ("cold_fit_ms", "warm_fit_ms", "oracle_fit_ms", "build_ms")
     rows = {name: harness.merge_rounds(r, pooled=times) for name, r in runs.items()}
     same = {
-        key: len({run[key] for r in runs.values() for run in r}) == 1
-        for key in ("residuals_sha256", "reached_masks_sha256")
+        key: len({json.dumps(run[key], sort_keys=True) for r in runs.values() for run in r}) == 1
+        for key in ("residuals_sha256", "geometry_sha256", "reached_masks_sha256", "census")
     }
     harness.write_json(args.out, {
         "benchmark": "fit: zernike_fit_remove cold, warm and its per-mask build vs a lstsq oracle",

@@ -31,8 +31,8 @@ one thread, as perfbench sets it.  Two kinds of rows:
   - ``check``, ``residues``, ``cuts`` and ``flood``: ``check_frame``,
     ``detect_residues``, ``place_branch_cuts`` and ``flood_unwrap`` of the
     shifted frame, its charges and its cuts
-  - ``fit``: ``zernike_fit_remove`` of the unwrapped surface, with the
-    modes the pipeline removes by default
+  - ``fit``: ``zernike_fit_remove`` of the unwrapped surface (piston,
+    tilt and power, as the pipeline removes)
   - ``combine``: the ``combine`` stage time that ``run_conventional``
     itself reports (the running weighted mean is inline in the pipeline),
     one call of it per pass
